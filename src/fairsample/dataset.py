@@ -71,16 +71,6 @@ class Schema:
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed schema: {exc}") from exc
 
-    def to_json_dict(self):
-        return {
-            "target": self.target,
-            "positive_label": self.positive_label,
-            "sensitive": self.sensitive,
-            "privileged_value": self.privileged_value,
-            "features": [{"name": n, "kind": k} for n, k in self.features],
-            "task": self.task,
-        }
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -12,7 +12,7 @@ counts; squared-loss terms are float64 with fixed-order summation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -99,11 +99,37 @@ def _majority_labels(ens, mean_scores):
     return labels
 
 
+def _zero_one_counts(ens):
+    """Integer per-point counts behind every exact zero-one term.
+
+    Returns (mean_scores, main, biased, n_diff_main, n_diff_y): the main
+    prediction, whether it misses eval_y (the point's 0/1 bias), and how
+    many of the K models disagree with the main prediction and with eval_y.
+    """
+    mean_scores = ens.scores.mean(axis=0)
+    main = _majority_labels(ens, mean_scores)
+    biased = main != ens.eval_y
+    n_diff_main = (ens.labels != main).sum(axis=0)
+    n_diff_y = (ens.labels != ens.eval_y).sum(axis=0)
+    return mean_scores, main, biased, n_diff_main, n_diff_y
+
+
+def _zero_one_means(biased, n_diff_main, k, sel):
+    """Exact mean bias and net variance over the points in the boolean
+    mask sel: a point's net variance is +variance when unbiased and
+    -variance when biased, and its variance is n_diff_main / k."""
+    n = int(sel.sum())
+    bias = Fraction(int(biased[sel].sum()), n)
+    net = (int(n_diff_main[sel & ~biased].sum())
+           - int(n_diff_main[sel & biased].sum()))
+    return bias, Fraction(net, k * n)
+
+
 def decompose_points(ens):
     if ens.loss_kind == ABSOLUTE:
         raise ConfigError("absolute loss has no exact decomposition")
-    mean_scores = ens.scores.mean(axis=0)
     if ens.loss_kind == SQUARED:
+        mean_scores = ens.scores.mean(axis=0)
         bias = (mean_scores - ens.eval_y) ** 2
         variance = ((ens.scores - mean_scores) ** 2).mean(axis=0)
         mean_loss = ((ens.scores - ens.eval_y) ** 2).mean(axis=0)
@@ -111,27 +137,15 @@ def decompose_points(ens):
         return PointDecomposition(SQUARED, mean_scores, mean_scores,
                                   np.zeros(ens.n), bias, variance, ones,
                                   mean_loss)
-    labels = _majority_labels(ens, mean_scores)
+    mean_scores, main, biased, n_diff_main, n_diff_y = _zero_one_counts(ens)
     k = ens.k
-    n_diff_main = (ens.labels != labels).sum(axis=0)
-    n_diff_y = (ens.labels != ens.eval_y).sum(axis=0)
-    bias = []
-    variance = []
-    net_factor = []
-    mean_loss = []
-    zero = Fraction(0)
-    for i in range(ens.n):
-        b = zero if labels[i] == ens.eval_y[i] else Fraction(1)
-        v = Fraction(int(n_diff_main[i]), k)
-        c = 1 if b == 0 else -1
-        bias.append(b)
-        variance.append(v)
-        net_factor.append(c)
-        mean_loss.append(Fraction(int(n_diff_y[i]), k))
-    return PointDecomposition(ZERO_ONE, mean_scores, labels,
-                              tuple(zero for _ in range(ens.n)),
-                              tuple(bias), tuple(variance),
-                              tuple(net_factor), tuple(mean_loss))
+    zero, one = Fraction(0), Fraction(1)
+    return PointDecomposition(
+        ZERO_ONE, mean_scores, main, (zero,) * ens.n,
+        tuple(one if b else zero for b in biased),
+        tuple(Fraction(int(v), k) for v in n_diff_main),
+        tuple(-1 if b else 1 for b in biased),
+        tuple(Fraction(int(v), k) for v in n_diff_y))
 
 
 @dataclass(frozen=True)
@@ -182,23 +196,6 @@ class DecompositionReport:
     def cost_disc(self):
         return self._diff(self.cost(1), self.cost(0))
 
-    def to_json_dict(self):
-        conv = lambda v: None if v is None else float(v)
-        return {
-            "metric": self.metric,
-            "conditioning": self.conditioning,
-            "a0": {"noise": conv(self.noise_a0), "bias": conv(self.bias_a0),
-                   "net_variance": conv(self.net_variance_a0),
-                   "cost": conv(self.cost(0))},
-            "a1": {"noise": conv(self.noise_a1), "bias": conv(self.bias_a1),
-                   "net_variance": conv(self.net_variance_a1),
-                   "cost": conv(self.cost(1))},
-            "difference": {"noise": conv(self.noise_diff),
-                           "bias": conv(self.bias_diff),
-                           "net_variance": conv(self.net_variance_diff),
-                           "cost": conv(self.cost_disc)},
-        }
-
 
 def _subset_mask(metric, y):
     cond = _CONDITIONING[metric]
@@ -219,25 +216,23 @@ def decompose_cost(ens, metric):
         raise ConfigError(
             f"metric {metric} needs {loss_kind} loss, ensemble carries "
             f"{ens.loss_kind}")
-    points = decompose_points(ens)
     mask, cond = _subset_mask(metric, ens.eval_y)
     offset, sign = _COST_AFFINE[metric]
+    if loss_kind == SQUARED:
+        points = decompose_points(ens)
+    else:
+        _, _, biased, n_diff_main, _ = _zero_one_counts(ens)
     terms = {}
     for group in (0, 1):
-        sel = np.flatnonzero(mask & (ens.eval_a == group))
-        if len(sel) == 0:
+        sel = mask & (ens.eval_a == group)
+        if not sel.any():
             terms[group] = (None, None, None)
-            continue
-        if loss_kind == SQUARED:
-            b = float(np.mean(np.asarray(points.bias)[sel]))
-            v = float(np.mean(np.asarray(points.variance)[sel]))
-            n0 = 0.0
+        elif loss_kind == SQUARED:
+            terms[group] = (0.0, float(np.mean(points.bias[sel])),
+                            float(np.mean(points.variance[sel])))
         else:
-            b = sum(points.bias[i] for i in sel) / len(sel)
-            v = sum(points.net_factor[i] * points.variance[i]
-                    for i in sel) / len(sel)
-            n0 = Fraction(0)
-        terms[group] = (n0, b, v)
+            terms[group] = (Fraction(0),) + _zero_one_means(
+                biased, n_diff_main, ens.k, sel)
     return DecompositionReport(metric, cond, offset, sign,
                                terms[0][0], terms[0][1], terms[0][2],
                                terms[1][0], terms[1][1], terms[1][2])
@@ -347,24 +342,16 @@ def sd_bounds(ens):
     for group in (0, 1):
         if not np.any(ens.eval_a == group):
             raise DataError(f"empty group a{group} in evaluation set")
-    mean_scores = ens.scores.mean(axis=0)
-    main = _majority_labels(ens, mean_scores)
+    _, _, biased, n_diff_main, _ = _zero_one_counts(ens)
     k = ens.k
-    n_diff_main = (ens.labels != main).sum(axis=0)
     terms = {}
     sd_hat = {}
     sd_true = {}
     for group in (0, 1):
-        sel = np.flatnonzero(ens.eval_a == group)
-        n = len(sel)
-        b_sum = Fraction(0)
-        v_sum = Fraction(0)
-        for i in sel:
-            b = Fraction(0) if main[i] == ens.eval_y[i] else Fraction(1)
-            v = Fraction(int(n_diff_main[i]), k)
-            b_sum += b
-            v_sum += (1 - 2 * b) * v
-        terms[group] = (Fraction(0), b_sum / n, v_sum / n)
+        sel = ens.eval_a == group
+        n = int(sel.sum())
+        terms[group] = (Fraction(0),) + _zero_one_means(
+            biased, n_diff_main, k, sel)
         sd_hat[group] = Fraction(int(ens.labels[:, sel].sum()), k * n)
         sd_true[group] = Fraction(int(ens.eval_y[sel].sum()), n)
     dn = terms[1][0] - terms[0][0]

@@ -240,7 +240,7 @@ def _fit_cell_ensemble(pool, test, learner, m0, m1, replicates, seed,
 
     def one(rep):
         sample = draw_sample(pool, plan, rep)
-        model = fit(learner, sample, fingerprint=(seed, rep))
+        model = fit(learner, sample)
         return model.predict(test.X)
 
     preds = _map_tasks(one, list(range(replicates)), threads)
@@ -269,6 +269,31 @@ def _loss_kind(task):
     return SQUARED if task == REGRESSION else ZERO_ONE
 
 
+def _check_cells(pool, counts, with_replacement, allow_empty=False):
+    """Reject an infeasible grid before any model is fitted.
+
+    counts maps each grid point to its (m0, m1).  One error names every
+    point that leaves a group empty (ConfigError, unless allow_empty) or
+    asks a group for more rows than its pool holds (DataError).
+    """
+    sizes = (len(pool.group_indices(0)), len(pool.group_indices(1)))
+    empty, short = [], []
+    for g, (m0, m1) in counts.items():
+        if not allow_empty and (m0 == 0 or m1 == 0):
+            empty.append(f"{g!r} gives an empty group (m0={m0}, m1={m1})")
+        for group, want in ((0, m0), (1, m1)):
+            if want > sizes[group] and (not with_replacement
+                                        or sizes[group] == 0):
+                short.append(f"{g!r} needs {want} rows from group "
+                             f"a{group}, pool has {sizes[group]}")
+    if empty:
+        raise ConfigError("infeasible grid points; both group counts must "
+                          "be positive: " + "; ".join(empty + short))
+    if short:
+        raise DataError("infeasible grid points; group pool exhausted: "
+                        + "; ".join(short))
+
+
 def run_ssb_sweep(ds, spec):
     """Discrimination vs training-set size, plus SSB against the largest
     grid size as reference."""
@@ -283,11 +308,12 @@ def run_ssb_sweep(ds, spec):
                         f"size {pool.n}")
     ratio = population_ratio(ds)
     loss_kind = _loss_kind(ds.task)
+    counts = {m: _split_counts(ratio, m) for m in grid}
+    _check_cells(pool, counts, spec.with_replacement, allow_empty=True)
 
     ensembles = {}
     for m in grid:
-        m1 = int(round(ratio * m))
-        m0 = m - m1
+        m0, m1 = counts[m]
         ensembles[m] = _fit_cell_ensemble(
             pool, test, spec.learner, m0, m1, spec.replicates,
             task_seed(spec.seed, spec.family, m), spec.with_replacement,
@@ -334,16 +360,14 @@ def run_urb_sweep(ds, spec):
     if not any(_split_counts(r, m) == (pop_m0, pop_m1) for r in grid):
         grid = tuple(sorted(set(grid) | {round(ratio, 6)}))
     loss_kind = _loss_kind(ds.task)
+    counts = {r: _split_counts(r, m) for r in grid}
+    _check_cells(pool, counts, spec.with_replacement)
 
     ensembles = {}
     ref_ens = None
     ref_key = None
     for r in grid:
-        m0, m1 = _split_counts(r, m)
-        if m0 == 0 or m1 == 0:
-            raise ConfigError(
-                f"ratio {r} gives an empty group at m={m}; both group "
-                "counts must be positive")
+        m0, m1 = counts[r]
         if (m0, m1) == (pop_m0, pop_m1) and ref_ens is not None:
             ensembles[r] = ref_ens
             continue
@@ -368,7 +392,7 @@ def run_urb_sweep(ds, spec):
                          cells)
     ref_desc = f"split={pop_m1}/{pop_m0}"
     for r in grid:
-        m0, m1 = _split_counts(r, m)
+        m0, m1 = counts[r]
         for metric in metrics:
             result.bias_rows.append(be.urb(
                 ensembles[r], ensembles[ref_key], metric, spec.estimator,
@@ -415,12 +439,11 @@ def run_decomposition_sweep(ds, spec):
         grid_param = "ratio"
         counts = {g: _split_counts(g, m) for g in grid}
         ref_key = min(grid, key=lambda r: abs(r - ratio))
+    _check_cells(pool, counts, spec.with_replacement)
 
     ensembles = {}
     for g in grid:
         m0, m1 = counts[g]
-        if m0 == 0 or m1 == 0:
-            raise ConfigError(f"grid point {g} gives an empty group")
         ensembles[g] = _fit_cell_ensemble(
             pool, test, spec.learner, m0, m1, spec.replicates,
             task_seed(spec.seed, spec.family, (spec.decomp_kind, m0, m1)),

@@ -7,7 +7,7 @@ which the experiment harness relies on for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,14 +53,13 @@ class Learner:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Opaque fitted parameters plus the training-sample fingerprint."""
+    """Opaque fitted parameters."""
 
     kind: str
     threshold: float
     n_features: int
     params: dict
     task: str
-    fingerprint: tuple = ()
 
     def predict(self, X):
         """Return (scores, labels) for a feature matrix.
@@ -82,7 +81,7 @@ class FittedModel:
         return scores, labels
 
 
-def fit(learner, train, fingerprint=()):
+def fit(learner, train):
     if train.n == 0:
         raise DataError("cannot fit on an empty training set")
     if train.X.shape[1] == 0:
@@ -95,10 +94,10 @@ def fit(learner, train, fingerprint=()):
             value = float(train.y[0])
             return FittedModel(learner.kind, learner.threshold,
                                train.X.shape[1], {"constant": value},
-                               CLASSIFICATION, fingerprint)
+                               CLASSIFICATION)
     params = _FITTERS[learner.kind](learner, train.X, train.y)
     return FittedModel(learner.kind, learner.threshold, train.X.shape[1],
-                       params, learner.task, fingerprint)
+                       params, learner.task)
 
 
 # ---------------------------------------------------------------- logistic
@@ -229,20 +228,36 @@ def _score_tree(params, X):
 
 # ---------------------------------------------------------------- knn
 
+# distance terms per query chunk in _score_knn: ~256 KB per float temporary
+_KNN_CHUNK_ELEMS = 32768
+
+
 def _fit_knn(learner, X, y):
     return {"X": X.copy(), "y": y.copy(), "k": min(learner.k, len(y))}
 
 
 def _score_knn(params, X):
+    """Fraction of positive labels among the k nearest training rows.
+
+    Query rows are scored in chunks of at most _KNN_CHUNK_ELEMS distance
+    terms.  Squared distances use the same subtraction, square and
+    last-axis sum for every chunk size, so ties are exact; a tie at the
+    k-th distance goes to the lower training row, as a stable argsort
+    would.  Labels are 0/1, so the positive count over k is exact too.
+    """
     if "constant" in params:
         return np.full(len(X), params["constant"])
     Xt, yt, k = params["X"], params["y"], params["k"]
+    rows = max(1, _KNN_CHUNK_ELEMS // Xt.size)
     out = np.empty(len(X))
-    for i, x in enumerate(X):
-        d2 = np.sum((Xt - x) ** 2, axis=1)
-        # stable argsort: equal distances resolved by lower row index
-        nn = np.argsort(d2, kind="stable")[:k]
-        out[i] = yt[nn].mean()
+    for s in range(0, len(X), rows):
+        d2 = np.sum((Xt - X[s:s + rows, None]) ** 2, axis=2)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        near = d2 < kth
+        tie = d2 == kth
+        need = k - near.sum(axis=1, keepdims=True)
+        near |= tie & (np.cumsum(tie, axis=1) <= need)
+        out[s:s + rows] = near @ yt / k
     return out
 
 

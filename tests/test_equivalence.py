@@ -1,0 +1,120 @@
+"""The array implementations of kNN scoring and of the exact zero-one
+decomposition against the per-row / per-point loops in oracles.py."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from fairsample import (DataError, Dataset, Learner, PredictionEnsemble,
+                        SweepSpec, SynthSpec, decompose_cost,
+                        decompose_points, fit, generate,
+                        run_decomposition_sweep, sd_bounds)
+from fairsample import decomposition, learners
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 5, 9, 20]),
+       n_train=st.integers(20, 60),
+       k=st.sampled_from(["1", "5", "n_train"]),
+       levels=st.integers(1, 3),
+       scale=st.sampled_from([1.0, 0.1, 0.37]),
+       seed=st.integers(0, 2**32 - 1))
+def test_knn_predict_matches_per_row_oracle(d, n_train, k, levels, scale,
+                                            seed):
+    rng = np.random.default_rng(seed)
+    # few distinct rows on a coarse grid, drawn with repeats: distances tie
+    distinct = rng.integers(-levels, levels + 1, (max(2, n_train // 3), d))
+    X = scale * distinct[rng.integers(0, len(distinct), n_train)]
+    y = rng.integers(0, 2, n_train).astype(float)
+    y[:2] = (0.0, 1.0)
+    k = n_train if k == "n_train" else int(k)
+    model = fit(Learner("knn", k=k),
+                Dataset(X, y, np.zeros(n_train, dtype=int),
+                        np.arange(n_train)))
+    rows_per_chunk = max(1, learners._KNN_CHUNK_ELEMS // X.size)
+    n_query = rows_per_chunk + int(rng.integers(1, rows_per_chunk + 1))
+    Xq = scale * rng.integers(-levels - 1, levels + 2, (n_query, d))
+    scores, labels = model.predict(Xq)
+    expected = oracles.score_knn(model.params, Xq)
+    assert np.array_equal(scores, expected)
+    assert np.array_equal(labels, (expected >= 0.5).astype(float))
+
+
+@st.composite
+def zero_one_ensembles(draw):
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, (k, n)).astype(float)
+    # scores at 0.5 make majority-vote ties (even K) land on both sides
+    scores = rng.choice([0.1, 0.5, 0.9], (k, n))
+    y = rng.integers(0, 2, n).astype(float)
+    a = rng.integers(0, 2, n)
+    # empty conditioning subsets: one outcome or one group missing
+    y_only = draw(st.sampled_from([None, 0.0, 1.0]))
+    if y_only is not None:
+        y[:] = y_only
+    a_only = draw(st.sampled_from([None, 0, 1]))
+    if a_only is not None:
+        a[:] = a_only
+    return PredictionEnsemble(scores, labels, y, a, "zero_one")
+
+
+def _is_exact(report, fields):
+    return all(v is None or isinstance(v, Fraction)
+               for v in (getattr(report, f) for f in fields))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ens=zero_one_ensembles())
+def test_zero_one_decomposition_matches_per_point_oracle(ens):
+    pts = decompose_points(ens)
+    assert (pts.bias, pts.variance, pts.net_factor, pts.mean_loss) == \
+        oracles.zero_one_points(ens)
+    assert pts.noise == (Fraction(0),) * ens.n
+    terms = ("noise_a0", "bias_a0", "net_variance_a0",
+             "noise_a1", "bias_a1", "net_variance_a1")
+    for metric in ("ZOL", "FPR", "EO"):
+        rep = decompose_cost(ens, metric)
+        assert rep == oracles.decompose_cost(ens, metric)
+        assert _is_exact(rep, terms)
+    if all(np.any(ens.eval_a == g) for g in (0, 1)):
+        rep = sd_bounds(ens)
+        assert rep == oracles.sd_bounds(ens)
+        assert _is_exact(rep, terms + ("observed", "upper", "lower"))
+    else:
+        with pytest.raises(DataError, match="empty group"):
+            sd_bounds(ens)
+
+
+def test_empty_conditioning_subset_gives_none():
+    ens = PredictionEnsemble(np.full((2, 3), 0.9), np.ones((2, 3)),
+                             np.zeros(3), np.array([0, 1, 1]), "zero_one")
+    rep = decompose_cost(ens, "EO")
+    assert rep == oracles.decompose_cost(ens, "EO")
+    assert rep.bias_a0 is None and rep.net_variance_a1 is None
+    assert decompose_cost(ens, "FPR").bias_a1 == 1
+
+
+def test_knn_urb_decomposition_sweep_matches_oracles_bytewise(
+        tmp_path, monkeypatch):
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=5))
+    spec = SweepSpec(family="decomposition", decomp_kind="urb", total_m=80,
+                     grid=(0.1, 0.5), replicates=4, seed=5,
+                     metrics=("ZOL", "FPR", "EO"),
+                     learner=Learner("knn", k=5))
+    out = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setitem(learners._SCORERS, "knn", oracles.score_knn)
+            monkeypatch.setattr(decomposition, "decompose_cost",
+                                oracles.decompose_cost)
+        path = tmp_path / f"sweep-{patched}.csv"
+        run_decomposition_sweep(ds, spec).write_csv(path)
+        out.append(path.read_bytes())
+    assert out[0] == out[1]

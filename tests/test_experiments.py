@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,11 @@ from fairsample import (ConfigError, DataError, Learner, SweepSpec,
                         SynthSpec, generate, run_collect_sim,
                         run_decomposition_sweep, run_ssb_sweep,
                         run_urb_sweep)
-from fairsample.experiments import (_mean_stderr, default_ssb_grid,
-                                    default_urb_grid, task_seed)
+from fairsample import experiments
+from fairsample.dataset import holdout_split
+from fairsample.experiments import (_mean_stderr, _split_counts,
+                                    default_ssb_grid, default_urb_grid,
+                                    task_seed)
 
 FAST_TREE = Learner("decision_tree", max_depth=3, min_leaf=5)
 FAST_OLS = Learner("linear_regression")
@@ -134,6 +139,32 @@ def test_urb_sweep_degenerate_ratio_rejected(clf_ds):
                      seed=3, learner=FAST_TREE, metrics=("SD",), total_m=60)
     with pytest.raises(ConfigError, match="empty group"):
         run_urb_sweep(clf_ds, spec)
+
+
+def test_infeasible_grid_rejected_before_any_fit(clf_ds, monkeypatch):
+    fits = []
+    real_fit = experiments.fit
+    monkeypatch.setattr(experiments, "fit",
+                        lambda *args: fits.append(1) or real_fit(*args))
+    ds = generate(SynthSpec(n=4000, d=5, group1_share=0.3, seed=1))
+    pool, _ = holdout_split(ds, 0.3, 1)
+    a1_rows = len(pool.group_indices(1))
+    grid = default_urb_grid(0.3)
+    short = [r for r in grid if _split_counts(r, 1000)[1] > a1_rows]
+    assert 0 < len(short) < len(grid)
+    for run, kw in ((run_urb_sweep, {"family": "urb_ratio"}),
+                    (run_decomposition_sweep, {"family": "decomposition",
+                                               "decomp_kind": "urb"})):
+        spec = SweepSpec(replicates=2, seed=1, total_m=1000, **kw)
+        with pytest.raises(DataError, match="group pool exhausted") as err:
+            run(ds, spec)
+        # one error names every infeasible grid point
+        assert str(err.value).count(f"pool has {a1_rows}") == len(short)
+        for r in short:
+            assert f"{r!r} needs" in str(err.value)
+        with pytest.raises(ConfigError, match="empty group"):
+            run(clf_ds, replace(spec, grid=(0.001, 0.5), total_m=60))
+    assert fits == []
 
 
 def test_decomposition_sweep_mse_identity(reg_ds):
