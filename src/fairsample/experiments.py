@@ -72,8 +72,6 @@ class SweepSpec:
             raise ConfigError(f"unknown decomp_kind {self.decomp_kind!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
-        if self.family == "collect" and self.replicates < 2:
-            raise ConfigError("collect needs replicates >= 2")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be >= 2")
         if self.seed < 0:

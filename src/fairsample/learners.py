@@ -72,7 +72,10 @@ class FittedModel:
             raise DataError(
                 f"feature dimension mismatch: model expects {self.n_features},"
                 f" got {X.shape}")
-        scores = _SCORERS[self.kind](self.params, X)
+        if "constant" in self.params:
+            scores = np.full(len(X), self.params["constant"])
+        else:
+            scores = _SCORERS[self.kind](self.params, X)
         if self.task == CLASSIFICATION:
             scores = np.clip(scores, 0.0, 1.0)
             labels = (scores >= self.threshold).astype(float)
@@ -145,8 +148,6 @@ def _fit_logreg(learner, X, y):
 
 
 def _score_logreg(params, X):
-    if "constant" in params:
-        return np.full(len(X), params["constant"])
     w = params["w"]
     return _sigmoid(X @ w[:-1] + w[-1])
 
@@ -212,23 +213,51 @@ def _fit_tree(learner, X, y):
     return {"tree": _build_tree(X, y, 0, learner)}
 
 
-def _score_tree_one(node, x):
-    while "leaf" not in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] \
-            else node["right"]
-    return node["leaf"]
+def _flatten_tree(tree):
+    """Preorder node arrays (feature, threshold, left, right, value) and
+    the tree's height.  A leaf points to itself on both sides, so a row
+    that reaches it early stays there while deeper rows descend."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add(node):
+        i = len(feature)
+        feature.append(node.get("feature", 0))
+        threshold.append(node.get("threshold", 0.0))
+        value.append(node.get("leaf", 0.0))
+        left.append(i)
+        right.append(i)
+        if "leaf" in node:
+            return 0
+        left[i] = len(feature)
+        height = add(node["left"])
+        right[i] = len(feature)
+        return 1 + max(height, add(node["right"]))
+
+    height = add(tree)
+    return (np.array(feature), np.array(threshold), np.array(left),
+            np.array(right), np.array(value), height)
 
 
 def _score_tree(params, X):
-    if "constant" in params:
-        return np.full(len(X), params["constant"])
-    tree = params["tree"]
-    return np.array([_score_tree_one(tree, x) for x in X])
+    """Leaf value of each row, all rows descending one level per step.
+
+    The same `<=` comparisons against the same thresholds as a walk of the
+    fitted dict one row at a time, so every row reaches the same leaf.
+    """
+    feature, threshold, left, right, value, height = _flatten_tree(
+        params["tree"])
+    rows = np.arange(len(X))
+    node = np.zeros(len(X), dtype=np.intp)
+    for _ in range(height):
+        go_left = X[rows, feature[node]] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+    return value[node]
 
 
 # ---------------------------------------------------------------- knn
 
-# distance terms per query chunk in _score_knn: ~256 KB per float temporary
+# distance terms (query rows x training rows x features) per chunk in
+# _score_knn: ~256 KB as float64, shared out over one array per feature
 _KNN_CHUNK_ELEMS = 32768
 
 
@@ -236,22 +265,58 @@ def _fit_knn(learner, X, y):
     return {"X": X.copy(), "y": y.copy(), "k": min(learner.k, len(y))}
 
 
+def _sq_distances(Xt_cols, Xq_cols, lo, hi):
+    """Squared distances over features lo..hi-1, shape (queries, n_train).
+
+    One (queries, n_train) term per feature, added in numpy's pairwise
+    order for a d-long float64 reduction: sequential below 8 terms; 8
+    lanes combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) plus the remainder
+    up to 128; above that, halves split at a multiple of 8.  The result is
+    bit-equal to np.sum((Xt - Xq[:, None]) ** 2, axis=2) without its 3-D
+    temporary and short-axis reduction.
+    """
+    def term(j):
+        t = Xt_cols[j] - Xq_cols[j][:, None]
+        return np.multiply(t, t, out=t)
+
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return (_sq_distances(Xt_cols, Xq_cols, lo, lo + half)
+                + _sq_distances(Xt_cols, Xq_cols, lo + half, hi))
+    if n < 8:
+        acc = term(lo)
+        for j in range(lo + 1, hi):
+            acc += term(j)
+        return acc
+    r = [term(lo + i) for i in range(8)]
+    end = hi - n % 8
+    for s in range(lo + 8, end, 8):
+        for i in range(8):
+            r[i] += term(s + i)
+    acc = (((r[0] + r[1]) + (r[2] + r[3]))
+           + ((r[4] + r[5]) + (r[6] + r[7])))
+    for j in range(end, hi):
+        acc += term(j)
+    return acc
+
+
 def _score_knn(params, X):
     """Fraction of positive labels among the k nearest training rows.
 
     Query rows are scored in chunks of at most _KNN_CHUNK_ELEMS distance
-    terms.  Squared distances use the same subtraction, square and
-    last-axis sum for every chunk size, so ties are exact; a tie at the
+    terms.  Squared distances come from _sq_distances, whose summation
+    order does not depend on the chunk, so ties are exact; a tie at the
     k-th distance goes to the lower training row, as a stable argsort
     would.  Labels are 0/1, so the positive count over k is exact too.
     """
-    if "constant" in params:
-        return np.full(len(X), params["constant"])
     Xt, yt, k = params["X"], params["y"], params["k"]
+    Xt_cols = np.ascontiguousarray(Xt.T)
     rows = max(1, _KNN_CHUNK_ELEMS // Xt.size)
     out = np.empty(len(X))
     for s in range(0, len(X), rows):
-        d2 = np.sum((Xt - X[s:s + rows, None]) ** 2, axis=2)
+        Xq_cols = np.ascontiguousarray(X[s:s + rows].T)
+        d2 = _sq_distances(Xt_cols, Xq_cols, 0, len(Xt_cols))
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
         near = d2 < kth
         tie = d2 == kth
@@ -278,8 +343,6 @@ def _fit_ols(learner, X, y):
 
 
 def _score_ols(params, X):
-    if "constant" in params:
-        return np.full(len(X), params["constant"])
     w = params["w"]
     return X @ w[:-1] + w[-1]
 

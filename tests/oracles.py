@@ -1,11 +1,11 @@
-"""Per-row and per-point reference implementations of kNN scoring and the
-exact zero-one decomposition.
+"""Per-row and per-point reference implementations of kNN scoring, tree
+scoring and the exact zero-one decomposition.
 
 These are the straightforward loops the library's array code must match
-exactly: one stable argsort per query row, one ``Fraction`` per
-evaluation point.  Tests compare against them with ``np.array_equal`` and
-``==`` on ``Fraction``s, and can monkeypatch them in for an end-to-end
-byte comparison.
+exactly: one stable argsort per query row, one walk of the fitted tree
+dict per query row, one ``Fraction`` per evaluation point.  Tests compare
+against them with ``np.array_equal`` and ``==`` on ``Fraction``s, and can
+monkeypatch them in for an end-to-end byte comparison.
 """
 
 from fractions import Fraction
@@ -31,6 +31,21 @@ def score_knn(params, X):
         nn = np.argsort(d2, kind="stable")[:k]
         out[i] = yt[nn].mean()
     return out
+
+
+def score_tree_one(node, x):
+    while "leaf" not in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] \
+            else node["right"]
+    return node["leaf"]
+
+
+def score_tree(params, X):
+    """Tree scores, one walk of the fitted dict per query row."""
+    if "constant" in params:
+        return np.full(len(X), params["constant"])
+    tree = params["tree"]
+    return np.array([score_tree_one(tree, x) for x in X])
 
 
 def zero_one_points(ens):

@@ -1,5 +1,6 @@
-"""The array implementations of kNN scoring and of the exact zero-one
-decomposition against the per-row / per-point loops in oracles.py."""
+"""The array implementations of kNN scoring, tree scoring and the exact
+zero-one decomposition against the per-row / per-point loops in
+oracles.py."""
 
 from fractions import Fraction
 
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 import oracles
 from fairsample import (DataError, Dataset, Learner, PredictionEnsemble,
                         SweepSpec, SynthSpec, decompose_cost,
-                        decompose_points, fit, generate,
+                        decompose_points, fit, generate, run_collect_sim,
                         run_decomposition_sweep, sd_bounds)
 from fairsample import decomposition, learners
 
 
 @settings(max_examples=60, deadline=None)
-@given(d=st.sampled_from([1, 5, 9, 20]),
+@given(d=st.sampled_from([1, 5, 7, 8, 9, 20, 130]),
        n_train=st.integers(20, 60),
        k=st.sampled_from(["1", "5", "n_train"]),
        levels=st.integers(1, 3),
@@ -40,6 +41,34 @@ def test_knn_predict_matches_per_row_oracle(d, n_train, k, levels, scale,
     Xq = scale * rng.integers(-levels - 1, levels + 2, (n_query, d))
     scores, labels = model.predict(Xq)
     expected = oracles.score_knn(model.params, Xq)
+    assert np.array_equal(scores, expected)
+    assert np.array_equal(labels, (expected >= 0.5).astype(float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 4),
+       n_train=st.integers(2, 80),
+       max_depth=st.integers(1, 8),
+       min_leaf=st.integers(1, 5),
+       levels=st.integers(1, 4),
+       single_class=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_tree_predict_matches_per_row_oracle(d, n_train, max_depth, min_leaf,
+                                             levels, single_class, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-levels, levels + 1, (n_train, d)).astype(float)
+    y = rng.integers(0, 2, n_train).astype(float)
+    if single_class:
+        y[:] = y[0]
+    model = fit(Learner("decision_tree", max_depth=max_depth,
+                        min_leaf=min_leaf),
+                Dataset(X, y, np.zeros(n_train, dtype=int),
+                        np.arange(n_train)))
+    # halves of the grid: thresholds are midpoints of grid values, so
+    # queries land exactly on them as well as on both sides
+    Xq = rng.integers(-2 * levels - 2, 2 * levels + 3, (50, d)) / 2.0
+    scores, labels = model.predict(Xq)
+    expected = oracles.score_tree(model.params, Xq)
     assert np.array_equal(scores, expected)
     assert np.array_equal(labels, (expected >= 0.5).astype(float))
 
@@ -101,6 +130,11 @@ def test_empty_conditioning_subset_gives_none():
     assert decompose_cost(ens, "FPR").bias_a1 == 1
 
 
+def _sweep_csv_bytes(run, ds, spec, path):
+    run(ds, spec).write_csv(path)
+    return path.read_bytes()
+
+
 def test_knn_urb_decomposition_sweep_matches_oracles_bytewise(
         tmp_path, monkeypatch):
     ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=5))
@@ -108,13 +142,21 @@ def test_knn_urb_decomposition_sweep_matches_oracles_bytewise(
                      grid=(0.1, 0.5), replicates=4, seed=5,
                      metrics=("ZOL", "FPR", "EO"),
                      learner=Learner("knn", k=5))
-    out = []
-    for patched in (False, True):
-        if patched:
-            monkeypatch.setitem(learners._SCORERS, "knn", oracles.score_knn)
-            monkeypatch.setattr(decomposition, "decompose_cost",
-                                oracles.decompose_cost)
-        path = tmp_path / f"sweep-{patched}.csv"
-        run_decomposition_sweep(ds, spec).write_csv(path)
-        out.append(path.read_bytes())
-    assert out[0] == out[1]
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path)
+    monkeypatch.setitem(learners._SCORERS, "knn", oracles.score_knn)
+    monkeypatch.setattr(decomposition, "decompose_cost",
+                        oracles.decompose_cost)
+    assert _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path) == before
+
+
+def test_tree_collect_sweep_matches_oracle_bytewise(tmp_path, monkeypatch):
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=5))
+    spec = SweepSpec(family="collect", grid=(2, 10, 40), replicates=3,
+                     seed=5, fixed_majority=60,
+                     learner=Learner("decision_tree", min_leaf=2))
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_collect_sim, ds, spec, path)
+    monkeypatch.setitem(learners._SCORERS, "decision_tree",
+                        oracles.score_tree)
+    assert _sweep_csv_bytes(run_collect_sim, ds, spec, path) == before
