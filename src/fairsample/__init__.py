@@ -14,5 +14,5 @@ from .bias_estimators import BiasEstimate, ssb, ssb_single, urb, urb_single
 from .experiments import (SweepResult, SweepSpec, aggregate, run_collect_sim,
                           run_decomposition_sweep, run_ssb_sweep,
                           run_urb_sweep)
-from .synth import SynthSpec, generate, oracle_decomposition, oracle_metrics
+from .synth import SynthSpec, generate
 from .errors import ConfigError, DataError, FairsampleError

@@ -10,6 +10,7 @@ cause recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -88,48 +89,37 @@ def _estimate(kind, metric, estimator, target_desc, ref_desc,
                         disc_t - disc_r, k)
 
 
-def ssb(target_ens, ref_ens, metric, estimator=MEAN_OVER_MODELS,
-        target_desc=None, ref_desc=None):
-    """Sample size bias of the target ensemble against the largest-size
-    reference ensemble."""
+def _ensemble_bias(kind, target_ens, ref_ens, metric,
+                   estimator=MEAN_OVER_MODELS, target_desc=None,
+                   ref_desc=None):
+    """Bias of the target ensemble against the reference ensemble, both
+    under one estimator mode; kind labels the estimate."""
     _check_eval(target_ens, ref_ens)
     dt, ct = ensemble_disc(target_ens, metric, estimator)
     dr, cr = ensemble_disc(ref_ens, metric, estimator)
-    return _estimate(SSB_ENSEMBLE, metric, estimator,
+    return _estimate(kind, metric, estimator,
                      target_desc or f"K={target_ens.k}",
                      ref_desc or f"K={ref_ens.k}", dt, ct, dr, cr,
                      target_ens.k)
 
 
-def ssb_single(scores, labels, ref_ens, metric,
-               target_desc="single", ref_desc=None):
-    """Sample size bias of one specific trained model against the
-    main prediction of the reference ensemble."""
+def _single_bias(kind, scores, labels, ref_ens, metric,
+                 target_desc="single", ref_desc=None):
+    """Bias of one specific trained model against the main prediction of
+    the reference ensemble; kind labels the estimate."""
     dt, ct = single_disc(scores, labels, ref_ens, metric)
     dr, cr = ensemble_disc(ref_ens, metric, MAIN_PREDICTION)
-    return _estimate(SSB_SINGLE, metric, MAIN_PREDICTION, target_desc,
+    return _estimate(kind, metric, MAIN_PREDICTION, target_desc,
                      ref_desc or f"K={ref_ens.k}", dt, ct, dr, cr, 1)
 
 
-def urb(target_ens, ref_ens, metric, estimator=MEAN_OVER_MODELS,
-        target_desc=None, ref_desc=None):
-    """Underrepresentation bias of the target split against the
-    population-split reference ensemble of the same total size."""
-    _check_eval(target_ens, ref_ens)
-    dt, ct = ensemble_disc(target_ens, metric, estimator)
-    dr, cr = ensemble_disc(ref_ens, metric, estimator)
-    return _estimate(URB_ENSEMBLE, metric, estimator,
-                     target_desc or f"K={target_ens.k}",
-                     ref_desc or f"K={ref_ens.k}", dt, ct, dr, cr,
-                     target_ens.k)
-
-
-def urb_single(scores, labels, ref_ens, metric,
-               target_desc="single", ref_desc=None):
-    dt, ct = single_disc(scores, labels, ref_ens, metric)
-    dr, cr = ensemble_disc(ref_ens, metric, MAIN_PREDICTION)
-    return _estimate(URB_SINGLE, metric, MAIN_PREDICTION, target_desc,
-                     ref_desc or f"K={ref_ens.k}", dt, ct, dr, cr, 1)
+# Sample size bias is measured against the largest-size reference
+# ensemble, underrepresentation bias against the population-split
+# reference of the same total size; the arithmetic is the same.
+ssb = partial(_ensemble_bias, SSB_ENSEMBLE)
+urb = partial(_ensemble_bias, URB_ENSEMBLE)
+ssb_single = partial(_single_bias, SSB_SINGLE)
+urb_single = partial(_single_bias, URB_SINGLE)
 
 
 def _check_eval(target_ens, ref_ens):

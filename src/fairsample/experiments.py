@@ -22,7 +22,7 @@ from .decomposition import (SQUARED, ZERO_ONE, PredictionEnsemble,
                             decompose_bias_gap)
 from .errors import ConfigError, DataError
 from .group_metrics import (ALL_METRICS, CLASSIFICATION_METRICS, group_cost)
-from .learners import Learner, fit
+from .learners import Learner, fit, fit_many
 
 FAMILIES = ("ssb_size", "urb_ratio", "decomposition", "collect")
 VARIANTS = ("minority_random", "majority_random", "minority_positive_only")
@@ -232,16 +232,14 @@ def default_urb_grid(pop_ratio):
 
 def _fit_cell_ensemble(pool, test, learner, m0, m1, replicates, seed,
                        with_replacement, threads, loss_kind):
-    """K seeded draws -> K fitted models -> stacked test-set predictions."""
+    """K seeded draws -> K models fitted together -> stacked test-set
+    predictions."""
     plan = SamplingPlan(m0=m0, m1=m1, replicates=replicates, seed=seed,
                         with_replacement=with_replacement)
-
-    def one(rep):
-        sample = draw_sample(pool, plan, rep)
-        model = fit(learner, sample)
-        return model.predict(test.X)
-
-    preds = _map_tasks(one, list(range(replicates)), threads)
+    samples = _map_tasks(lambda rep: draw_sample(pool, plan, rep),
+                         list(range(replicates)), threads)
+    models = fit_many(learner, samples)
+    preds = _map_tasks(lambda model: model.predict(test.X), models, threads)
     scores = np.stack([p[0] for p in preds])
     labels = np.stack([p[1] for p in preds])
     return PredictionEnsemble(scores, labels, test.y, test.a, loss_kind)

@@ -85,66 +85,130 @@ class FittedModel:
 
 
 def fit(learner, train):
-    if train.n == 0:
-        raise DataError("cannot fit on an empty training set")
-    if train.X.shape[1] == 0:
-        raise DataError("zero-feature input")
-    if learner.task == CLASSIFICATION:
-        labels_present = set(np.unique(train.y))
-        if len(labels_present) < 2:
+    return fit_many(learner, [train])[0]
+
+
+def fit_many(learner, samples):
+    """One FittedModel per training sample, in order.
+
+    Samples of one shape are fitted together, so a cell's K same-size
+    draws make one batched logistic-regression solve; each model is
+    bit-identical to a fit of its sample alone.
+    """
+    models = [None] * len(samples)
+    by_shape = {}
+    for i, train in enumerate(samples):
+        if train.n == 0:
+            raise DataError("cannot fit on an empty training set")
+        if train.X.shape[1] == 0:
+            raise DataError("zero-feature input")
+        if learner.task == CLASSIFICATION and len(np.unique(train.y)) < 2:
             # Single-class draws are common at very small m; a constant
             # model keeps sweeps running instead of crashing.
-            value = float(train.y[0])
-            return FittedModel(learner.kind, learner.threshold,
-                               train.X.shape[1], {"constant": value},
-                               CLASSIFICATION)
-    params = _FITTERS[learner.kind](learner, train.X, train.y)
-    return FittedModel(learner.kind, learner.threshold, train.X.shape[1],
-                       params, learner.task)
+            models[i] = FittedModel(learner.kind, learner.threshold,
+                                    train.X.shape[1],
+                                    {"constant": float(train.y[0])},
+                                    CLASSIFICATION)
+        else:
+            by_shape.setdefault(train.X.shape, []).append(i)
+    for idx in by_shape.values():
+        fitted = _FITTERS[learner.kind](learner, [samples[i].X for i in idx],
+                                        [samples[i].y for i in idx])
+        for i, params in zip(idx, fitted):
+            models[i] = FittedModel(learner.kind, learner.threshold,
+                                    samples[i].X.shape[1], params,
+                                    learner.task)
+    return models
+
+
+def _each(fit_one):
+    """A fitter over same-shape samples from a one-sample fitter."""
+    return lambda learner, Xs, ys: [fit_one(learner, X, y)
+                                    for X, y in zip(Xs, ys)]
 
 
 # ---------------------------------------------------------------- logistic
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without masks: exp(-|z|) is exp(-z) for z >= 0
+    and exp(z) below, so either branch is what a masked version computes."""
+    e = np.exp(-np.abs(z))
+    q = 1.0 + e
+    return np.where(z >= 0, 1.0 / q, e / q)
 
 
-def _logreg_loss_grad(w, Xb, y, l2):
-    z = Xb @ w
+def _logreg_loss_grad(w, Xb, y, flip, l2):
+    """Loss and gradient of each replicate k at its own weights w[k].
+
+    Each replicate gets the arithmetic of a one-sample fit: a matmul per
+    slice (gemv, ddot), a mean as np.mean takes it (a pairwise sum along
+    the contiguous row axis, then a divide), and -margin = z * flip with
+    flip = -1 where y is positive, which is exact.
+    """
+    n = y.shape[1]
+    z = np.matmul(Xb, w[:, :, None])[:, :, 0]
     # log(1 + exp(-m)) with m = (2y-1) z, numerically stable
-    margin = np.where(y > 0.5, z, -z)
-    loss = float(np.mean(np.logaddexp(0.0, -margin)))
+    loss = np.add.reduce(np.logaddexp(0.0, z * flip), axis=1) / n
     reg = w.copy()
-    reg[-1] = 0.0  # intercept not penalized
-    loss += 0.5 * l2 * float(reg @ reg)
-    p = _sigmoid(z)
-    grad = Xb.T @ (p - y) / len(y) + l2 * reg
+    reg[:, -1] = 0.0  # intercept not penalized
+    loss += 0.5 * l2 * np.matmul(reg[:, None, :], reg[:, :, None])[:, 0, 0]
+    r = _sigmoid(z) - y
+    grad = (np.matmul(Xb.transpose(0, 2, 1), r[:, :, None])[:, :, 0] / n
+            + l2 * reg)
     return loss, grad
 
 
-def _fit_logreg(learner, X, y):
-    Xb = np.hstack([X, np.ones((len(y), 1))])
-    w = np.zeros(Xb.shape[1])
-    loss, grad = _logreg_loss_grad(w, Xb, y, learner.l2)
-    for _ in range(learner.max_iter):
-        if np.max(np.abs(grad)) < learner.grad_tol:
-            break
-        step = learner.learning_rate
-        while step > 1e-12:
-            w_new = w - step * grad
-            loss_new, grad_new = _logreg_loss_grad(w_new, Xb, y, learner.l2)
-            if loss_new <= loss:
+def _max_abs(grad):
+    """Largest |gradient| entry of each replicate."""
+    return np.maximum.reduce(np.abs(grad), axis=1)
+
+
+def _fit_logreg(learner, Xs, ys):
+    """Gradient descent with backtracking, the K replicates in lockstep.
+
+    Every round tries one step for each live replicate.  A replicate
+    accepts it when the loss does not rise, else halves its step; it
+    stops once its gradient is below grad_tol, after max_iter accepted
+    steps, or when its step falls to 1e-12.  Stopped replicates leave
+    the batch.
+    """
+    lr, l2 = learner.learning_rate, learner.l2
+    K, (n, d) = len(Xs), Xs[0].shape
+    Xb = np.empty((K, n, d + 1))
+    for k, X in enumerate(Xs):
+        Xb[k, :, :d] = X
+    Xb[:, :, d] = 1.0
+    y = np.stack(ys)
+    flip = np.where(y > 0.5, -1.0, 1.0)
+    w = np.zeros((K, d + 1))
+    loss, grad = _logreg_loss_grad(w, Xb, y, flip, l2)
+    step = np.full(K, lr)
+    accepted = np.zeros(K, dtype=int)
+    live = np.arange(K)
+    out = np.empty((K, d + 1))
+    stop = (_max_abs(grad) < learner.grad_tol) | ~(step > 1e-12)
+    while True:
+        if stop.any():
+            out[live[stop]] = w[stop]
+            keep = ~stop
+            if not keep.any():
                 break
-            step *= 0.5
-        else:
-            break
-        w, loss, grad = w_new, loss_new, grad_new
-    return {"w": w}
+            Xb, y, flip, w, loss, grad, step, accepted, live = (
+                a[keep] for a in (Xb, y, flip, w, loss, grad, step,
+                                  accepted, live))
+        w_new = w - step[:, None] * grad
+        loss_new, grad_new = _logreg_loss_grad(w_new, Xb, y, flip, l2)
+        ok = loss_new <= loss
+        w = np.where(ok[:, None], w_new, w)
+        loss = np.where(ok, loss_new, loss)
+        grad = np.where(ok[:, None], grad_new, grad)
+        accepted += ok
+        step = np.where(ok, lr, step * 0.5)
+        # not (step > 1e-12), the one-sample loop's test: a NaN step stops
+        stop = ~(step > 1e-12) | (ok & (
+            (accepted >= learner.max_iter)
+            | (_max_abs(grad) < learner.grad_tol)))
+    return [{"w": wk} for wk in out]
 
 
 def _score_logreg(params, X):
@@ -347,11 +411,13 @@ def _score_ols(params, X):
     return X @ w[:-1] + w[-1]
 
 
+# each takes the features and labels of K samples of one shape and returns
+# K params dicts
 _FITTERS = {
     "logistic_regression": _fit_logreg,
-    "decision_tree": _fit_tree,
-    "knn": _fit_knn,
-    "linear_regression": _fit_ols,
+    "decision_tree": _each(_fit_tree),
+    "knn": _each(_fit_knn),
+    "linear_regression": _each(_fit_ols),
 }
 
 _SCORERS = {

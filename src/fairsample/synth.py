@@ -1,8 +1,7 @@
-"""Parametric two-group synthetic populations and brute-force oracles.
+"""Parametric two-group synthetic populations.
 
 The generators give analytically controllable group gaps (Gaussian
-features, logistic or linear outcomes); the oracles recompute metrics and
-decompositions the slow, obvious way and exist for tests only.
+features, logistic or linear outcomes).
 """
 
 from __future__ import annotations
@@ -10,15 +9,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .dataset import CLASSIFICATION, REGRESSION, Dataset
 from .errors import ConfigError
-from .group_metrics import ALL_METRICS, GroupCostReport
-
-_ORACLE_N_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -98,99 +93,3 @@ def write_csv(ds, csv_path, schema_path):
     with open(schema_path, "w", encoding="utf-8") as fh:
         json.dump(schema, fh, indent=2)
         fh.write("\n")
-
-
-# ------------------------------------------------------------------ oracles
-
-def oracle_metrics(y, labels, scores, a, metrics=None):
-    """Naive loop-based recomputation of every metric; tests only."""
-    if len(y) > _ORACLE_N_CAP:
-        raise ConfigError(f"oracle size cap {_ORACLE_N_CAP} exceeded")
-    metrics = metrics or [m for m in ALL_METRICS if m != "MSE"]
-    reports = []
-    for metric in metrics:
-        vals = []
-        for group in (0, 1):
-            idx = [i for i in range(len(y)) if a[i] == group]
-            vals.append(_oracle_value(metric, y, labels, scores, idx))
-        reports.append(GroupCostReport(metric, vals[0], vals[1]))
-    return reports
-
-
-def _oracle_value(metric, y, labels, scores, idx):
-    if metric == "FPR":
-        den = [i for i in idx if y[i] == 0]
-        return _frac(sum(1 for i in den if labels[i] == 1), len(den))
-    if metric == "FNR":
-        den = [i for i in idx if y[i] == 1]
-        return _frac(sum(1 for i in den if labels[i] == 0), len(den))
-    if metric == "EO":
-        den = [i for i in idx if y[i] == 1]
-        return _frac(sum(1 for i in den if labels[i] == 1), len(den))
-    if metric == "ZOL":
-        return _frac(sum(1 for i in idx if labels[i] != y[i]), len(idx))
-    if metric == "SD":
-        return _frac(sum(1 for i in idx if labels[i] == 1), len(idx))
-    if metric == "MSE":
-        if not idx:
-            return None
-        return sum((float(scores[i]) - float(y[i])) ** 2
-                   for i in idx) / len(idx)
-    if metric == "AUC":
-        pos = [scores[i] for i in idx if y[i] == 1]
-        neg = [scores[i] for i in idx if y[i] == 0]
-        if not pos or not neg:
-            return None
-        s = Fraction(0)
-        for sp in pos:
-            for sn in neg:
-                if sp > sn:
-                    s += 1
-                elif sp == sn:
-                    s += Fraction(1, 2)
-        return s / (len(pos) * len(neg))
-    raise ConfigError(f"unknown metric {metric!r}")
-
-
-def _frac(num, den):
-    return None if den == 0 else Fraction(num, den)
-
-
-def oracle_decomposition(ens, loss_kind=None):
-    """Exhaustive per-point decomposition for tiny ensembles (K <= 5,
-    n <= 20): returns (noise, bias, variance, net_factor, mean_loss) lists."""
-    loss_kind = loss_kind or ens.loss_kind
-    if ens.k > 5 or ens.n > 20:
-        raise ConfigError("oracle decomposition caps: K <= 5, n <= 20")
-    noise, bias, variance, net_factor, mean_loss = [], [], [], [], []
-    for i in range(ens.n):
-        y = float(ens.eval_y[i])
-        if loss_kind == "squared":
-            preds = [float(ens.scores[k][i]) for k in range(ens.k)]
-            main = sum(preds) / len(preds)
-            b = (main - y) ** 2
-            v = sum((p - main) ** 2 for p in preds) / len(preds)
-            c = 1
-            ml = sum((p - y) ** 2 for p in preds) / len(preds)
-        else:
-            preds = [float(ens.labels[k][i]) for k in range(ens.k)]
-            ones = sum(1 for p in preds if p == 1)
-            if 2 * ones > len(preds):
-                main = 1.0
-            elif 2 * ones < len(preds):
-                main = 0.0
-            else:
-                main = 1.0 if np.mean(ens.scores[:, i]) >= 0.5 else 0.0
-            b = Fraction(0) if main == y else Fraction(1)
-            v = Fraction(sum(1 for p in preds if p != main), len(preds))
-            ml = Fraction(sum(1 for p in preds if p != y), len(preds))
-            if loss_kind == "zero_one":
-                c = 1 if b == 0 else -1
-            else:  # absolute loss: net factor (1 - 2B)
-                c = 1 - 2 * b
-        noise.append(0 if loss_kind != "squared" else 0.0)
-        bias.append(b)
-        variance.append(v)
-        net_factor.append(c)
-        mean_loss.append(ml)
-    return noise, bias, variance, net_factor, mean_loss

@@ -1,11 +1,13 @@
-"""Per-row and per-point reference implementations of kNN scoring, tree
-scoring and the exact zero-one decomposition.
+"""Reference implementations: logistic-regression fitting one sample at a
+time, per-row kNN and tree scoring, the exact zero-one decomposition one
+point at a time, and brute-force group metrics and decompositions.
 
 These are the straightforward loops the library's array code must match
-exactly: one stable argsort per query row, one walk of the fitted tree
-dict per query row, one ``Fraction`` per evaluation point.  Tests compare
-against them with ``np.array_equal`` and ``==`` on ``Fraction``s, and can
-monkeypatch them in for an end-to-end byte comparison.
+exactly: one gradient-descent loop per training sample, one stable
+argsort per query row, one walk of the fitted tree dict per query row, one
+``Fraction`` per evaluation point.  Tests compare against them with
+``np.array_equal`` and ``==`` on ``Fraction``s, and can monkeypatch them
+in for an end-to-end byte comparison.
 """
 
 from fractions import Fraction
@@ -17,6 +19,62 @@ from fairsample.decomposition import (_COST_AFFINE, _CONDITIONING, SQUARED,
                                       SdBoundsReport, _majority_labels,
                                       _subset_mask, decompose_points)
 from fairsample.errors import ConfigError, DataError
+from fairsample.group_metrics import ALL_METRICS, GroupCostReport
+
+_ORACLE_N_CAP = 500
+
+
+def _sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _logreg_loss_grad(w, Xb, y, l2):
+    z = Xb @ w
+    # log(1 + exp(-m)) with m = (2y-1) z, numerically stable
+    margin = np.where(y > 0.5, z, -z)
+    loss = float(np.mean(np.logaddexp(0.0, -margin)))
+    reg = w.copy()
+    reg[-1] = 0.0  # intercept not penalized
+    loss += 0.5 * l2 * float(reg @ reg)
+    p = _sigmoid(z)
+    grad = Xb.T @ (p - y) / len(y) + l2 * reg
+    return loss, grad
+
+
+def _fit_logreg(learner, X, y):
+    Xb = np.hstack([X, np.ones((len(y), 1))])
+    w = np.zeros(Xb.shape[1])
+    loss, grad = _logreg_loss_grad(w, Xb, y, learner.l2)
+    for _ in range(learner.max_iter):
+        if np.max(np.abs(grad)) < learner.grad_tol:
+            break
+        step = learner.learning_rate
+        while step > 1e-12:
+            w_new = w - step * grad
+            loss_new, grad_new = _logreg_loss_grad(w_new, Xb, y, learner.l2)
+            if loss_new <= loss:
+                break
+            step *= 0.5
+        else:
+            break
+        w, loss, grad = w_new, loss_new, grad_new
+    return {"w": w}
+
+
+def fit_logreg_each(learner, Xs, ys):
+    """_fit_logreg behind the library's many-sample fitter interface."""
+    return [_fit_logreg(learner, X, y) for X, y in zip(Xs, ys)]
+
+
+def score_logreg(params, X):
+    """Logistic-regression scores through the masked sigmoid."""
+    w = params["w"]
+    return _sigmoid(X @ w[:-1] + w[-1])
 
 
 def score_knn(params, X):
@@ -144,3 +202,97 @@ def sd_bounds(ens):
     return SdBoundsReport(observed, upper, lower, within,
                           terms[0][0], terms[0][1], terms[0][2],
                           terms[1][0], terms[1][1], terms[1][2])
+
+
+def oracle_metrics(y, labels, scores, a, metrics=None):
+    """Naive loop-based recomputation of every metric; tests only."""
+    if len(y) > _ORACLE_N_CAP:
+        raise ConfigError(f"oracle size cap {_ORACLE_N_CAP} exceeded")
+    metrics = metrics or [m for m in ALL_METRICS if m != "MSE"]
+    reports = []
+    for metric in metrics:
+        vals = []
+        for group in (0, 1):
+            idx = [i for i in range(len(y)) if a[i] == group]
+            vals.append(_oracle_value(metric, y, labels, scores, idx))
+        reports.append(GroupCostReport(metric, vals[0], vals[1]))
+    return reports
+
+
+def _oracle_value(metric, y, labels, scores, idx):
+    if metric == "FPR":
+        den = [i for i in idx if y[i] == 0]
+        return _frac(sum(1 for i in den if labels[i] == 1), len(den))
+    if metric == "FNR":
+        den = [i for i in idx if y[i] == 1]
+        return _frac(sum(1 for i in den if labels[i] == 0), len(den))
+    if metric == "EO":
+        den = [i for i in idx if y[i] == 1]
+        return _frac(sum(1 for i in den if labels[i] == 1), len(den))
+    if metric == "ZOL":
+        return _frac(sum(1 for i in idx if labels[i] != y[i]), len(idx))
+    if metric == "SD":
+        return _frac(sum(1 for i in idx if labels[i] == 1), len(idx))
+    if metric == "MSE":
+        if not idx:
+            return None
+        return sum((float(scores[i]) - float(y[i])) ** 2
+                   for i in idx) / len(idx)
+    if metric == "AUC":
+        pos = [scores[i] for i in idx if y[i] == 1]
+        neg = [scores[i] for i in idx if y[i] == 0]
+        if not pos or not neg:
+            return None
+        s = Fraction(0)
+        for sp in pos:
+            for sn in neg:
+                if sp > sn:
+                    s += 1
+                elif sp == sn:
+                    s += Fraction(1, 2)
+        return s / (len(pos) * len(neg))
+    raise ConfigError(f"unknown metric {metric!r}")
+
+
+def _frac(num, den):
+    return None if den == 0 else Fraction(num, den)
+
+
+def oracle_decomposition(ens, loss_kind=None):
+    """Exhaustive per-point decomposition for tiny ensembles (K <= 5,
+    n <= 20): returns (noise, bias, variance, net_factor, mean_loss) lists."""
+    loss_kind = loss_kind or ens.loss_kind
+    if ens.k > 5 or ens.n > 20:
+        raise ConfigError("oracle decomposition caps: K <= 5, n <= 20")
+    noise, bias, variance, net_factor, mean_loss = [], [], [], [], []
+    for i in range(ens.n):
+        y = float(ens.eval_y[i])
+        if loss_kind == "squared":
+            preds = [float(ens.scores[k][i]) for k in range(ens.k)]
+            main = sum(preds) / len(preds)
+            b = (main - y) ** 2
+            v = sum((p - main) ** 2 for p in preds) / len(preds)
+            c = 1
+            ml = sum((p - y) ** 2 for p in preds) / len(preds)
+        else:
+            preds = [float(ens.labels[k][i]) for k in range(ens.k)]
+            ones = sum(1 for p in preds if p == 1)
+            if 2 * ones > len(preds):
+                main = 1.0
+            elif 2 * ones < len(preds):
+                main = 0.0
+            else:
+                main = 1.0 if np.mean(ens.scores[:, i]) >= 0.5 else 0.0
+            b = Fraction(0) if main == y else Fraction(1)
+            v = Fraction(sum(1 for p in preds if p != main), len(preds))
+            ml = Fraction(sum(1 for p in preds if p != y), len(preds))
+            if loss_kind == "zero_one":
+                c = 1 if b == 0 else -1
+            else:  # absolute loss: net factor (1 - 2B)
+                c = 1 - 2 * b
+        noise.append(0 if loss_kind != "squared" else 0.0)
+        bias.append(b)
+        variance.append(v)
+        net_factor.append(c)
+        mean_loss.append(ml)
+    return noise, bias, variance, net_factor, mean_loss

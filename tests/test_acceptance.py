@@ -19,7 +19,8 @@ from fairsample import (Learner, PredictionEnsemble, SamplingPlan, SweepSpec,
                         run_ssb_sweep, run_urb_sweep, sd_bounds)
 from fairsample.bias_estimators import MAIN_PREDICTION, MEAN_OVER_MODELS
 from fairsample.cli import main
-from fairsample.synth import oracle_decomposition, oracle_metrics, write_csv
+from fairsample.synth import write_csv
+from oracles import oracle_decomposition, oracle_metrics
 
 FAST_TREE = Learner("decision_tree", max_depth=4, min_leaf=5)
 

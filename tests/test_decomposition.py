@@ -6,7 +6,7 @@ import pytest
 from fairsample import (ConfigError, PredictionEnsemble, decompose_bias_gap,
                         decompose_cost, decompose_points, main_prediction,
                         sd_bounds)
-from fairsample.synth import oracle_decomposition
+from oracles import oracle_decomposition
 
 
 def make_ens(scores, labels=None, y=None, a=None, loss="zero_one"):

@@ -1,6 +1,6 @@
-"""The array implementations of kNN scoring, tree scoring and the exact
-zero-one decomposition against the per-row / per-point loops in
-oracles.py."""
+"""The array implementations of logistic-regression fitting, kNN scoring,
+tree scoring and the exact zero-one decomposition against the
+per-sample / per-row / per-point loops in oracles.py."""
 
 from fractions import Fraction
 
@@ -13,8 +13,55 @@ import oracles
 from fairsample import (DataError, Dataset, Learner, PredictionEnsemble,
                         SweepSpec, SynthSpec, decompose_cost,
                         decompose_points, fit, generate, run_collect_sim,
-                        run_decomposition_sweep, sd_bounds)
+                        run_decomposition_sweep, run_ssb_sweep, sd_bounds)
 from fairsample import decomposition, learners
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 6),
+       n=st.integers(2, 300),
+       d=st.integers(1, 6),
+       learning_rate=st.sampled_from([0.1, 5.0, 50.0]),
+       max_iter=st.integers(1, 50),
+       single_class=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_logreg_fit_many_matches_one_sample_oracle(k, n, d, learning_rate,
+                                                   max_iter, single_class,
+                                                   seed):
+    rng = np.random.default_rng(seed)
+    # per-replicate feature scales: at 1e7 every step overshoots down to
+    # the 1e-12 floor, so replicates of one batch stop on different
+    # rounds and for different reasons
+    scales = rng.choice([1.0, 10.0, 1e7], k)
+    X = rng.standard_normal((k, n, d)) * scales[:, None, None]
+    y = rng.integers(0, 2, (k, n)).astype(float)
+    y[:, :2] = (0.0, 1.0)
+    if single_class:
+        y[rng.integers(k)] = float(rng.integers(2))
+    learner = Learner(learning_rate=learning_rate, max_iter=max_iter)
+    samples = [Dataset(X[i], y[i], np.zeros(n, dtype=int), np.arange(n))
+               for i in range(k)]
+    models = learners.fit_many(learner, samples)
+    for model, s in zip(models, samples):
+        if len(np.unique(s.y)) < 2:
+            assert model.params == {"constant": s.y[0]}
+        else:
+            w = oracles._fit_logreg(learner, s.X, s.y)["w"]
+            assert np.array_equal(model.params["w"], w)
+
+
+def test_logreg_scores_match_masked_sigmoid():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([[0.0, -0.0, 800.0, -800.0, 36.0, -36.0, 745.0,
+                         -745.0], rng.standard_normal(500) * 20])
+    assert np.array_equal(learners._sigmoid(z), oracles._sigmoid(z))
+    params = {"w": np.array([1.0, 0.0])}
+    assert np.array_equal(learners._score_logreg(params, z[:, None]),
+                          oracles.score_logreg(params, z[:, None]))
+    params = {"w": rng.standard_normal(4) * 3}
+    X = rng.standard_normal((300, 3)) * 10
+    assert np.array_equal(learners._score_logreg(params, X),
+                          oracles.score_logreg(params, X))
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,8 +178,43 @@ def test_empty_conditioning_subset_gives_none():
 
 
 def _sweep_csv_bytes(run, ds, spec, path):
-    run(ds, spec).write_csv(path)
-    return path.read_bytes()
+    """The bytes of the sweep's sweep.csv and bias_estimates.csv."""
+    result = run(ds, spec)
+    result.write_csv(path)
+    bias_path = path.with_name("bias_estimates.csv")
+    result.write_bias_csv(bias_path)
+    return path.read_bytes() + bias_path.read_bytes()
+
+
+def _swap_in_logreg_oracles(monkeypatch):
+    monkeypatch.setitem(learners._FITTERS, "logistic_regression",
+                        oracles.fit_logreg_each)
+    monkeypatch.setitem(learners._SCORERS, "logistic_regression",
+                        oracles.score_logreg)
+
+
+def test_logreg_ssb_sweep_matches_oracle_bytewise(tmp_path, monkeypatch):
+    # m=6 at a 10% positive rate gives single-class draws in the batch
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=5,
+                            intercept_a0=-2.5, intercept_a1=-2.0))
+    spec = SweepSpec(family="ssb_size", grid=(6, 30, 120), replicates=5,
+                     seed=5, metrics=("FPR", "EO", "AUC"))
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_ssb_sweep, ds, spec, path)
+    _swap_in_logreg_oracles(monkeypatch)
+    assert _sweep_csv_bytes(run_ssb_sweep, ds, spec, path) == before
+
+
+def test_logreg_urb_decomposition_sweep_matches_oracle_bytewise(
+        tmp_path, monkeypatch):
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=6))
+    spec = SweepSpec(family="decomposition", decomp_kind="urb", total_m=80,
+                     grid=(0.1, 0.5), replicates=4, seed=6,
+                     metrics=("ZOL", "FPR", "EO"))
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path)
+    _swap_in_logreg_oracles(monkeypatch)
+    assert _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path) == before
 
 
 def test_knn_urb_decomposition_sweep_matches_oracles_bytewise(

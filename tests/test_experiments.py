@@ -143,9 +143,11 @@ def test_urb_sweep_degenerate_ratio_rejected(clf_ds):
 
 def test_infeasible_grid_rejected_before_any_fit(clf_ds, monkeypatch):
     fits = []
-    real_fit = experiments.fit
-    monkeypatch.setattr(experiments, "fit",
-                        lambda *args: fits.append(1) or real_fit(*args))
+    for name in ("fit", "fit_many"):
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *args, real=real: fits.append(1)
+                            or real(*args))
     ds = generate(SynthSpec(n=4000, d=5, group1_share=0.3, seed=1))
     pool, _ = holdout_split(ds, 0.3, 1)
     a1_rows = len(pool.group_indices(1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairsample import ConfigError, disc_vector, group_cost
-from fairsample.synth import oracle_metrics
+from oracles import oracle_metrics
 
 
 def test_hand_fixture_fpr_eo():
