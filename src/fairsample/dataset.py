@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,8 +198,7 @@ def load_csv(path, schema):
                 f"column {schema.target!r}")
         y = np.array([1.0 if v == schema.positive_label else 0.0 for v in tvals])
     else:
-        y = np.array([_parse_float(v, schema.target, r)
-                      for r, v in enumerate(tvals)])
+        y = _parse_floats(tvals, schema.target)
 
     # features
     blocks = []
@@ -206,7 +206,7 @@ def load_csv(path, schema):
     for name, kind in schema.features:
         vals = column(name)
         if kind == NUMERIC:
-            x = np.array([_parse_float(v, name, r) for r, v in enumerate(vals)])
+            x = _parse_floats(vals, name)
             mu = x.mean()
             sd = x.std(ddof=1) if len(x) > 1 else 0.0
             if sd > 0:
@@ -235,13 +235,26 @@ def load_csv(path, schema):
     return Dataset(X, y, a, np.arange(len(rows)), tuple(names), schema.task)
 
 
+def _parse_floats(vals, name):
+    """A column's cells as float64, checked for finiteness in one pass; a
+    bad column is walked cell by cell to name its first bad row."""
+    try:
+        x = np.array([float(v) for v in vals])
+    except ValueError:
+        x = None
+    if x is None or not np.isfinite(x).all():
+        for r, v in enumerate(vals):
+            _parse_float(v, name, r)
+    return x
+
+
 def _parse_float(v, name, row):
     try:
         x = float(v)
     except ValueError:
         raise DataError(
             f"unparsable numeric cell {v!r} in column {name!r}, row {row + 1}")
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise DataError(f"non-finite value in column {name!r}, row {row + 1}")
     return x
 
@@ -287,24 +300,25 @@ def holdout_split(ds, test_fraction, seed):
     """
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
+    # one integer per stratum, ordered as the (group, label) tuples are
     if ds.task == CLASSIFICATION:
-        keys = [(int(g), int(l)) for g, l in zip(ds.a, ds.y)]
+        key = ds.a.astype(np.int64) * 2 + ds.y.astype(np.int64)
     else:
-        keys = [(int(g),) for g in ds.a]
-    strata = {}
-    for i, k in enumerate(keys):
-        strata.setdefault(k, []).append(i)
+        key = ds.a.astype(np.int64)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5B117)))
     test_idx = []
     train_idx = []
-    for key in sorted(strata):
-        members = np.array(strata[key])
+    for k in np.unique(key):
+        members = np.flatnonzero(key == k)
         if len(members) < 2:
-            raise DataError(f"stratum {key} has fewer than 2 rows")
+            stratum = (divmod(int(k), 2) if ds.task == CLASSIFICATION
+                       else (int(k),))
+            raise DataError(f"stratum {stratum} has fewer than 2 rows")
         n_test = int(round(test_fraction * len(members)))
         n_test = min(max(n_test, 1), len(members) - 1)
         perm = rng.permutation(len(members))
-        test_idx.extend(members[perm[:n_test]])
-        train_idx.extend(members[perm[n_test:]])
-    return ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
+        test_idx.append(members[perm[:n_test]])
+        train_idx.append(members[perm[n_test:]])
+    return (ds.subset(np.sort(np.concatenate(train_idx))),
+            ds.subset(np.sort(np.concatenate(test_idx))))

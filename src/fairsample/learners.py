@@ -7,6 +7,7 @@ which the experiment harness relies on for reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ class Learner:
             raise ConfigError(f"unknown learner kind {self.kind!r}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be in (0, 1)")
+        # an infinite learning rate never finds a step; NaN fits nothing
+        for name in ("l2", "learning_rate", "grad_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.l2 < 0 or self.learning_rate <= 0 or self.max_iter < 1:
             raise ConfigError("invalid logistic regression hyperparameters")
         if self.max_depth < 1 or self.min_leaf < 1:
@@ -321,8 +326,9 @@ def _score_tree(params, X):
 # ---------------------------------------------------------------- knn
 
 # distance terms (query rows x training rows x features) per chunk in
-# _score_knn: ~256 KB as float64, shared out over one array per feature
-_KNN_CHUNK_ELEMS = 32768
+# _score_knn: ~512 KB as float64, shared out over one array per feature;
+# larger chunks cut per-chunk overhead until they fall out of cache
+_KNN_CHUNK_ELEMS = 65536
 
 
 def _fit_knn(learner, X, y):
@@ -370,9 +376,11 @@ def _score_knn(params, X):
 
     Query rows are scored in chunks of at most _KNN_CHUNK_ELEMS distance
     terms.  Squared distances come from _sq_distances, whose summation
-    order does not depend on the chunk, so ties are exact; a tie at the
-    k-th distance goes to the lower training row, as a stable argsort
-    would.  Labels are 0/1, so the positive count over k is exact too.
+    order does not depend on the chunk, so ties are exact.  A row with
+    exactly k training rows at or below its k-th distance takes them all;
+    only a row with more, a tie across the k-th place, gives the tied
+    places to the lower training rows, as a stable argsort would.  Labels
+    are 0/1, so the positive count over k is exact too.
     """
     Xt, yt, k = params["X"], params["y"], params["k"]
     Xt_cols = np.ascontiguousarray(Xt.T)
@@ -382,10 +390,16 @@ def _score_knn(params, X):
         Xq_cols = np.ascontiguousarray(X[s:s + rows].T)
         d2 = _sq_distances(Xt_cols, Xq_cols, 0, len(Xt_cols))
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        near = d2 < kth
-        tie = d2 == kth
-        need = k - near.sum(axis=1, keepdims=True)
-        near |= tie & (np.cumsum(tie, axis=1) <= need)
+        near = d2 <= kth
+        # rows with more than k candidates have ties across the k-th place
+        over = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
+        if over.size:
+            d2, kth = d2[over], kth[over]
+            fill = d2 < kth
+            tie = d2 == kth
+            need = k - fill.sum(axis=1, keepdims=True)
+            fill |= tie & (np.cumsum(tie, axis=1) <= need)
+            near[over] = fill
         out[s:s + rows] = near @ yt / k
     return out
 

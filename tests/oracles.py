@@ -1,11 +1,12 @@
-"""Reference implementations: logistic-regression fitting one sample at a
-time, per-row kNN and tree scoring, the exact zero-one decomposition one
-point at a time, and brute-force group metrics and decompositions.
+"""Reference implementations: the stratified holdout split one row at a
+time, logistic-regression fitting one sample at a time, per-row kNN and
+tree scoring, the exact zero-one decomposition one point at a time, and
+brute-force group metrics and decompositions.
 
 These are the straightforward loops the library's array code must match
-exactly: one gradient-descent loop per training sample, one stable
-argsort per query row, one walk of the fitted tree dict per query row, one
-``Fraction`` per evaluation point.  Tests compare against them with
+exactly: one stratum key per row, one gradient-descent loop per training
+sample, one stable argsort per query row, one walk of the fitted tree dict
+per query row, one ``Fraction`` per evaluation point.  Tests compare against them with
 ``np.array_equal`` and ``==`` on ``Fraction``s, and can monkeypatch them
 in for an end-to-end byte comparison.
 """
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from fairsample.dataset import CLASSIFICATION
 from fairsample.decomposition import (_COST_AFFINE, _CONDITIONING, SQUARED,
                                       ZERO_ONE, DecompositionReport,
                                       SdBoundsReport, _majority_labels,
@@ -22,6 +24,37 @@ from fairsample.errors import ConfigError, DataError
 from fairsample.group_metrics import ALL_METRICS, GroupCostReport
 
 _ORACLE_N_CAP = 500
+
+
+def holdout_split(ds, test_fraction, seed):
+    """Stratified split into (train_pool, test), deterministic per seed.
+
+    Classification stratifies jointly on (group, label); regression on
+    group only.  Every stratum needs at least 2 rows.
+    """
+    if not 0.0 < test_fraction < 1.0:
+        raise ConfigError("test_fraction must be in (0, 1)")
+    if ds.task == CLASSIFICATION:
+        keys = [(int(g), int(l)) for g, l in zip(ds.a, ds.y)]
+    else:
+        keys = [(int(g),) for g in ds.a]
+    strata = {}
+    for i, k in enumerate(keys):
+        strata.setdefault(k, []).append(i)
+
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5B117)))
+    test_idx = []
+    train_idx = []
+    for key in sorted(strata):
+        members = np.array(strata[key])
+        if len(members) < 2:
+            raise DataError(f"stratum {key} has fewer than 2 rows")
+        n_test = int(round(test_fraction * len(members)))
+        n_test = min(max(n_test, 1), len(members) - 1)
+        perm = rng.permutation(len(members))
+        test_idx.extend(members[perm[:n_test]])
+        train_idx.extend(members[perm[n_test:]])
+    return ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
 
 
 def _sigmoid(z):

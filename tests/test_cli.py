@@ -106,6 +106,18 @@ def test_unknown_keys_exit_2(tmp_path, capsys):
                  str(tmp_path / "o")]) == 2
 
 
+def test_infinite_learning_rate_exit_2(tmp_path, capsys):
+    # json reads Infinity; the fit it would start never finds a step
+    cfg = write_config(tmp_path, {
+        "dataset": SYNTH, "metrics": ["SD"],
+        "learner": {"kind": "logistic_regression",
+                    "learning_rate": float("inf")}})
+    assert "Infinity" in (tmp_path / "config.json").read_text()
+    assert main(["metrics", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "learning_rate must be finite" in capsys.readouterr().err
+
+
 def test_missing_data_file_exit_3(tmp_path, capsys):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({

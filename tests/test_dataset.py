@@ -66,12 +66,38 @@ def test_missing_column(tmp_path):
 
 def test_unparsable_numeric(tmp_path):
     path = basic_csv(tmp_path, [
-        ["yes", "m", "oops", "x"],
-        ["no", "f", "2", "y"],
-        ["yes", "f", "3", "z"],
+        ["yes", "m", "1", "x"],
+        ["no", "f", "oops", "y"],
+        ["yes", "f", "inf", "z"],
     ])
-    with pytest.raises(DataError, match="unparsable numeric"):
+    with pytest.raises(DataError, match=r"^unparsable numeric cell 'oops' in "
+                                        r"column 'age', row 2$"):
         load_csv(path, BASIC_SCHEMA)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_numeric_names_first_bad_row(tmp_path, cell):
+    path = basic_csv(tmp_path, [
+        ["yes", "m", "1", "x"],
+        ["no", "f", "2", "y"],
+        ["yes", "f", cell, "z"],
+        ["no", "m", "oops", "x"],
+    ])
+    with pytest.raises(DataError,
+                       match=r"^non-finite value in column 'age', row 3$"):
+        load_csv(path, BASIC_SCHEMA)
+
+
+def test_regression_target_non_finite_names_row(tmp_path):
+    schema = Schema(target="label", sensitive="sex", privileged_value="m",
+                    features=(("age", "numeric"),), task="regression")
+    path = basic_csv(tmp_path, [
+        ["0.5", "m", "1", "x"],
+        ["nan", "f", "2", "y"],
+    ])
+    with pytest.raises(DataError,
+                       match=r"^non-finite value in column 'label', row 2$"):
+        load_csv(path, schema)
 
 
 def test_missing_value_rejected(tmp_path):

@@ -1,6 +1,6 @@
-"""The array implementations of logistic-regression fitting, kNN scoring,
-tree scoring and the exact zero-one decomposition against the
-per-sample / per-row / per-point loops in oracles.py."""
+"""The array implementations of the holdout split, logistic-regression
+fitting, kNN scoring, tree scoring and the exact zero-one decomposition
+against the per-sample / per-row / per-point loops in oracles.py."""
 
 from fractions import Fraction
 
@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import oracles
 from fairsample import (DataError, Dataset, Learner, PredictionEnsemble,
                         SweepSpec, SynthSpec, decompose_cost,
-                        decompose_points, fit, generate, run_collect_sim,
-                        run_decomposition_sweep, run_ssb_sweep, sd_bounds)
+                        decompose_points, fit, generate, holdout_split,
+                        run_collect_sim, run_decomposition_sweep,
+                        run_ssb_sweep, sd_bounds)
 from fairsample import decomposition, learners
 
 
@@ -90,6 +91,71 @@ def test_knn_predict_matches_per_row_oracle(d, n_train, k, levels, scale,
     expected = oracles.score_knn(model.params, Xq)
     assert np.array_equal(scores, expected)
     assert np.array_equal(labels, (expected >= 0.5).astype(float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2, 5, 9]),
+       n_train=st.integers(20, 60),
+       k=st.sampled_from([1, 3, 5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_knn_predict_mixes_fast_path_and_tie_fill_rows(d, n_train, k, seed):
+    rng = np.random.default_rng(seed)
+    # continuous rows, so most queries have exactly k rows at or below
+    # their k-th distance; row 0 has k + 1 copies after it and a few other
+    # rows are duplicated, so queries on them tie across the k-th place
+    X = rng.standard_normal((n_train, d))
+    X[1:k + 2] = X[0]
+    X[rng.integers(k + 2, n_train, 3)] = X[rng.integers(k + 2, n_train, 3)]
+    y = rng.integers(0, 2, n_train).astype(float)
+    y[:2] = (0.0, 1.0)
+    model = fit(Learner("knn", k=k),
+                Dataset(X, y, np.zeros(n_train, dtype=int),
+                        np.arange(n_train)))
+    rows_per_chunk = max(1, learners._KNN_CHUNK_ELEMS // X.size)
+    n_query = rows_per_chunk + int(rng.integers(1, rows_per_chunk + 1))
+    Xq = rng.standard_normal((n_query, d))
+    on_train = rng.choice(n_query, n_query // 4, replace=False)
+    Xq[on_train] = X[rng.integers(0, n_train, len(on_train))]
+    Xq[rng.integers(rows_per_chunk)] = X[0]
+    # the first chunk holds rows of both kinds
+    d2 = np.sum((X - Xq[:rows_per_chunk, None]) ** 2, axis=2)
+    kth = np.sort(d2, axis=1)[:, k - 1:k]
+    excess = np.count_nonzero(d2 <= kth, axis=1) > k
+    assert excess.any() and not excess.all()
+    scores, labels = model.predict(Xq)
+    expected = oracles.score_knn(model.params, Xq)
+    assert np.array_equal(scores, expected)
+    assert np.array_equal(labels, (expected >= 0.5).astype(float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 150),
+       task=st.sampled_from(["classification", "regression"]),
+       group1_share=st.sampled_from([0.0, 0.02, 0.3, 0.5, 1.0]),
+       test_fraction=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2**32 - 1))
+def test_holdout_split_matches_per_row_oracle(n, task, group1_share,
+                                              test_fraction, seed):
+    rng = np.random.default_rng(seed)
+    a = (rng.random(n) < group1_share).astype(int)
+    if task == "classification":
+        y = rng.integers(0, 2, n).astype(float)
+    else:
+        y = rng.standard_normal(n)
+    ds = Dataset(rng.standard_normal((n, 2)), y, a, np.arange(n), task=task)
+
+    def split(f):
+        try:
+            return [part.row_ids for part in f(ds, test_fraction, seed)]
+        except DataError as exc:
+            return str(exc)
+
+    got, expected = split(holdout_split), split(oracles.holdout_split)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert all(np.array_equal(g, e) and g.dtype == e.dtype
+                   for g, e in zip(got, expected))
 
 
 @settings(max_examples=150, deadline=None)

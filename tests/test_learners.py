@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairsample import DataError, Dataset, Learner, fit
+from fairsample import ConfigError, DataError, Dataset, Learner, fit
 
 
 def make_ds(X, y, a=None, task="classification"):
@@ -150,3 +150,10 @@ def test_scores_in_unit_interval():
     for kind in ("logistic_regression", "decision_tree", "knn"):
         scores, _ = fit(Learner(kind), ds).predict(Xq)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "l2", "grad_tol"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_logreg_settings_rejected(name, value):
+    with pytest.raises(ConfigError, match=name):
+        Learner(**{name: value})
