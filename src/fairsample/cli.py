@@ -1,8 +1,9 @@
 """Command-line frontend: metrics, sweep, decompose, and synth subcommands.
 
-Each run is driven by a single JSON config file; --seed, --out, and
---threads override the corresponding config entries.  Exit codes: 0
-success, 2 configuration error, 3 data error, 4 internal invariant
+Each run is driven by a single JSON config file; --seed and --out
+override the corresponding config entries.  --threads and the config key
+threads are accepted for compatibility and have no effect.  Exit codes:
+0 success, 2 configuration error, 3 data error, 4 internal invariant
 violation.
 """
 
@@ -87,7 +88,7 @@ def _build_dataset(raw, seed):
     return ds, sha, raw["csv"]
 
 
-def _build_sweep_spec(raw, learner, metrics, seed, threads, family=None):
+def _build_sweep_spec(raw, learner, metrics, seed, family=None):
     raw = dict(raw or {})
     fields = {f.name for f in dataclasses.fields(SweepSpec)}
     _take(raw, fields - {"learner", "metrics", "threads"}, "sweep")
@@ -98,12 +99,11 @@ def _build_sweep_spec(raw, learner, metrics, seed, threads, family=None):
     if "grid" in raw:
         raw["grid"] = tuple(raw["grid"])
     raw.setdefault("seed", seed)
-    return SweepSpec(learner=learner, metrics=tuple(metrics or ()),
-                     threads=threads, **raw)
+    return SweepSpec(learner=learner, metrics=tuple(metrics or ()), **raw)
 
 
 def _write_manifest(path, config, seed, dataset_sha, pop_ratio,
-                    rows_written):
+                    rows_written, grid_dropped=None):
     manifest = {
         "config": config,
         "seed": seed,
@@ -113,6 +113,8 @@ def _write_manifest(path, config, seed, dataset_sha, pop_ratio,
         "population_ratio": pop_ratio,
         "rows_written": rows_written,
     }
+    if grid_dropped is not None:
+        manifest["grid_dropped"] = list(grid_dropped)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -122,11 +124,9 @@ def _prepare(args):
     config = _load_config(args.config)
     _take(config, _TOP_KEYS, "config")
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    threads = args.threads if args.threads is not None \
-        else int(config.get("threads", 1))
     out_dir = args.out or config.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    return config, seed, threads, out_dir
+    return config, seed, out_dir
 
 
 _RUNNERS = {
@@ -138,7 +138,7 @@ _RUNNERS = {
 
 
 def cmd_metrics(args):
-    config, seed, _threads, out_dir = _prepare(args)
+    config, seed, out_dir = _prepare(args)
     ds, sha, _src = _build_dataset(config.get("dataset"), seed)
     learner = _build_learner(config.get("learner"))
     metrics = config.get("metrics") or (
@@ -163,17 +163,18 @@ def cmd_metrics(args):
 
 
 def _run_sweep_family(args, family=None):
-    config, seed, threads, out_dir = _prepare(args)
+    config, seed, out_dir = _prepare(args)
     ds, sha, _src = _build_dataset(config.get("dataset"), seed)
     learner = _build_learner(config.get("learner"))
     spec = _build_sweep_spec(config.get("sweep"), learner,
-                             config.get("metrics"), seed, threads, family)
+                             config.get("metrics"), seed, family)
     result = _RUNNERS[spec.family](ds, spec)
     rows = result.write_csv(os.path.join(out_dir, "sweep.csv"))
     if result.bias_rows:
         result.write_bias_csv(os.path.join(out_dir, "bias_estimates.csv"))
     _write_manifest(os.path.join(out_dir, "manifest.json"), config, seed,
-                    sha, result.population_ratio, rows)
+                    sha, result.population_ratio, rows,
+                    result.grid_dropped)
     return 0
 
 
@@ -186,7 +187,7 @@ def cmd_decompose(args):
 
 
 def cmd_synth(args):
-    config, seed, _threads, out_dir = _prepare(args)
+    config, seed, out_dir = _prepare(args)
     raw = config.get("dataset") or {}
     _take(raw, ("synth",), "dataset")
     if "synth" not in raw:
@@ -223,7 +224,7 @@ def build_parser():
         p.add_argument("--out", default=None,
                        help="override the config output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker count (results identical for any value)")
+                       help="accepted for compatibility; has no effect")
         p.set_defaults(fn=fn)
     return parser
 

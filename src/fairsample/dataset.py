@@ -161,6 +161,11 @@ def load_csv(path, schema):
             raise DataError(f"missing column {name!r}")
     if not rows:
         raise DataError(f"{path}: no data rows")
+    need = max(col[name] for name in needed) + 1
+    if min(map(len, rows)) < need:
+        r = next(r for r, row in enumerate(rows) if len(row) < need)
+        raise DataError(f"row {r + 1} has {len(rows[r])} fields, the "
+                        f"schema's columns need {need}")
 
     def column(name):
         i = col[name]

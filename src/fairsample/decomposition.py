@@ -1,10 +1,9 @@
-"""Main prediction and noise/bias/net-variance decomposition of loss,
-per-group costs, and discrimination, plus the statistical-disparity
+"""Main prediction and bias/net-variance decomposition of loss, per-group
+costs, and discrimination, plus the statistical-disparity
 estimation-error bounds.
 
-Noise is fixed at zero throughout (the optimal prediction is identified
-with the observed outcome); the noise fields are kept in every report so
-the full decomposition structure stays visible.
+The optimal prediction is identified with the observed outcome, so the
+noise term of the decomposition is zero and no report carries it.
 
 Zero-one and absolute-loss terms are exact rationals built from label
 counts; squared-loss terms are float64 with fixed-order summation.
@@ -71,7 +70,6 @@ class PointDecomposition:
     loss_kind: str
     main_scores: np.ndarray
     main_labels: np.ndarray
-    noise: tuple
     bias: tuple
     variance: tuple
     net_factor: tuple     # c(x): +1 / -1 for 0-1 loss, (1-2B) for absolute
@@ -134,23 +132,27 @@ def decompose_points(ens):
         variance = ((ens.scores - mean_scores) ** 2).mean(axis=0)
         mean_loss = ((ens.scores - ens.eval_y) ** 2).mean(axis=0)
         ones = np.ones(ens.n)
-        return PointDecomposition(SQUARED, mean_scores, mean_scores,
-                                  np.zeros(ens.n), bias, variance, ones,
-                                  mean_loss)
+        return PointDecomposition(SQUARED, mean_scores, mean_scores, bias,
+                                  variance, ones, mean_loss)
     mean_scores, main, biased, n_diff_main, n_diff_y = _zero_one_counts(ens)
     k = ens.k
     zero, one = Fraction(0), Fraction(1)
     return PointDecomposition(
-        ZERO_ONE, mean_scores, main, (zero,) * ens.n,
+        ZERO_ONE, mean_scores, main,
         tuple(one if b else zero for b in biased),
         tuple(Fraction(int(v), k) for v in n_diff_main),
         tuple(-1 if b else 1 for b in biased),
         tuple(Fraction(int(v), k) for v in n_diff_y))
 
 
+def _diff(x1, x0):
+    """x1 - x0, undefined when either term is."""
+    return None if x0 is None or x1 is None else x1 - x0
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Per-group mean noise / bias / net-variance terms of the conditioned
+    """Per-group mean bias / net-variance terms of the conditioned
     loss, the implied cost values, and the between-group differences.
 
     cost_a = cost_offset + cost_sign * (bias_a + net_variance_a); for all
@@ -161,29 +163,18 @@ class DecompositionReport:
     conditioning: str
     cost_offset: int
     cost_sign: int
-    noise_a0: object
     bias_a0: object
     net_variance_a0: object
-    noise_a1: object
     bias_a1: object
     net_variance_a1: object
 
-    def _diff(self, x1, x0):
-        if x0 is None or x1 is None:
-            return None
-        return x1 - x0
-
-    @property
-    def noise_diff(self):
-        return self._diff(self.noise_a1, self.noise_a0)
-
     @property
     def bias_diff(self):
-        return self._diff(self.bias_a1, self.bias_a0)
+        return _diff(self.bias_a1, self.bias_a0)
 
     @property
     def net_variance_diff(self):
-        return self._diff(self.net_variance_a1, self.net_variance_a0)
+        return _diff(self.net_variance_a1, self.net_variance_a0)
 
     def cost(self, group):
         b = getattr(self, f"bias_a{group}")
@@ -194,7 +185,7 @@ class DecompositionReport:
 
     @property
     def cost_disc(self):
-        return self._diff(self.cost(1), self.cost(0))
+        return _diff(self.cost(1), self.cost(0))
 
 
 def _subset_mask(metric, y):
@@ -226,16 +217,14 @@ def decompose_cost(ens, metric):
     for group in (0, 1):
         sel = mask & (ens.eval_a == group)
         if not sel.any():
-            terms[group] = (None, None, None)
+            terms[group] = (None, None)
         elif loss_kind == SQUARED:
-            terms[group] = (0.0, float(np.mean(points.bias[sel])),
+            terms[group] = (float(np.mean(points.bias[sel])),
                             float(np.mean(points.variance[sel])))
         else:
-            terms[group] = (Fraction(0),) + _zero_one_means(
-                biased, n_diff_main, ens.k, sel)
+            terms[group] = _zero_one_means(biased, n_diff_main, ens.k, sel)
     return DecompositionReport(metric, cond, offset, sign,
-                               terms[0][0], terms[0][1], terms[0][2],
-                               terms[1][0], terms[1][1], terms[1][2])
+                               *terms[0], *terms[1])
 
 
 @dataclass(frozen=True)
@@ -255,19 +244,13 @@ class BiasGapReport:
     net_variance_delta_a0: object
     net_variance_delta_a1: object
 
-    def _diff(self, x1, x0):
-        if x0 is None or x1 is None:
-            return None
-        return x1 - x0
-
     @property
     def bias_delta_diff(self):
-        return self._diff(self.bias_delta_a1, self.bias_delta_a0)
+        return _diff(self.bias_delta_a1, self.bias_delta_a0)
 
     @property
     def net_variance_delta_diff(self):
-        return self._diff(self.net_variance_delta_a1,
-                          self.net_variance_delta_a0)
+        return _diff(self.net_variance_delta_a1, self.net_variance_delta_a0)
 
     @property
     def total(self):
@@ -287,12 +270,8 @@ def decompose_bias_gap(ens_target, ens_reference, metric):
     rep_r = decompose_cost(ens_reference, metric)
 
     def delta(term):
-        out = []
-        for group in (0, 1):
-            t = getattr(rep_t, f"{term}_a{group}")
-            r = getattr(rep_r, f"{term}_a{group}")
-            out.append(None if t is None or r is None else t - r)
-        return out
+        return [_diff(getattr(rep_t, f"{term}_a{g}"),
+                      getattr(rep_r, f"{term}_a{g}")) for g in (0, 1)]
 
     db = delta("bias")
     dv = delta("net_variance")
@@ -309,10 +288,8 @@ class SdBoundsReport:
     upper: object
     lower: object
     within_bounds: bool
-    noise_a0: object
     bias_a0: object
     net_variance_a0: object
-    noise_a1: object
     bias_a1: object
     net_variance_a1: object
 
@@ -323,9 +300,9 @@ class SdBoundsReport:
             "upper": conv(self.upper),
             "lower": conv(self.lower),
             "within_bounds": self.within_bounds,
-            "a0": {"noise": conv(self.noise_a0), "bias": conv(self.bias_a0),
+            "a0": {"bias": conv(self.bias_a0),
                    "net_variance": conv(self.net_variance_a0)},
-            "a1": {"noise": conv(self.noise_a1), "bias": conv(self.bias_a1),
+            "a1": {"bias": conv(self.bias_a1),
                    "net_variance": conv(self.net_variance_a1)},
         }
 
@@ -350,17 +327,14 @@ def sd_bounds(ens):
     for group in (0, 1):
         sel = ens.eval_a == group
         n = int(sel.sum())
-        terms[group] = (Fraction(0),) + _zero_one_means(
-            biased, n_diff_main, k, sel)
+        terms[group] = _zero_one_means(biased, n_diff_main, k, sel)
         sd_hat[group] = Fraction(int(ens.labels[:, sel].sum()), k * n)
         sd_true[group] = Fraction(int(ens.eval_y[sel].sum()), n)
-    dn = terms[1][0] - terms[0][0]
-    db = terms[1][1] - terms[0][1]
-    dv = terms[1][2] - terms[0][2]
-    upper = dn + db + dv
-    lower = max(dn - db - dv, db - dn - dv, dv - db - dn)
+    db = terms[1][0] - terms[0][0]
+    dv = terms[1][1] - terms[0][1]
+    upper = db + dv
+    lower = max(-db - dv, db - dv, dv - db)
     observed = abs((sd_hat[1] - sd_hat[0]) - (sd_true[1] - sd_true[0]))
     within = lower <= observed <= upper
-    return SdBoundsReport(observed, upper, lower, within,
-                          terms[0][0], terms[0][1], terms[0][2],
-                          terms[1][0], terms[1][1], terms[1][2])
+    return SdBoundsReport(observed, upper, lower, within, *terms[0],
+                          *terms[1])

@@ -1,17 +1,25 @@
 """End-to-end experiment families: sample-size sweeps, group-ratio sweeps,
 decomposition sweeps, and data-collection simulations.
 
-Every (grid point, replicate) task draws from its own RNG stream derived
-by hashing (seed, family, grid value, replicate index), and aggregation
-consumes task results in fixed grid order, so a sweep's output is
-byte-identical for any worker count.
+Every family runs on one engine.  A resolver maps (dataset, spec) to the
+holdout split, the grid, the metrics, the reference grid point and one
+Cell per grid point.  The ensemble step draws a unique cell's K samples,
+fits them with one ``fit_many`` call and predicts the holdout.  A small
+reducer per family turns the ensembles into per-model cells, bias
+estimates or gap terms.
+
+Every (cell, replicate) draw has its own RNG stream derived by hashing
+(seed, family, cell key, replicate index), and aggregation consumes
+results in fixed grid order, so a sweep's output depends on the dataset
+and the spec only.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +29,7 @@ from .dataset import (CLASSIFICATION, REGRESSION, SamplingPlan, draw_sample,
 from .decomposition import (SQUARED, ZERO_ONE, PredictionEnsemble,
                             decompose_bias_gap)
 from .errors import ConfigError, DataError
-from .group_metrics import (ALL_METRICS, CLASSIFICATION_METRICS, group_cost)
+from .group_metrics import ALL_METRICS, group_cost
 from .learners import Learner, fit, fit_many
 
 FAMILIES = ("ssb_size", "urb_ratio", "decomposition", "collect")
@@ -52,7 +60,7 @@ class SweepSpec:
     use_cv: bool = False
     # decomposition options
     decomp_kind: str = "ssb"      # "ssb" or "urb"
-    threads: int = 1
+    threads: int = 1              # accepted for compatibility; no effect
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -122,6 +130,7 @@ class SweepResult:
     cells: dict               # (grid_value, metric) -> per-replicate values
     rows: list = field(default_factory=list)
     bias_rows: list = field(default_factory=list)
+    grid_dropped: tuple = ()  # default-grid points that cannot be drawn
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -145,14 +154,6 @@ def task_seed(seed, family, grid_value, tag=0):
     text = f"{seed}|{family}|{grid_value!r}|{tag}"
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def _map_tasks(fn, tasks, threads):
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, tasks))
-    return [fn(t) for t in tasks]
 
 
 def _mean_stderr(values):
@@ -194,11 +195,19 @@ def aggregate(result):
 
 def _default_metrics(spec, task):
     if spec.metrics:
-        _validate_metrics(spec.metrics, task)
-        return tuple(spec.metrics)
-    if task == REGRESSION:
-        return ("MSE",)
-    return ("FPR", "FNR", "EO", "ZOL", "SD", "AUC")
+        metrics = tuple(spec.metrics)
+    elif task == REGRESSION:
+        metrics = ("MSE",)
+    elif spec.family == "decomposition":
+        metrics = ("ZOL", "FPR", "EO")
+    else:
+        metrics = ("FPR", "FNR", "EO", "ZOL", "SD", "AUC")
+    _validate_metrics(metrics, task)
+    if spec.family == "decomposition":
+        for metric in metrics:
+            if metric not in ("MSE", "ZOL", "FPR", "EO"):
+                raise ConfigError(f"metric {metric} has no decomposition")
+    return metrics
 
 
 def _validate_metrics(metrics, task):
@@ -222,6 +231,8 @@ def default_ssb_grid(pool_n, portion=0.8):
 
 
 def default_urb_grid(pop_ratio):
+    """Every default share; the resolver drops those its pools cannot
+    draw."""
     lo = np.arange(0.001, 0.0201, 0.002)
     mid = np.arange(0.1, 0.901, 0.1)
     hi = np.arange(0.981, 0.9991, 0.002)
@@ -230,58 +241,33 @@ def default_urb_grid(pop_ratio):
     return tuple(sorted(vals))
 
 
-def _fit_cell_ensemble(pool, test, learner, m0, m1, replicates, seed,
-                       with_replacement, threads, loss_kind):
-    """K seeded draws -> K models fitted together -> stacked test-set
-    predictions."""
-    plan = SamplingPlan(m0=m0, m1=m1, replicates=replicates, seed=seed,
-                        with_replacement=with_replacement)
-    samples = _map_tasks(lambda rep: draw_sample(pool, plan, rep),
-                         list(range(replicates)), threads)
-    models = fit_many(learner, samples)
-    preds = _map_tasks(lambda model: model.predict(test.X), models, threads)
-    scores = np.stack([p[0] for p in preds])
-    labels = np.stack([p[1] for p in preds])
-    return PredictionEnsemble(scores, labels, test.y, test.a, loss_kind)
+def _split_counts(ratio, m):
+    m1 = int(round(ratio * m))
+    return m - m1, m1
 
 
-def _per_model_cells(ens, metrics):
-    """Per-replicate disc and group values for each metric."""
-    cells = {}
-    for metric in metrics:
-        disc, a0, a1 = [], [], []
-        for k in range(ens.k):
-            rep = group_cost(metric, ens.eval_y, ens.labels[k],
-                             ens.scores[k], ens.eval_a)
-            v0, v1, d = rep.as_floats()
-            disc.append(d)
-            a0.append(v0)
-            a1.append(v1)
-        cells[metric] = {"disc": disc, "a0": a0, "a1": a1}
-    return cells
-
-
-def _loss_kind(task):
-    return SQUARED if task == REGRESSION else ZERO_ONE
-
-
-def _check_cells(pool, counts, with_replacement, allow_empty=False):
-    """Reject an infeasible grid before any model is fitted.
-
-    counts maps each grid point to its (m0, m1).  One error names every
-    point that leaves a group empty (ConfigError, unless allow_empty) or
-    asks a group for more rows than its pool holds (DataError).
-    """
-    sizes = (len(pool.group_indices(0)), len(pool.group_indices(1)))
+def _cell_problems(sizes, counts, with_replacement, allow_empty=False):
+    """(empty-group, pool-exhausted) messages for the grid points whose
+    (m0, m1) in counts cannot be drawn from pools of the given sizes."""
     empty, short = [], []
     for g, (m0, m1) in counts.items():
-        if not allow_empty and (m0 == 0 or m1 == 0):
+        if not (allow_empty or (m0 and m1)):
             empty.append(f"{g!r} gives an empty group (m0={m0}, m1={m1})")
         for group, want in ((0, m0), (1, m1)):
             if want > sizes[group] and (not with_replacement
                                         or sizes[group] == 0):
                 short.append(f"{g!r} needs {want} rows from group "
                              f"a{group}, pool has {sizes[group]}")
+    return empty, short
+
+
+def _check_cells(sizes, counts, with_replacement, allow_empty=False):
+    """Reject an infeasible grid before any model is fitted: one error
+    names every point that leaves a group empty (ConfigError, unless
+    allow_empty) or asks a group for more rows than its pool holds
+    (DataError)."""
+    empty, short = _cell_problems(sizes, counts, with_replacement,
+                                  allow_empty)
     if empty:
         raise ConfigError("infeasible grid points; both group counts must "
                           "be positive: " + "; ".join(empty + short))
@@ -290,213 +276,128 @@ def _check_cells(pool, counts, with_replacement, allow_empty=False):
                         + "; ".join(short))
 
 
-def run_ssb_sweep(ds, spec):
-    """Discrimination vs training-set size, plus SSB against the largest
-    grid size as reference."""
-    if spec.family != "ssb_size":
-        raise ConfigError("spec.family must be ssb_size")
-    metrics = _default_metrics(spec, ds.task)
-    pool, test = holdout_split(ds, spec.test_fraction, spec.seed)
-    grid = tuple(spec.grid) if spec.grid \
-        else default_ssb_grid(pool.n, spec.pool_portion)
-    if max(grid) > pool.n:
-        raise DataError(f"grid point {max(grid)} exceeds training pool "
-                        f"size {pool.n}")
-    ratio = population_ratio(ds)
-    loss_kind = _loss_kind(ds.task)
-    counts = {m: _split_counts(ratio, m) for m in grid}
-    _check_cells(pool, counts, spec.with_replacement, allow_empty=True)
+@dataclass(frozen=True)
+class Cell:
+    """The K draws behind one grid point.
 
-    ensembles = {}
-    for m in grid:
-        m0, m1 = counts[m]
-        ensembles[m] = _fit_cell_ensemble(
-            pool, test, spec.learner, m0, m1, spec.replicates,
-            task_seed(spec.seed, spec.family, m), spec.with_replacement,
-            spec.threads, loss_kind)
-
-    cells = {}
-    for m in grid:
-        per_metric = _per_model_cells(ensembles[m], metrics)
-        for metric in metrics:
-            cells[(m, metric)] = per_metric[metric]
-
-    result = SweepResult(spec.family, "m", grid, metrics, spec, ratio, cells)
-    big = max(grid)
-    for m in grid:
-        for metric in metrics:
-            result.bias_rows.append(be.ssb(
-                ensembles[m], ensembles[big], metric, spec.estimator,
-                target_desc=f"m={m}", ref_desc=f"M={big}"))
-    aggregate(result)
-    return result
-
-
-def _split_counts(ratio, m):
-    m1 = int(round(ratio * m))
-    return m - m1, m1
-
-
-def run_urb_sweep(ds, spec):
-    """Discrimination vs protected-group share at fixed total size, plus
-    URB against the population-split reference."""
-    if spec.family != "urb_ratio":
-        raise ConfigError("spec.family must be urb_ratio")
-    if ds.task != CLASSIFICATION and ds.task != REGRESSION:
-        raise ConfigError("unknown task")
-    metrics = _default_metrics(spec, ds.task)
-    pool, test = holdout_split(ds, spec.test_fraction, spec.seed)
-    ratio = population_ratio(ds)
-    m = spec.total_m
-    grid = tuple(spec.grid) if spec.grid else default_urb_grid(ratio)
-    pop_m0, pop_m1 = _split_counts(ratio, m)
-    if pop_m1 == 0 or pop_m0 == 0:
-        raise DataError("population split degenerates to an empty group")
-    # the population ratio must be a grid point (the URB reference)
-    if not any(_split_counts(r, m) == (pop_m0, pop_m1) for r in grid):
-        grid = tuple(sorted(set(grid) | {round(ratio, 6)}))
-    loss_kind = _loss_kind(ds.task)
-    counts = {r: _split_counts(r, m) for r in grid}
-    _check_cells(pool, counts, spec.with_replacement)
-
-    ensembles = {}
-    ref_ens = None
-    ref_key = None
-    for r in grid:
-        m0, m1 = counts[r]
-        if (m0, m1) == (pop_m0, pop_m1) and ref_ens is not None:
-            ensembles[r] = ref_ens
-            continue
-        ens = _fit_cell_ensemble(
-            pool, test, spec.learner, m0, m1, spec.replicates,
-            task_seed(spec.seed, spec.family, (m0, m1)),
-            spec.with_replacement, spec.threads, loss_kind)
-        ensembles[r] = ens
-        if (m0, m1) == (pop_m0, pop_m1) and ref_ens is None:
-            ref_ens = ens
-            ref_key = r
-    if ref_ens is None:
-        raise ConfigError("ratio grid must include the population ratio")
-
-    cells = {}
-    for r in grid:
-        per_metric = _per_model_cells(ensembles[r], metrics)
-        for metric in metrics:
-            cells[(r, metric)] = per_metric[metric]
-
-    result = SweepResult(spec.family, "ratio", grid, metrics, spec, ratio,
-                         cells)
-    ref_desc = f"split={pop_m1}/{pop_m0}"
-    for r in grid:
-        m0, m1 = counts[r]
-        for metric in metrics:
-            result.bias_rows.append(be.urb(
-                ensembles[r], ensembles[ref_key], metric, spec.estimator,
-                target_desc=f"split={m1}/{m0}", ref_desc=ref_desc))
-    aggregate(result)
-    return result
-
-
-def run_decomposition_sweep(ds, spec):
-    """Per-group bias/net-variance deltas along a size or ratio grid.
-
-    Row means are the ensemble-level SSB/URB totals (average-over-models
-    discrimination gap); for squared loss they equal
-    bias_delta + netvar_delta exactly.  stderr is over the per-replicate
-    single-model gaps.
+    key is the grid value the family's task_seed hashes, (m0, m1) the
+    group counts, and sampler(cell, rep) draws replicate rep.  Grid points
+    with equal cells share one ensemble.
     """
-    if spec.family != "decomposition":
-        raise ConfigError("spec.family must be decomposition")
-    metrics = spec.metrics or ((("MSE",) if ds.task == REGRESSION
-                                else ("ZOL", "FPR", "EO")))
-    _validate_metrics(metrics, ds.task)
-    for metric in metrics:
-        if metric not in ("MSE", "ZOL", "FPR", "EO"):
-            raise ConfigError(f"metric {metric} has no decomposition")
+
+    key: object
+    m0: int
+    m1: int
+    seed: int
+    sampler: object = field(compare=False)
+
+    def draws(self, replicates):
+        return [self.sampler(self, rep) for rep in range(replicates)]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    grid_param: str
+    grid: tuple
+    metrics: tuple
+    ratio: float
+    test: object
+    cells: dict               # grid value -> Cell
+    ref: object = None        # grid value of the reference cell
+    dropped: tuple = ()       # default-grid points that cannot be drawn
+
+
+# the grid value each family's task_seed hashes, from a grid point g and
+# its group counts c
+_SEED_KEYS = {
+    "ssb_size": lambda spec, g, c: g,
+    "urb_ratio": lambda spec, g, c: c,
+    "decomposition": lambda spec, g, c: (spec.decomp_kind,) + c,
+    "collect": lambda spec, g, c: (spec.variant, g),
+}
+
+
+def _resolve(ds, spec):
+    """Holdout split, grid, metrics, reference and one Cell per grid
+    point; an infeasible grid fails here, before any fit."""
+    family = spec.family
+    if family == "collect" and ds.task != CLASSIFICATION:
+        raise ConfigError("collect simulation requires a classification task")
+    metrics = _default_metrics(spec, ds.task)
     pool, test = holdout_split(ds, spec.test_fraction, spec.seed)
     ratio = population_ratio(ds)
-    loss_kind = _loss_kind(ds.task)
-
-    if spec.decomp_kind == "ssb":
+    sizes = (len(pool.group_indices(0)), len(pool.group_indices(1)))
+    ref, dropped = None, ()
+    if family == "collect":
+        grid_param = "n1"
+        grid = tuple(spec.grid) if spec.grid else tuple(range(2, 101, 2))
+        sampler = _collect_sampler(pool, spec, max(grid))
+        fixed = spec.fixed_majority
+        counts = {n1: (n1, fixed) if spec.variant == "majority_random"
+                  else (fixed, n1) for n1 in grid}
+    elif family == "ssb_size" or (family == "decomposition"
+                                  and spec.decomp_kind == "ssb"):
+        grid_param = "m"
         grid = tuple(spec.grid) if spec.grid \
             else default_ssb_grid(pool.n, spec.pool_portion)
         if max(grid) > pool.n:
             raise DataError(f"grid point {max(grid)} exceeds training pool "
                             f"size {pool.n}")
-        grid_param = "m"
-        counts = {g: _split_counts(ratio, g) for g in grid}
-        ref_key = max(grid)
+        counts = {m: _split_counts(ratio, m) for m in grid}
+        ref = max(grid)
     else:
-        m = spec.total_m
-        grid = tuple(spec.grid) if spec.grid else default_urb_grid(ratio)
-        pop_m0, pop_m1 = _split_counts(ratio, m)
-        if not any(_split_counts(r, m) == (pop_m0, pop_m1) for r in grid):
-            grid = tuple(sorted(set(grid) | {round(ratio, 6)}))
         grid_param = "ratio"
-        counts = {g: _split_counts(g, m) for g in grid}
-        ref_key = min(grid, key=lambda r: abs(r - ratio))
-    _check_cells(pool, counts, spec.with_replacement)
-
-    ensembles = {}
-    for g in grid:
-        m0, m1 = counts[g]
-        ensembles[g] = _fit_cell_ensemble(
-            pool, test, spec.learner, m0, m1, spec.replicates,
-            task_seed(spec.seed, spec.family, (spec.decomp_kind, m0, m1)),
-            spec.with_replacement, spec.threads, loss_kind)
-
-    ref_ens = ensembles[ref_key]
-    ref_disc = {}
-    for metric in metrics:
-        d, _ = be.ensemble_disc(ref_ens, metric, be.MEAN_OVER_MODELS)
-        ref_disc[metric] = None if d is None else float(d)
-
+        pop = _split_counts(ratio, spec.total_m)
+        if family == "urb_ratio" and 0 in pop:
+            raise DataError("population split degenerates to an empty group")
+        grid = tuple(spec.grid) if spec.grid else default_urb_grid(ratio)
+        # the population split must be a grid point (the URB reference)
+        if not any(_split_counts(r, spec.total_m) == pop for r in grid):
+            grid = tuple(sorted(set(grid) | {round(ratio, 6)}))
+        counts = {r: _split_counts(r, spec.total_m) for r in grid}
+        if not spec.grid:
+            dropped = tuple(r for r in grid if counts[r] != pop and any(
+                _cell_problems(sizes, {r: counts[r]},
+                               spec.with_replacement)))
+            grid = tuple(r for r in grid if r not in dropped)
+        # URB's reference matches the population split's counts exactly;
+        # a decomposition's is the ratio nearest the population's
+        if family == "urb_ratio":
+            ref = next((r for r in grid if counts[r] == pop), None)
+            if ref is None:
+                raise ConfigError("ratio grid must include the population "
+                                  "ratio")
+        else:
+            ref = min(grid, key=lambda r: abs(r - ratio))
+    if family != "collect":
+        _check_cells(sizes, {g: counts[g] for g in grid},
+                     spec.with_replacement, allow_empty=family == "ssb_size")
+        sampler = partial(_draw, pool, spec)
     cells = {}
     for g in grid:
-        ens = ensembles[g]
-        per_metric = _per_model_cells(ens, metrics)
-        for metric in metrics:
-            gap = decompose_bias_gap(ens, ref_ens, metric)
-            sign = gap.target.cost_sign
-            bias_delta = None if gap.bias_delta_diff is None \
-                else float(sign * gap.bias_delta_diff)
-            netvar_delta = None if gap.net_variance_delta_diff is None \
-                else float(sign * gap.net_variance_delta_diff)
-            cell = per_metric[metric]
-            # per-replicate single-model gaps drive the dispersion column
-            rd = ref_disc[metric]
-            cell["disc"] = [None if (d is None or rd is None) else d - rd
-                            for d in cell["disc"]]
-            cell["bias_delta"] = bias_delta
-            cell["netvar_delta"] = netvar_delta
-            if gap.total is not None:
-                cell["ensemble_total"] = float(gap.total)
-            cells[(g, metric)] = cell
-
-    result = SweepResult(spec.family, grid_param, grid, tuple(metrics), spec,
-                         ratio, cells)
-    aggregate(result)
-    return result
+        key = _SEED_KEYS[family](spec, g, counts[g])
+        cells[g] = Cell(key, *counts[g], task_seed(spec.seed, family, key),
+                        sampler)
+    return _Plan(grid_param, grid, metrics, ratio, test, cells, ref, dropped)
 
 
-def run_collect_sim(ds, spec):
-    """Per-group costs while one group's sample count grows and the other
-    stays fixed, simulating continued data collection."""
-    if spec.family != "collect":
-        raise ConfigError("spec.family must be collect")
-    if ds.task != CLASSIFICATION:
-        raise ConfigError("collect simulation requires a classification task")
-    metrics = _default_metrics(spec, ds.task)
-    pool, test = holdout_split(ds, spec.test_fraction, spec.seed)
-    grid = tuple(spec.grid) if spec.grid else tuple(range(2, 101, 2))
-    replicates = spec.replicates
+def _draw(pool, spec, cell, rep):
+    """Replicate rep of a cell: exactly (m0, m1) rows per group."""
+    plan = SamplingPlan(m0=cell.m0, m1=cell.m1, replicates=spec.replicates,
+                        seed=cell.seed, with_replacement=spec.with_replacement)
+    return draw_sample(pool, plan, rep)
 
-    # the "fixed" group is the privileged group a0 except when the roles
-    # are swapped by the majority_random variant
-    if spec.variant == "majority_random":
-        fixed_group, grow_group = 1, 0
-    else:
-        fixed_group, grow_group = 0, 1
+
+def _collect_sampler(pool, spec, max_n1):
+    """Sampler for collect cells: fixed_majority rows of the fixed group,
+    then n1 rows of the growing pool, from one stream per (cell, rep).
+
+    The fixed group is the privileged group a0, except under
+    majority_random, which swaps the roles; minority_positive_only grows
+    from the growing group's positive rows only.
+    """
+    fixed_group = 1 if spec.variant == "majority_random" else 0
+    grow_group = 1 - fixed_group
     fixed_pool = pool.group_indices(fixed_group)
     if spec.fixed_majority > len(fixed_pool):
         raise DataError(
@@ -506,83 +407,192 @@ def run_collect_sim(ds, spec):
         grow_pool = np.flatnonzero((pool.a == grow_group) & (pool.y == 1))
     else:
         grow_pool = pool.group_indices(grow_group)
-    max_n1 = max(grid)
     if max_n1 > len(grow_pool):
         raise DataError(
             f"growing pool for variant {spec.variant} has only "
             f"{len(grow_pool)} rows, grid needs {max_n1}")
 
-    estimator_label = f"cv{spec.cv_folds}" if spec.use_cv else "holdout"
-
-    def run_draw(args):
-        n1, rep = args
-        seed = task_seed(spec.seed, spec.family,
-                         (spec.variant, n1), tag=0)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
+    def sample(cell, rep):
+        rng = np.random.default_rng(np.random.SeedSequence((cell.seed, rep)))
         take_fixed = rng.choice(fixed_pool, size=spec.fixed_majority,
                                 replace=spec.with_replacement)
-        take_grow = rng.choice(grow_pool, size=n1,
+        take_grow = rng.choice(grow_pool, size=cell.key[1],
                                replace=spec.with_replacement)
-        idx = np.sort(np.concatenate([take_fixed, take_grow]))
-        sample = pool.subset(idx)
-        if spec.variant == "minority_positive_only":
-            assert np.all(sample.y[sample.a == grow_group] == 1)
-        if spec.use_cv:
-            return _cv_costs(sample, spec.learner, spec.cv_folds,
-                             np.random.SeedSequence((seed, rep, 0xCF)),
-                             metrics)
-        model = fit(spec.learner, sample)
-        scores, labels = model.predict(test.X)
-        out = {}
-        for metric in metrics:
-            rep_m = group_cost(metric, test.y, labels, scores, test.a)
-            out[metric] = rep_m.as_floats()
-        return out
+        return pool.subset(np.sort(np.concatenate([take_fixed, take_grow])))
+    return sample
 
-    tasks = [(n1, rep) for n1 in grid for rep in range(replicates)]
-    outputs = _map_tasks(run_draw, tasks, spec.threads)
 
-    cells = {}
-    for (n1, _rep), out in zip(tasks, outputs):
-        for metric in metrics:
-            cell = cells.setdefault((n1, metric),
-                                    {"disc": [], "a0": [], "a1": [],
-                                     "estimator": estimator_label})
-            v0, v1, d = out[metric]
-            cell["disc"].append(d)
-            cell["a0"].append(v0)
-            cell["a1"].append(v1)
+def _fit_cell(cell, spec, plan):
+    """A cell's K draws -> one fit_many -> stacked holdout predictions."""
+    models = fit_many(spec.learner, cell.draws(spec.replicates))
+    test = plan.test
+    preds = [model.predict(test.X) for model in models]
+    return PredictionEnsemble(np.stack([p[0] for p in preds]),
+                              np.stack([p[1] for p in preds]), test.y, test.a,
+                              SQUARED if test.task == REGRESSION else ZERO_ONE)
 
-    result = SweepResult(spec.family, "n1", grid, metrics, spec,
-                         population_ratio(ds), cells)
+
+def _ensembles(plan, spec):
+    """(reference ensemble, iterator of (grid value, ensemble)).
+
+    The reference is fitted first; the iterator fits each other cell once,
+    when the grid reaches it.  Grid points that share a cell are adjacent,
+    so only the reference and the latest cell are held.
+    """
+    ref_cell = plan.cells.get(plan.ref)
+    ref = None if ref_cell is None else _fit_cell(ref_cell, spec, plan)
+
+    def each():
+        cell, ens = ref_cell, ref
+        for g in plan.grid:
+            if plan.cells[g] != cell:
+                cell = plan.cells[g]
+                ens = ref if cell == ref_cell else _fit_cell(cell, spec, plan)
+            yield g, ens
+    return ref, each()
+
+
+def _per_replicate(triples):
+    """Per-replicate group values and disc from (v0, v1, disc) triples."""
+    a0, a1, disc = zip(*triples)
+    return {"disc": disc, "a0": a0, "a1": a1}
+
+
+def _per_model_cells(ens, metrics):
+    """Each metric's per-model cell on the ensemble's evaluation set."""
+    return {metric: _per_replicate(
+        group_cost(metric, ens.eval_y, ens.labels[k], ens.scores[k],
+                   ens.eval_a).as_floats() for k in range(ens.k))
+            for metric in metrics}
+
+
+def _reduce_bias(result, plan, spec, ref, ensembles):
+    """ssb_size / urb_ratio: per-model cells, plus SSB against the largest
+    size or URB against the population split."""
+    if result.family == "ssb_size":
+        estimate, desc, ref_desc = be.ssb, "m={}".format, f"M={plan.ref}"
+    else:
+        def desc(g):
+            return "split={0.m1}/{0.m0}".format(plan.cells[g])
+        estimate, ref_desc = be.urb, desc(plan.ref)
+    for g, ens in ensembles:
+        for metric, cell in _per_model_cells(ens, plan.metrics).items():
+            result.cells[(g, metric)] = cell
+            result.bias_rows.append(estimate(
+                ens, ref, metric, spec.estimator, target_desc=desc(g),
+                ref_desc=ref_desc))
+
+
+def _reduce_decomposition(result, plan, spec, ref, ensembles):
+    """Per-group bias/net-variance deltas against the reference.
+
+    Row means are the ensemble-level SSB/URB totals (average-over-models
+    discrimination gap); for squared loss they equal
+    bias_delta + netvar_delta exactly.  stderr is over the per-replicate
+    single-model gaps.
+    """
+    ref_disc = {}
+    for metric in plan.metrics:
+        d, _ = be.ensemble_disc(ref, metric, be.MEAN_OVER_MODELS)
+        ref_disc[metric] = None if d is None else float(d)
+    for g, ens in ensembles:
+        for metric, cell in _per_model_cells(ens, plan.metrics).items():
+            gap = decompose_bias_gap(ens, ref, metric)
+            sign = gap.target.cost_sign
+            bias_delta = None if gap.bias_delta_diff is None \
+                else float(sign * gap.bias_delta_diff)
+            netvar_delta = None if gap.net_variance_delta_diff is None \
+                else float(sign * gap.net_variance_delta_diff)
+            # per-replicate single-model gaps drive the dispersion column
+            rd = ref_disc[metric]
+            cell["disc"] = [None if (d is None or rd is None) else d - rd
+                            for d in cell["disc"]]
+            cell["bias_delta"] = bias_delta
+            cell["netvar_delta"] = netvar_delta
+            if gap.total is not None:
+                cell["ensemble_total"] = float(gap.total)
+            result.cells[(g, metric)] = cell
+
+
+def _reduce_collect(result, plan, spec, ref, ensembles):
+    """Per-model group costs on the holdout, or with use_cv fold-mean
+    costs from k-fold CV on each draw (the ensembles are never fitted)."""
+    if spec.use_cv:
+        label = f"cv{spec.cv_folds}"
+        per_point = ((g, _cv_cells(plan.cells[g], spec, plan.metrics))
+                     for g in plan.grid)
+    else:
+        label = "holdout"
+        per_point = ((g, _per_model_cells(ens, plan.metrics))
+                     for g, ens in ensembles)
+    for g, per_metric in per_point:
+        for metric, cell in per_metric.items():
+            cell["estimator"] = label
+            result.cells[(g, metric)] = cell
+
+
+_REDUCERS = {"ssb_size": _reduce_bias, "urb_ratio": _reduce_bias,
+             "decomposition": _reduce_decomposition,
+             "collect": _reduce_collect}
+
+
+def _run(ds, spec, family):
+    if spec.family != family:
+        raise ConfigError(f"spec.family must be {family}")
+    plan = _resolve(ds, spec)
+    result = SweepResult(family, plan.grid_param, plan.grid, plan.metrics,
+                         spec, plan.ratio, {}, grid_dropped=plan.dropped)
+    _REDUCERS[family](result, plan, spec, *_ensembles(plan, spec))
     aggregate(result)
     return result
 
 
+def run_ssb_sweep(ds, spec):
+    """Discrimination vs training-set size, plus SSB against the largest
+    grid size as reference."""
+    return _run(ds, spec, "ssb_size")
+
+
+def run_urb_sweep(ds, spec):
+    """Discrimination vs protected-group share at fixed total size, plus
+    URB against the population-split reference."""
+    return _run(ds, spec, "urb_ratio")
+
+
+def run_decomposition_sweep(ds, spec):
+    """Per-group bias/net-variance deltas along a size or ratio grid,
+    against the largest size or the ratio nearest the population's."""
+    return _run(ds, spec, "decomposition")
+
+
+def run_collect_sim(ds, spec):
+    """Per-group costs while one group's sample count grows and the other
+    stays fixed, simulating continued data collection."""
+    return _run(ds, spec, "collect")
+
+
+def _cv_cells(cell, spec, metrics):
+    """Per-draw fold-mean group costs of a collect cell."""
+    per_draw = [_cv_costs(sample, spec.learner, spec.cv_folds,
+                          np.random.SeedSequence((cell.seed, rep, 0xCF)),
+                          metrics)
+                for rep, sample in enumerate(cell.draws(spec.replicates))]
+    return {metric: _per_replicate(out[metric] for out in per_draw)
+            for metric in metrics}
+
+
 def _cv_costs(sample, learner, folds, seed_seq, metrics):
-    """Fold-mean per-group costs from k-fold CV on the sampled set."""
+    """Fold-mean (a0, a1, disc) per metric from k-fold CV on one draw."""
     rng = np.random.default_rng(seed_seq)
-    perm = rng.permutation(sample.n)
-    chunks = np.array_split(perm, folds)
-    per_metric = {m: {"disc": [], "a0": [], "a1": []} for m in metrics}
+    chunks = np.array_split(rng.permutation(sample.n), folds)
+    per_fold = []
     for f in range(folds):
-        test_idx = np.sort(chunks[f])
         train_idx = np.sort(np.concatenate(
             [chunks[j] for j in range(folds) if j != f]))
         model = fit(learner, sample.subset(train_idx))
-        hold = sample.subset(test_idx)
+        hold = sample.subset(np.sort(chunks[f]))
         scores, labels = model.predict(hold.X)
-        for metric in metrics:
-            rep = group_cost(metric, hold.y, labels, scores, hold.a)
-            v0, v1, d = rep.as_floats()
-            per_metric[metric]["disc"].append(d)
-            per_metric[metric]["a0"].append(v0)
-            per_metric[metric]["a1"].append(v1)
-    out = {}
-    for metric in metrics:
-        means = []
-        for key in ("a0", "a1", "disc"):
-            m, _, _ = _mean_stderr(per_metric[metric][key])
-            means.append(m)
-        out[metric] = tuple(means)
-    return out
+        per_fold.append({m: group_cost(m, hold.y, labels, scores,
+                                       hold.a).as_floats() for m in metrics})
+    return {m: [_mean_stderr(v)[0] for v in zip(*(p[m] for p in per_fold))]
+            for m in metrics}

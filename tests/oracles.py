@@ -193,8 +193,8 @@ def decompose_cost(ens, metric):
             n0 = Fraction(0)
         terms[group] = (n0, b, v)
     return DecompositionReport(metric, cond, offset, sign,
-                               terms[0][0], terms[0][1], terms[0][2],
-                               terms[1][0], terms[1][1], terms[1][2])
+                               terms[0][1], terms[0][2],
+                               terms[1][1], terms[1][2])
 
 
 def sd_bounds(ens):
@@ -233,8 +233,8 @@ def sd_bounds(ens):
     observed = abs((sd_hat[1] - sd_hat[0]) - (sd_true[1] - sd_true[0]))
     within = lower <= observed <= upper
     return SdBoundsReport(observed, upper, lower, within,
-                          terms[0][0], terms[0][1], terms[0][2],
-                          terms[1][0], terms[1][1], terms[1][2])
+                          terms[0][1], terms[0][2],
+                          terms[1][1], terms[1][2])
 
 
 def oracle_metrics(y, labels, scores, a, metrics=None):

@@ -118,18 +118,35 @@ def test_infinite_learning_rate_exit_2(tmp_path, capsys):
     assert "learning_rate must be finite" in capsys.readouterr().err
 
 
-def test_missing_data_file_exit_3(tmp_path, capsys):
+def write_schema(tmp_path):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({
         "target": "outcome", "positive_label": "pos", "sensitive": "group",
         "privileged_value": "a0",
         "features": [{"name": "x0", "kind": "numeric"}]}))
+    return str(schema)
+
+
+def test_missing_data_file_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "dataset": {"csv": str(tmp_path / "missing.csv"),
-                    "schema": str(schema)}})
+                    "schema": write_schema(tmp_path)}})
     assert main(["metrics", "--config", cfg, "--out",
                  str(tmp_path / "o")]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_short_row_exit_3(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("outcome,group,x0\npos,a0,1.0\nneg,a1,2.0\npos,a1\n"
+                    "neg,a0,0.5\npos,a1\n")
+    cfg = write_config(tmp_path, {
+        "dataset": {"csv": str(data), "schema": write_schema(tmp_path)}})
+    assert main(["metrics", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: row 3 has 2 fields")
+    assert "Traceback" not in err
 
 
 def test_mse_on_classification_exit_2(tmp_path):
@@ -174,3 +191,23 @@ def test_threads_flag_does_not_change_output(tmp_path):
                  "--threads", "4"]) == 0
     assert (out1 / "sweep.csv").read_bytes() == \
         (out4 / "sweep.csv").read_bytes()
+
+
+def test_default_urb_grid_drops_shares_the_pools_cannot_draw(tmp_path):
+    # the a1 training pool holds 795 rows, so at total_m=1000 every share
+    # from 0.8 up is out of reach; the population split stays
+    cfg = write_config(tmp_path, {
+        "dataset": {"synth": {"n": 4000, "d": 5, "group1_share": 0.3,
+                              "seed": 1}},
+        "learner": TREE, "metrics": ["SD"],
+        "sweep": {"family": "urb_ratio", "replicates": 2}, "seed": 1})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    dropped = [0.8, 0.9] + [round(0.981 + 0.002 * i, 6) for i in range(10)]
+    assert manifest["grid_dropped"] == dropped
+    with open(out / "sweep.csv") as fh:
+        grid = {float(r["grid_value"]) for r in csv.DictReader(fh)}
+    assert len(grid) == 30 - len(dropped)
+    assert not grid & set(dropped)
+    assert round(manifest["population_ratio"], 6) in grid

@@ -218,9 +218,7 @@ def test_zero_one_decomposition_matches_per_point_oracle(ens):
     pts = decompose_points(ens)
     assert (pts.bias, pts.variance, pts.net_factor, pts.mean_loss) == \
         oracles.zero_one_points(ens)
-    assert pts.noise == (Fraction(0),) * ens.n
-    terms = ("noise_a0", "bias_a0", "net_variance_a0",
-             "noise_a1", "bias_a1", "net_variance_a1")
+    terms = ("bias_a0", "net_variance_a0", "bias_a1", "net_variance_a1")
     for metric in ("ZOL", "FPR", "EO"):
         rep = decompose_cost(ens, metric)
         assert rep == oracles.decompose_cost(ens, metric)
@@ -307,4 +305,18 @@ def test_tree_collect_sweep_matches_oracle_bytewise(tmp_path, monkeypatch):
     before = _sweep_csv_bytes(run_collect_sim, ds, spec, path)
     monkeypatch.setitem(learners._SCORERS, "decision_tree",
                         oracles.score_tree)
+    assert _sweep_csv_bytes(run_collect_sim, ds, spec, path) == before
+
+
+@pytest.mark.parametrize("use_cv", [False, True])
+def test_logreg_collect_sweep_matches_oracle_bytewise(tmp_path, monkeypatch,
+                                                      use_cv):
+    # a cell's draws are fitted together, or one fold at a time under CV
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=7))
+    spec = SweepSpec(family="collect", grid=(2, 10, 40), replicates=4,
+                     seed=7, fixed_majority=60, use_cv=use_cv,
+                     metrics=("EO", "SD", "ZOL"))
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_collect_sim, ds, spec, path)
+    _swap_in_logreg_oracles(monkeypatch)
     assert _sweep_csv_bytes(run_collect_sim, ds, spec, path) == before

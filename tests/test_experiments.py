@@ -8,7 +8,7 @@ from fairsample import (ConfigError, DataError, Learner, SweepSpec,
                         run_decomposition_sweep, run_ssb_sweep,
                         run_urb_sweep)
 from fairsample import experiments
-from fairsample.dataset import holdout_split
+from fairsample.dataset import holdout_split, population_ratio
 from fairsample.experiments import (_mean_stderr, _split_counts,
                                     default_ssb_grid, default_urb_grid,
                                     task_seed)
@@ -157,7 +157,8 @@ def test_infeasible_grid_rejected_before_any_fit(clf_ds, monkeypatch):
     for run, kw in ((run_urb_sweep, {"family": "urb_ratio"}),
                     (run_decomposition_sweep, {"family": "decomposition",
                                                "decomp_kind": "urb"})):
-        spec = SweepSpec(replicates=2, seed=1, total_m=1000, **kw)
+        # an explicit grid is kept as given; the default one drops them
+        spec = SweepSpec(replicates=2, seed=1, total_m=1000, grid=grid, **kw)
         with pytest.raises(DataError, match="group pool exhausted") as err:
             run(ds, spec)
         # one error names every infeasible grid point
@@ -167,6 +168,39 @@ def test_infeasible_grid_rejected_before_any_fit(clf_ds, monkeypatch):
         with pytest.raises(ConfigError, match="empty group"):
             run(clf_ds, replace(spec, grid=(0.001, 0.5), total_m=60))
     assert fits == []
+
+
+def test_one_fit_many_per_unique_cell(clf_ds, monkeypatch):
+    fitted = []
+    real = experiments.fit_many
+    monkeypatch.setattr(experiments, "fit_many",
+                        lambda learner, samples: fitted.append(samples)
+                        or real(learner, samples))
+    # a collect grid of G points makes G calls of K draws each
+    spec = SweepSpec(family="collect", grid=(4, 10, 20), replicates=3,
+                     seed=17, learner=FAST_TREE, metrics=("SD",),
+                     fixed_majority=40, variant="minority_positive_only")
+    run_collect_sim(clf_ds, spec)
+    assert [len(samples) for samples in fitted] == [3, 3, 3]
+    # the growing group is drawn from its positive rows only
+    for samples in fitted:
+        assert all(np.all(s.y[s.a == 1] == 1) for s in samples)
+
+    # ratios that give the same counts share one cell: two at the
+    # population split (the reference) and two at 12 of 60 rows
+    fitted.clear()
+    pop = _split_counts(population_ratio(clf_ds), 60)
+    r_a, r_b = round(pop[1] / 60, 6), round((pop[1] + 0.3) / 60, 6)
+    assert _split_counts(r_a, 60) == _split_counts(r_b, 60) == pop
+    assert _split_counts(0.2, 60) == _split_counts(0.205, 60) != pop
+    grid = (0.2, 0.205, r_a, r_b, 0.8)
+    spec = SweepSpec(family="urb_ratio", grid=grid, replicates=3, seed=3,
+                     learner=FAST_TREE, metrics=("SD",), total_m=60)
+    res = run_urb_sweep(clf_ds, spec)
+    assert len(fitted) == 3
+    assert res.grid == grid
+    at_ref = [b for b in res.bias_rows if b.target == b.reference]
+    assert len(at_ref) == 2 and all(b.value == 0 for b in at_ref)
 
 
 def test_decomposition_sweep_mse_identity(reg_ds):
