@@ -134,10 +134,6 @@ class SamplingPlan:
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
 
-    @property
-    def m(self):
-        return self.m0 + self.m1
-
 
 def load_csv(path, schema):
     """Load and encode a CSV file per the schema.

@@ -30,7 +30,7 @@ from .decomposition import (SQUARED, ZERO_ONE, PredictionEnsemble,
                             decompose_bias_gap)
 from .errors import ConfigError, DataError
 from .group_metrics import ALL_METRICS, group_cost
-from .learners import Learner, fit, fit_many
+from .learners import Learner, fit_many
 
 FAMILIES = ("ssb_size", "urb_ratio", "decomposition", "collect")
 VARIANTS = ("minority_random", "majority_random", "minority_positive_only")
@@ -247,30 +247,36 @@ def _split_counts(ratio, m):
 
 
 def _cell_problems(sizes, counts, with_replacement, allow_empty=False):
-    """(empty-group, pool-exhausted) messages for the grid points whose
-    (m0, m1) in counts cannot be drawn from pools of the given sizes."""
-    empty, short = [], []
+    """(bad-count, pool-exhausted) messages for the grid points whose
+    (m0, m1) in counts cannot be drawn: a negative count, no rows at all, an
+    empty group unless allow_empty, or more rows than a pool of the given
+    sizes holds (not checked when sizes is None)."""
+    bad, short = [], []
     for g, (m0, m1) in counts.items():
-        if not (allow_empty or (m0 and m1)):
-            empty.append(f"{g!r} gives an empty group (m0={m0}, m1={m1})")
-        for group, want in ((0, m0), (1, m1)):
+        if m0 < 0 or m1 < 0:
+            bad.append(f"{g!r} gives a negative group count (m0={m0}, "
+                       f"m1={m1})")
+        elif not (m0 or m1):
+            bad.append(f"{g!r} gives an empty training set")
+        elif not (allow_empty or (m0 and m1)):
+            bad.append(f"{g!r} gives an empty group (m0={m0}, m1={m1})")
+        for group, want in ((0, m0), (1, m1)) if sizes else ():
             if want > sizes[group] and (not with_replacement
                                         or sizes[group] == 0):
                 short.append(f"{g!r} needs {want} rows from group "
                              f"a{group}, pool has {sizes[group]}")
-    return empty, short
+    return bad, short
 
 
 def _check_cells(sizes, counts, with_replacement, allow_empty=False):
     """Reject an infeasible grid before any model is fitted: one error
-    names every point that leaves a group empty (ConfigError, unless
-    allow_empty) or asks a group for more rows than its pool holds
+    names every point whose group counts cannot make a training set
+    (ConfigError) or that asks a group for more rows than its pool holds
     (DataError)."""
-    empty, short = _cell_problems(sizes, counts, with_replacement,
-                                  allow_empty)
-    if empty:
-        raise ConfigError("infeasible grid points; both group counts must "
-                          "be positive: " + "; ".join(empty + short))
+    bad, short = _cell_problems(sizes, counts, with_replacement,
+                                allow_empty)
+    if bad:
+        raise ConfigError("infeasible grid points: " + "; ".join(bad + short))
     if short:
         raise DataError("infeasible grid points; group pool exhausted: "
                         + "; ".join(short))
@@ -331,7 +337,6 @@ def _resolve(ds, spec):
     if family == "collect":
         grid_param = "n1"
         grid = tuple(spec.grid) if spec.grid else tuple(range(2, 101, 2))
-        sampler = _collect_sampler(pool, spec, max(grid))
         fixed = spec.fixed_majority
         counts = {n1: (n1, fixed) if spec.variant == "majority_random"
                   else (fixed, n1) for n1 in grid}
@@ -369,10 +374,14 @@ def _resolve(ds, spec):
                                   "ratio")
         else:
             ref = min(grid, key=lambda r: abs(r - ratio))
-    if family != "collect":
-        _check_cells(sizes, {g: counts[g] for g in grid},
-                     spec.with_replacement, allow_empty=family == "ssb_size")
-        sampler = partial(_draw, pool, spec)
+    # a collect grid may leave the growing group empty, and its sampler
+    # checks the pools it draws from
+    collect = family == "collect"
+    _check_cells(None if collect else sizes, {g: counts[g] for g in grid},
+                 spec.with_replacement,
+                 allow_empty=collect or family == "ssb_size")
+    sampler = _collect_sampler(pool, spec, max(grid)) if collect \
+        else partial(_draw, pool, spec)
     cells = {}
     for g in grid:
         key = _SEED_KEYS[family](spec, g, counts[g])
@@ -572,27 +581,22 @@ def run_collect_sim(ds, spec):
 
 
 def _cv_cells(cell, spec, metrics):
-    """Per-draw fold-mean group costs of a collect cell."""
-    per_draw = [_cv_costs(sample, spec.learner, spec.cv_folds,
-                          np.random.SeedSequence((cell.seed, rep, 0xCF)),
-                          metrics)
-                for rep, sample in enumerate(cell.draws(spec.replicates))]
-    return {metric: _per_replicate(out[metric] for out in per_draw)
-            for metric in metrics}
-
-
-def _cv_costs(sample, learner, folds, seed_seq, metrics):
-    """Fold-mean (a0, a1, disc) per metric from k-fold CV on one draw."""
-    rng = np.random.default_rng(seed_seq)
-    chunks = np.array_split(rng.permutation(sample.n), folds)
-    per_fold = []
-    for f in range(folds):
-        train_idx = np.sort(np.concatenate(
-            [chunks[j] for j in range(folds) if j != f]))
-        model = fit(learner, sample.subset(train_idx))
-        hold = sample.subset(np.sort(chunks[f]))
+    """Per-draw fold-mean group costs of a collect cell; the training sets
+    of every fold of every draw are fitted by one fit_many."""
+    folds, trains, holds = spec.cv_folds, [], []
+    for rep, sample in enumerate(cell.draws(spec.replicates)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence((cell.seed, rep, 0xCF)))
+        chunks = np.array_split(rng.permutation(sample.n), folds)
+        for f, chunk in enumerate(chunks):
+            trains.append(sample.subset(np.sort(np.concatenate(
+                chunks[:f] + chunks[f + 1:]))))
+            holds.append(sample.subset(np.sort(chunk)))
+    costs = []
+    for model, hold in zip(fit_many(spec.learner, trains), holds):
         scores, labels = model.predict(hold.X)
-        per_fold.append({m: group_cost(m, hold.y, labels, scores,
-                                       hold.a).as_floats() for m in metrics})
-    return {m: [_mean_stderr(v)[0] for v in zip(*(p[m] for p in per_fold))]
-            for m in metrics}
+        costs.append({m: group_cost(m, hold.y, labels, scores,
+                                    hold.a).as_floats() for m in metrics})
+    draws = [costs[r:r + folds] for r in range(0, len(costs), folds)]
+    return {m: _per_replicate([_mean_stderr(v)[0] for v in zip(
+        *(fold[m] for fold in draw))] for draw in draws) for m in metrics}

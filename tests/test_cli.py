@@ -157,6 +157,16 @@ def test_mse_on_classification_exit_2(tmp_path):
                  str(tmp_path / "o")]) == 2
 
 
+def test_negative_collect_grid_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],
+        "sweep": {"family": "collect", "grid": [-4, 10], "replicates": 3,
+                  "fixed_majority": 30}})
+    assert main(["sweep", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "-4 gives a negative group count" in capsys.readouterr().err
+
+
 def test_synth_roundtrip_through_sweep(tmp_path):
     gen_cfg = write_config(tmp_path, {"dataset": SYNTH}, "gen.json")
     data_dir = tmp_path / "data"

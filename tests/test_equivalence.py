@@ -311,7 +311,8 @@ def test_tree_collect_sweep_matches_oracle_bytewise(tmp_path, monkeypatch):
 @pytest.mark.parametrize("use_cv", [False, True])
 def test_logreg_collect_sweep_matches_oracle_bytewise(tmp_path, monkeypatch,
                                                       use_cv):
-    # a cell's draws are fitted together, or one fold at a time under CV
+    # a cell's draws, or under CV every fold of every draw, are fitted
+    # together
     ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=7))
     spec = SweepSpec(family="collect", grid=(2, 10, 40), replicates=4,
                      seed=7, fixed_majority=60, use_cv=use_cv,

@@ -141,13 +141,20 @@ def test_urb_sweep_degenerate_ratio_rejected(clf_ds):
         run_urb_sweep(clf_ds, spec)
 
 
+def _count_fit_many(monkeypatch):
+    """The samples of every experiments.fit_many call, in call order; it is
+    the only fitter experiments calls."""
+    assert not hasattr(experiments, "fit")
+    fitted = []
+    real = experiments.fit_many
+    monkeypatch.setattr(experiments, "fit_many",
+                        lambda learner, samples: fitted.append(samples)
+                        or real(learner, samples))
+    return fitted
+
+
 def test_infeasible_grid_rejected_before_any_fit(clf_ds, monkeypatch):
-    fits = []
-    for name in ("fit", "fit_many"):
-        real = getattr(experiments, name)
-        monkeypatch.setattr(experiments, name,
-                            lambda *args, real=real: fits.append(1)
-                            or real(*args))
+    fits = _count_fit_many(monkeypatch)
     ds = generate(SynthSpec(n=4000, d=5, group1_share=0.3, seed=1))
     pool, _ = holdout_split(ds, 0.3, 1)
     a1_rows = len(pool.group_indices(1))
@@ -170,12 +177,34 @@ def test_infeasible_grid_rejected_before_any_fit(clf_ds, monkeypatch):
     assert fits == []
 
 
+@pytest.mark.parametrize("family, grid, bad, kw", [
+    ("urb_ratio", (0.2, 0.5, 1.5), [1.5], {"total_m": 60}),
+    ("decomposition", (0.2, 0.5, 1.2), [1.2],
+     {"total_m": 60, "decomp_kind": "urb"}),
+    ("ssb_size", (-10, 20, 50), [-10], {}),
+    ("ssb_size", (0, 20, 50), [0], {}),
+    ("collect", (-4, 10), [-4], {"fixed_majority": 40}),
+    # one error names every bad point
+    ("ssb_size", (-10, 0, 20), [-10, 0], {}),
+])
+def test_impossible_grid_points_rejected_before_any_fit(clf_ds, monkeypatch,
+                                                         family, grid, bad,
+                                                         kw):
+    # a negative group count or an empty training set, in any family
+    fits = _count_fit_many(monkeypatch)
+    spec = SweepSpec(family=family, grid=grid, replicates=2, seed=1,
+                     learner=FAST_TREE, metrics=("ZOL",), **kw)
+    run = {"ssb_size": run_ssb_sweep, "urb_ratio": run_urb_sweep,
+           "decomposition": run_decomposition_sweep,
+           "collect": run_collect_sim}[family]
+    with pytest.raises(ConfigError, match="infeasible grid points") as err:
+        run(clf_ds, spec)
+    assert [p for p in grid if f"{p!r} gives" in str(err.value)] == bad
+    assert fits == []
+
+
 def test_one_fit_many_per_unique_cell(clf_ds, monkeypatch):
-    fitted = []
-    real = experiments.fit_many
-    monkeypatch.setattr(experiments, "fit_many",
-                        lambda learner, samples: fitted.append(samples)
-                        or real(learner, samples))
+    fitted = _count_fit_many(monkeypatch)
     # a collect grid of G points makes G calls of K draws each
     spec = SweepSpec(family="collect", grid=(4, 10, 20), replicates=3,
                      seed=17, learner=FAST_TREE, metrics=("SD",),
@@ -185,6 +214,11 @@ def test_one_fit_many_per_unique_cell(clf_ds, monkeypatch):
     # the growing group is drawn from its positive rows only
     for samples in fitted:
         assert all(np.all(s.y[s.a == 1] == 1) for s in samples)
+
+    # with use_cv, every fold of every draw goes into the cell's one call
+    fitted.clear()
+    run_collect_sim(clf_ds, replace(spec, use_cv=True, cv_folds=4))
+    assert [len(samples) for samples in fitted] == [3 * 4] * 3
 
     # ratios that give the same counts share one cell: two at the
     # population split (the reference) and two at 12 of 60 rows
@@ -242,12 +276,14 @@ def test_decomposition_rejects_metrics_without_decomposition(reg_ds):
 def test_collect_sim_variants(clf_ds):
     for variant in ("minority_random", "majority_random",
                     "minority_positive_only"):
-        spec = SweepSpec(family="collect", grid=(4, 10, 20), replicates=3,
-                         seed=17, learner=FAST_TREE, metrics=("SD", "ZOL"),
-                         fixed_majority=40, variant=variant)
+        # n1 = 0 is a valid point: the growing group starts empty
+        spec = SweepSpec(family="collect", grid=(0, 4, 10, 20),
+                         replicates=3, seed=17, learner=FAST_TREE,
+                         metrics=("SD", "ZOL"), fixed_majority=40,
+                         variant=variant)
         res = run_collect_sim(clf_ds, spec)
         assert res.grid_param == "n1"
-        assert len(res.rows) == 6
+        assert len(res.rows) == 8
         for row in res.rows:
             assert row.estimator == "holdout"
             assert row.k_total == 3
