@@ -276,21 +276,27 @@ def draw_sample(ds, plan, replicate_index):
         raise ConfigError(
             f"replicate_index {replicate_index} >= plan.replicates "
             f"{plan.replicates}")
-    rng = np.random.default_rng(
-        np.random.SeedSequence((plan.seed, replicate_index)))
-    picked = []
+    pools = (ds.group_indices(0), ds.group_indices(1))
     for group, want in ((0, plan.m0), (1, plan.m1)):
-        pool = ds.group_indices(group)
-        if want == 0:
-            continue
-        if not plan.with_replacement and want > len(pool):
+        if not plan.with_replacement and want > len(pools[group]):
             raise DataError(
                 f"group pool exhausted: need {want} rows from group "
-                f"a{group}, pool has {len(pool)}")
-        picked.append(rng.choice(pool, size=want,
-                                 replace=plan.with_replacement))
-    idx = np.sort(np.concatenate(picked)) if picked else np.array([], dtype=int)
-    return ds.subset(idx)
+                f"a{group}, pool has {len(pools[group])}")
+    return draw_from_pools(ds, pools, (plan.m0, plan.m1), plan.seed,
+                           replicate_index, plan.with_replacement)
+
+
+def draw_from_pools(ds, pools, counts, seed, replicate_index,
+                    with_replacement):
+    """One replicate: counts[i] rows of pools[i] (row-index arrays), drawn
+    pool by pool from the stream SeedSequence((seed, replicate_index)),
+    as a subset sorted by row.  A count of 0 draws nothing and consumes no
+    randomness."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((seed, replicate_index)))
+    picked = [rng.choice(pool, size=want, replace=with_replacement)
+              for pool, want in zip(pools, counts)]
+    return ds.subset(np.sort(np.concatenate(picked)))
 
 
 def holdout_split(ds, test_fraction, seed):

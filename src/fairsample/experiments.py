@@ -2,11 +2,12 @@
 decomposition sweeps, and data-collection simulations.
 
 Every family runs on one engine.  A resolver maps (dataset, spec) to the
-holdout split, the grid, the metrics, the reference grid point and one
-Cell per grid point.  The ensemble step draws a unique cell's K samples,
-fits them with one ``fit_many`` call and predicts the holdout.  A small
-reducer per family turns the ensembles into per-model cells, bias
-estimates or gap terms.
+holdout split, the training pool's named row-index pools, the grid, the
+metrics, the reference grid point and one Cell (a count per pool) per
+grid point.  The ensemble step draws a unique cell's K samples through
+one dataset primitive, fits them with one ``fit_many`` call and predicts
+the holdout.  A small reducer per family turns the ensembles into
+per-model cells, bias estimates or gap terms.
 
 Every (cell, replicate) draw has its own RNG stream derived by hashing
 (seed, family, cell key, replicate index), and aggregation consumes
@@ -19,12 +20,11 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import bias_estimators as be
-from .dataset import (CLASSIFICATION, REGRESSION, SamplingPlan, draw_sample,
+from .dataset import (CLASSIFICATION, REGRESSION, draw_from_pools,
                       holdout_split, population_ratio)
 from .decomposition import (SQUARED, ZERO_ONE, PredictionEnsemble,
                             decompose_bias_gap)
@@ -246,35 +246,41 @@ def _split_counts(ratio, m):
     return m - m1, m1
 
 
-def _cell_problems(sizes, counts, with_replacement, allow_empty=False):
+def _cell_problems(pools, counts, spec):
     """(bad-count, pool-exhausted) messages for the grid points whose
-    (m0, m1) in counts cannot be drawn: a negative count, no rows at all, an
-    empty group unless allow_empty, or more rows than a pool of the given
-    sizes holds (not checked when sizes is None)."""
+    counts (one per named pool) cannot be drawn: a negative count, no rows
+    at all, a 1-row draw that collect's k-fold CV leaves with an empty
+    training fold, an empty group where the family needs both, or more
+    rows than a pool holds (with replacement, only an empty pool is
+    short)."""
+    cv = spec.family == "collect" and spec.use_cv
+    allow_empty = spec.family in ("ssb_size", "collect")
     bad, short = [], []
-    for g, (m0, m1) in counts.items():
-        if m0 < 0 or m1 < 0:
-            bad.append(f"{g!r} gives a negative group count (m0={m0}, "
-                       f"m1={m1})")
-        elif not (m0 or m1):
+    for g, c in counts.items():
+        drawn = ", ".join(f"{want} from {name}"
+                          for name, want in zip(pools, c))
+        if min(c) < 0:
+            bad.append(f"{g!r} gives a negative group count ({drawn})")
+        elif sum(c) == 0:
             bad.append(f"{g!r} gives an empty training set")
-        elif not (allow_empty or (m0 and m1)):
-            bad.append(f"{g!r} gives an empty group (m0={m0}, m1={m1})")
-        for group, want in ((0, m0), (1, m1)) if sizes else ():
-            if want > sizes[group] and (not with_replacement
-                                        or sizes[group] == 0):
-                short.append(f"{g!r} needs {want} rows from group "
-                             f"a{group}, pool has {sizes[group]}")
+        elif cv and sum(c) == 1:
+            bad.append(f"{g!r} gives a 1-row draw, whose {spec.cv_folds}"
+                       f"-fold CV has an empty training fold")
+        elif not (allow_empty or all(c)):
+            bad.append(f"{g!r} gives an empty group ({drawn})")
+        for (name, rows), want in zip(pools.items(), c):
+            if want > len(rows) and not (spec.with_replacement and len(rows)):
+                short.append(f"{g!r} needs {want} rows from {name}, pool "
+                             f"has {len(rows)}")
     return bad, short
 
 
-def _check_cells(sizes, counts, with_replacement, allow_empty=False):
+def _check_cells(pools, counts, spec):
     """Reject an infeasible grid before any model is fitted: one error
-    names every point whose group counts cannot make a training set
-    (ConfigError) or that asks a group for more rows than its pool holds
+    names every point whose counts cannot make a training set
+    (ConfigError) or that asks a pool for more rows than it holds
     (DataError)."""
-    bad, short = _cell_problems(sizes, counts, with_replacement,
-                                allow_empty)
+    bad, short = _cell_problems(pools, counts, spec)
     if bad:
         raise ConfigError("infeasible grid points: " + "; ".join(bad + short))
     if short:
@@ -286,19 +292,15 @@ def _check_cells(sizes, counts, with_replacement, allow_empty=False):
 class Cell:
     """The K draws behind one grid point.
 
-    key is the grid value the family's task_seed hashes, (m0, m1) the
-    group counts, and sampler(cell, rep) draws replicate rep.  Grid points
-    with equal cells share one ensemble.
+    key is the grid value the family's task_seed hashes, counts the rows
+    a draw takes from each of the plan's pools, in pool order, and
+    replicate rep draws from the stream (seed, rep).  Grid points with
+    equal cells share one ensemble.
     """
 
     key: object
-    m0: int
-    m1: int
+    counts: tuple
     seed: int
-    sampler: object = field(compare=False)
-
-    def draws(self, replicates):
-        return [self.sampler(self, rep) for rep in range(replicates)]
 
 
 @dataclass(frozen=True)
@@ -308,13 +310,15 @@ class _Plan:
     metrics: tuple
     ratio: float
     test: object
+    pool: object              # the training pool the cells draw from
+    pools: dict               # pool name -> row indices, in draw order
     cells: dict               # grid value -> Cell
     ref: object = None        # grid value of the reference cell
     dropped: tuple = ()       # default-grid points that cannot be drawn
 
 
 # the grid value each family's task_seed hashes, from a grid point g and
-# its group counts c
+# its counts c
 _SEED_KEYS = {
     "ssb_size": lambda spec, g, c: g,
     "urb_ratio": lambda spec, g, c: c,
@@ -324,22 +328,28 @@ _SEED_KEYS = {
 
 
 def _resolve(ds, spec):
-    """Holdout split, grid, metrics, reference and one Cell per grid
-    point; an infeasible grid fails here, before any fit."""
+    """Holdout split, pools, grid, metrics, reference and one Cell per
+    grid point; an infeasible grid fails here, before any fit."""
     family = spec.family
     if family == "collect" and ds.task != CLASSIFICATION:
         raise ConfigError("collect simulation requires a classification task")
     metrics = _default_metrics(spec, ds.task)
     pool, test = holdout_split(ds, spec.test_fraction, spec.seed)
     ratio = population_ratio(ds)
-    sizes = (len(pool.group_indices(0)), len(pool.group_indices(1)))
+    pools = {f"group a{g}": pool.group_indices(g) for g in (0, 1)}
     ref, dropped = None, ()
     if family == "collect":
+        # the fixed group (a0, or a1 under majority_random), then the
+        # growing pool: the other group's rows, or only its positive rows
+        fixed = int(spec.variant == "majority_random")
+        grow, rows = pool.a == 1 - fixed, f"a{1 - fixed} rows"
+        if spec.variant == "minority_positive_only":
+            grow, rows = grow & (pool.y == 1), "positive " + rows
+        pools = {f"fixed group a{fixed}": pools[f"group a{fixed}"],
+                 f"growing pool of {rows}": np.flatnonzero(grow)}
         grid_param = "n1"
         grid = tuple(spec.grid) if spec.grid else tuple(range(2, 101, 2))
-        fixed = spec.fixed_majority
-        counts = {n1: (n1, fixed) if spec.variant == "majority_random"
-                  else (fixed, n1) for n1 in grid}
+        counts = {n1: (spec.fixed_majority, n1) for n1 in grid}
     elif family == "ssb_size" or (family == "decomposition"
                                   and spec.decomp_kind == "ssb"):
         grid_param = "m"
@@ -362,8 +372,7 @@ def _resolve(ds, spec):
         counts = {r: _split_counts(r, spec.total_m) for r in grid}
         if not spec.grid:
             dropped = tuple(r for r in grid if counts[r] != pop and any(
-                _cell_problems(sizes, {r: counts[r]},
-                               spec.with_replacement)))
+                _cell_problems(pools, {r: counts[r]}, spec)))
             grid = tuple(r for r in grid if r not in dropped)
         # URB's reference matches the population split's counts exactly;
         # a decomposition's is the ratio nearest the population's
@@ -374,66 +383,26 @@ def _resolve(ds, spec):
                                   "ratio")
         else:
             ref = min(grid, key=lambda r: abs(r - ratio))
-    # a collect grid may leave the growing group empty, and its sampler
-    # checks the pools it draws from
-    collect = family == "collect"
-    _check_cells(None if collect else sizes, {g: counts[g] for g in grid},
-                 spec.with_replacement,
-                 allow_empty=collect or family == "ssb_size")
-    sampler = _collect_sampler(pool, spec, max(grid)) if collect \
-        else partial(_draw, pool, spec)
+    _check_cells(pools, {g: counts[g] for g in grid}, spec)
     cells = {}
     for g in grid:
         key = _SEED_KEYS[family](spec, g, counts[g])
-        cells[g] = Cell(key, *counts[g], task_seed(spec.seed, family, key),
-                        sampler)
-    return _Plan(grid_param, grid, metrics, ratio, test, cells, ref, dropped)
+        cells[g] = Cell(key, counts[g], task_seed(spec.seed, family, key))
+    return _Plan(grid_param, grid, metrics, ratio, test, pool, pools, cells,
+                 ref, dropped)
 
 
-def _draw(pool, spec, cell, rep):
-    """Replicate rep of a cell: exactly (m0, m1) rows per group."""
-    plan = SamplingPlan(m0=cell.m0, m1=cell.m1, replicates=spec.replicates,
-                        seed=cell.seed, with_replacement=spec.with_replacement)
-    return draw_sample(pool, plan, rep)
-
-
-def _collect_sampler(pool, spec, max_n1):
-    """Sampler for collect cells: fixed_majority rows of the fixed group,
-    then n1 rows of the growing pool, from one stream per (cell, rep).
-
-    The fixed group is the privileged group a0, except under
-    majority_random, which swaps the roles; minority_positive_only grows
-    from the growing group's positive rows only.
-    """
-    fixed_group = 1 if spec.variant == "majority_random" else 0
-    grow_group = 1 - fixed_group
-    fixed_pool = pool.group_indices(fixed_group)
-    if spec.fixed_majority > len(fixed_pool):
-        raise DataError(
-            f"fixed group a{fixed_group} pool has {len(fixed_pool)} rows, "
-            f"need {spec.fixed_majority}")
-    if spec.variant == "minority_positive_only":
-        grow_pool = np.flatnonzero((pool.a == grow_group) & (pool.y == 1))
-    else:
-        grow_pool = pool.group_indices(grow_group)
-    if max_n1 > len(grow_pool):
-        raise DataError(
-            f"growing pool for variant {spec.variant} has only "
-            f"{len(grow_pool)} rows, grid needs {max_n1}")
-
-    def sample(cell, rep):
-        rng = np.random.default_rng(np.random.SeedSequence((cell.seed, rep)))
-        take_fixed = rng.choice(fixed_pool, size=spec.fixed_majority,
-                                replace=spec.with_replacement)
-        take_grow = rng.choice(grow_pool, size=cell.key[1],
-                               replace=spec.with_replacement)
-        return pool.subset(np.sort(np.concatenate([take_fixed, take_grow])))
-    return sample
+def _draws(cell, spec, plan):
+    """A cell's K samples: replicate rep takes cell.counts rows from the
+    plan's pools."""
+    return [draw_from_pools(plan.pool, plan.pools.values(), cell.counts,
+                            cell.seed, rep, spec.with_replacement)
+            for rep in range(spec.replicates)]
 
 
 def _fit_cell(cell, spec, plan):
     """A cell's K draws -> one fit_many -> stacked holdout predictions."""
-    models = fit_many(spec.learner, cell.draws(spec.replicates))
+    models = fit_many(spec.learner, _draws(cell, spec, plan))
     test = plan.test
     preds = [model.predict(test.X) for model in models]
     return PredictionEnsemble(np.stack([p[0] for p in preds]),
@@ -482,7 +451,7 @@ def _reduce_bias(result, plan, spec, ref, ensembles):
         estimate, desc, ref_desc = be.ssb, "m={}".format, f"M={plan.ref}"
     else:
         def desc(g):
-            return "split={0.m1}/{0.m0}".format(plan.cells[g])
+            return "split={0[1]}/{0[0]}".format(plan.cells[g].counts)
         estimate, ref_desc = be.urb, desc(plan.ref)
     for g, ens in ensembles:
         for metric, cell in _per_model_cells(ens, plan.metrics).items():
@@ -528,7 +497,7 @@ def _reduce_collect(result, plan, spec, ref, ensembles):
     costs from k-fold CV on each draw (the ensembles are never fitted)."""
     if spec.use_cv:
         label = f"cv{spec.cv_folds}"
-        per_point = ((g, _cv_cells(plan.cells[g], spec, plan.metrics))
+        per_point = ((g, _cv_cells(plan.cells[g], spec, plan))
                      for g in plan.grid)
     else:
         label = "holdout"
@@ -580,11 +549,11 @@ def run_collect_sim(ds, spec):
     return _run(ds, spec, "collect")
 
 
-def _cv_cells(cell, spec, metrics):
+def _cv_cells(cell, spec, plan):
     """Per-draw fold-mean group costs of a collect cell; the training sets
     of every fold of every draw are fitted by one fit_many."""
-    folds, trains, holds = spec.cv_folds, [], []
-    for rep, sample in enumerate(cell.draws(spec.replicates)):
+    folds, metrics, trains, holds = spec.cv_folds, plan.metrics, [], []
+    for rep, sample in enumerate(_draws(cell, spec, plan)):
         rng = np.random.default_rng(
             np.random.SeedSequence((cell.seed, rep, 0xCF)))
         chunks = np.array_split(rng.permutation(sample.n), folds)

@@ -1,5 +1,6 @@
 """Reference implementations: the stratified holdout split one row at a
-time, logistic-regression fitting one sample at a time, per-row kNN and
+time, the two samplers the sweep families drew with before they shared
+one draw primitive, logistic-regression fitting one sample at a time, per-row kNN and
 tree scoring, the exact zero-one decomposition one point at a time, and
 brute-force group metrics and decompositions.
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fairsample.dataset import CLASSIFICATION
+from fairsample.dataset import CLASSIFICATION, SamplingPlan
 from fairsample.decomposition import (_COST_AFFINE, _CONDITIONING, SQUARED,
                                       ZERO_ONE, DecompositionReport,
                                       SdBoundsReport, _majority_labels,
@@ -55,6 +56,71 @@ def holdout_split(ds, test_fraction, seed):
         test_idx.extend(members[perm[:n_test]])
         train_idx.extend(members[perm[n_test:]])
     return ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
+
+
+def draw_sample(ds, plan, replicate_index):
+    """Draw one replicate with exactly (m0, m1) rows per group; a group
+    with a count of 0 is skipped without touching the stream."""
+    if replicate_index >= plan.replicates:
+        raise ConfigError(
+            f"replicate_index {replicate_index} >= plan.replicates "
+            f"{plan.replicates}")
+    rng = np.random.default_rng(
+        np.random.SeedSequence((plan.seed, replicate_index)))
+    picked = []
+    for group, want in ((0, plan.m0), (1, plan.m1)):
+        pool = ds.group_indices(group)
+        if want == 0:
+            continue
+        if not plan.with_replacement and want > len(pool):
+            raise DataError(
+                f"group pool exhausted: need {want} rows from group "
+                f"a{group}, pool has {len(pool)}")
+        picked.append(rng.choice(pool, size=want,
+                                 replace=plan.with_replacement))
+    idx = np.sort(np.concatenate(picked)) if picked else np.array([], dtype=int)
+    return ds.subset(idx)
+
+
+def _draw(pool, spec, cell, rep):
+    """Replicate rep of a cell: exactly (m0, m1) rows per group."""
+    plan = SamplingPlan(m0=cell.m0, m1=cell.m1, replicates=spec.replicates,
+                        seed=cell.seed, with_replacement=spec.with_replacement)
+    return draw_sample(pool, plan, rep)
+
+
+def _collect_sampler(pool, spec, max_n1):
+    """Sampler for collect cells: fixed_majority rows of the fixed group,
+    then n1 rows of the growing pool, from one stream per (cell, rep).
+
+    The fixed group is the privileged group a0, except under
+    majority_random, which swaps the roles; minority_positive_only grows
+    from the growing group's positive rows only.
+    """
+    fixed_group = 1 if spec.variant == "majority_random" else 0
+    grow_group = 1 - fixed_group
+    fixed_pool = pool.group_indices(fixed_group)
+    if spec.fixed_majority > len(fixed_pool):
+        raise DataError(
+            f"fixed group a{fixed_group} pool has {len(fixed_pool)} rows, "
+            f"need {spec.fixed_majority}")
+    if spec.variant == "minority_positive_only":
+        grow_pool = np.flatnonzero((pool.a == grow_group) & (pool.y == 1))
+    else:
+        grow_pool = pool.group_indices(grow_group)
+    if max_n1 > len(grow_pool):
+        raise DataError(
+            f"growing pool for variant {spec.variant} has only "
+            f"{len(grow_pool)} rows, grid needs {max_n1}")
+
+    def sample(cell, rep):
+        rng = np.random.default_rng(np.random.SeedSequence((cell.seed, rep)))
+        take_fixed = rng.choice(fixed_pool, size=spec.fixed_majority,
+                                replace=spec.with_replacement)
+        take_grow = rng.choice(grow_pool, size=cell.key[1],
+                               replace=spec.with_replacement)
+        return pool.subset(np.sort(np.concatenate([take_fixed, take_grow])))
+    return sample
 
 
 def _sigmoid(z):

@@ -1,8 +1,10 @@
-"""The array implementations of the holdout split, logistic-regression
-fitting, kNN scoring, tree scoring and the exact zero-one decomposition
-against the per-sample / per-row / per-point loops in oracles.py."""
+"""The array implementations of the holdout split, the sweep draws,
+logistic-regression fitting, kNN scoring, tree scoring and the exact
+zero-one decomposition against the per-sample / per-row / per-point loops
+and the per-family samplers in oracles.py."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from fairsample import (DataError, Dataset, Learner, PredictionEnsemble,
                         decompose_points, fit, generate, holdout_split,
                         run_collect_sim, run_decomposition_sweep,
                         run_ssb_sweep, sd_bounds)
-from fairsample import decomposition, learners
+from fairsample import decomposition, experiments, learners
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,6 +241,48 @@ def test_empty_conditioning_subset_gives_none():
     assert rep == oracles.decompose_cost(ens, "EO")
     assert rep.bias_a0 is None and rep.net_variance_a1 is None
     assert decompose_cost(ens, "FPR").bias_a1 == 1
+
+
+@pytest.mark.parametrize("with_replacement", [False, True])
+@pytest.mark.parametrize("family, share, kw", [
+    # n1 = 0 in the grid: the growing pool's draw is empty
+    ("collect", 0.3, {"variant": "minority_random"}),
+    ("collect", 0.3, {"variant": "majority_random"}),
+    ("collect", 0.3, {"variant": "minority_positive_only"}),
+    # fixed_majority 0: the fixed group's empty draw comes first
+    ("collect", 0.3, {"variant": "minority_random", "fixed_majority": 0,
+                      "grid": (1, 3, 20)}),
+    ("collect", 0.3, {"variant": "majority_random", "fixed_majority": 0,
+                      "grid": (1, 3, 20)}),
+    # m=1 draws (1, 0) rows from (a0, a1) at a 30% a1 share, (0, 1) at 60%
+    ("ssb_size", 0.3, {"grid": (1, 10, 100)}),
+    ("ssb_size", 0.6, {"grid": (1, 10, 100)}),
+    ("urb_ratio", 0.3, {"grid": (0.1, 0.5, 0.9), "total_m": 60}),
+])
+def test_sweep_draws_match_family_samplers(family, share, kw,
+                                           with_replacement):
+    # every cell's K draws are the rows, in the order, that the sampler
+    # its family used before all families shared one draw primitive gives;
+    # that sampler skipped an empty group where the primitive draws 0 rows,
+    # which holds only while a 0-row Generator.choice consumes no state
+    ds = generate(SynthSpec(n=600, d=2, group1_share=share, seed=41))
+    spec = SweepSpec(family=family, replicates=4, seed=41,
+                     with_replacement=with_replacement,
+                     **{"grid": (0, 3, 20), "fixed_majority": 40, **kw})
+    plan = experiments._resolve(ds, spec)
+    if family == "collect":
+        oracle = oracles._collect_sampler(plan.pool, spec, max(plan.grid))
+    else:
+        def oracle(cell, rep):
+            m0, m1 = cell.counts
+            return oracles._draw(plan.pool, spec, SimpleNamespace(
+                m0=m0, m1=m1, seed=cell.seed), rep)
+    for cell in plan.cells.values():
+        draws = experiments._draws(cell, spec, plan)
+        assert len(draws) == spec.replicates
+        for rep, drawn in enumerate(draws):
+            assert drawn.n == sum(cell.counts)
+            assert np.array_equal(drawn.row_ids, oracle(cell, rep).row_ids)
 
 
 def _sweep_csv_bytes(run, ds, spec, path):

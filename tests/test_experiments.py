@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsample import (ConfigError, DataError, Learner, SweepSpec,
                         SynthSpec, generate, run_collect_sim,
@@ -186,11 +188,13 @@ def test_infeasible_grid_rejected_before_any_fit(clf_ds, monkeypatch):
     ("collect", (-4, 10), [-4], {"fixed_majority": 40}),
     # one error names every bad point
     ("ssb_size", (-10, 0, 20), [-10, 0], {}),
+    # a 1-row draw leaves one CV fold nothing to train on
+    ("collect", (1, 10), [1], {"fixed_majority": 0, "use_cv": True}),
 ])
 def test_impossible_grid_points_rejected_before_any_fit(clf_ds, monkeypatch,
                                                          family, grid, bad,
                                                          kw):
-    # a negative group count or an empty training set, in any family
+    # a negative group count, an empty training set or a 1-row CV draw
     fits = _count_fit_many(monkeypatch)
     spec = SweepSpec(family=family, grid=grid, replicates=2, seed=1,
                      learner=FAST_TREE, metrics=("ZOL",), **kw)
@@ -303,6 +307,61 @@ def test_collect_sim_pool_exhaustion(clf_ds):
                      fixed_majority=40)
     with pytest.raises(DataError, match="growing pool"):
         run_collect_sim(clf_ds, spec)
+
+
+def test_collect_sim_with_replacement_draws_past_its_pools(monkeypatch):
+    ds = generate(SynthSpec(n=600, d=3, group1_share=0.3, seed=1))
+    spec = SweepSpec(family="collect", grid=(0, 5), replicates=2, seed=1,
+                     learner=FAST_TREE, metrics=("ZOL",),
+                     fixed_majority=1000, with_replacement=True)
+    fitted = _count_fit_many(monkeypatch)
+    for s in (spec, replace(spec, fixed_majority=40, grid=(5, 500))):
+        fitted.clear()
+        run_collect_sim(ds, s)
+        assert [[x.n for x in samples] for samples in fitted] == [
+            [s.fixed_majority + n1] * 2 for n1 in s.grid]
+    # without replacement, one error names every short point
+    fitted.clear()
+    with pytest.raises(DataError, match="growing pool") as err:
+        run_collect_sim(ds, replace(spec, grid=(5, 300, 500),
+                                    with_replacement=False))
+    msg = str(err.value)
+    assert msg.count("needs 1000 rows from fixed group a0") == 3
+    assert "300 needs 300 rows" in msg and "500 needs 500 rows" in msg
+    assert "5 needs 5 rows" not in msg
+    assert fitted == []
+
+
+_PROPERTY_DS = generate(SynthSpec(n=300, d=2, group1_share=0.3, seed=31))
+# counts near 0 (negative, empty, 1-row) or up to past the pools' sizes
+_SMALL_OR_ANY = st.integers(-2, 2) | st.integers(-2, 240)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(["collect", "ssb_size", "urb_ratio"]),
+       points=st.lists(_SMALL_OR_ANY, min_size=1, max_size=3, unique=True),
+       fixed_majority=_SMALL_OR_ANY, total_m=st.integers(1, 160),
+       variant=st.sampled_from(experiments.VARIANTS),
+       with_replacement=st.booleans(), use_cv=st.booleans())
+def test_feasible_spec_never_fails_once_fitting_starts(
+        family, points, fixed_majority, total_m, variant, with_replacement,
+        use_cv):
+    # every spec either fails up front, before any fit, or finishes
+    grid = sorted(points) if family != "urb_ratio" \
+        else sorted({round(p / 200 - 0.05, 3) for p in points})
+    spec = SweepSpec(family=family, grid=tuple(grid), replicates=2, seed=3,
+                     learner=FAST_TREE, metrics=("ZOL", "EO"),
+                     fixed_majority=fixed_majority, total_m=total_m,
+                     variant=variant, with_replacement=with_replacement,
+                     use_cv=use_cv)
+    run = {"ssb_size": run_ssb_sweep, "urb_ratio": run_urb_sweep,
+           "collect": run_collect_sim}[family]
+    with pytest.MonkeyPatch.context() as mp:
+        fitted = _count_fit_many(mp)
+        try:
+            run(_PROPERTY_DS, spec)
+        except (ConfigError, DataError):
+            assert fitted == []
 
 
 def test_collect_sim_deterministic(clf_ds, tmp_path):
