@@ -11,7 +11,7 @@ from .decomposition import (PredictionEnsemble, decompose_bias_gap,
                             decompose_cost, decompose_points,
                             main_prediction, sd_bounds)
 from .bias_estimators import BiasEstimate, ssb, ssb_single, urb, urb_single
-from .experiments import (SweepResult, SweepSpec, aggregate, run_collect_sim,
+from .experiments import (SweepResult, SweepSpec, run_collect_sim,
                           run_decomposition_sweep, run_ssb_sweep,
                           run_urb_sweep)
 from .synth import SynthSpec, generate

@@ -23,7 +23,7 @@ from .dataset import Schema, holdout_split, load_csv, population_ratio
 from .errors import ConfigError, DataError, FairsampleError
 from .experiments import (SweepSpec, run_collect_sim, run_decomposition_sweep,
                           run_ssb_sweep, run_urb_sweep)
-from .group_metrics import disc_vector
+from .group_metrics import disc_vector, task_metrics
 from .learners import Learner, fit
 from .synth import SynthSpec, generate, write_csv
 
@@ -141,9 +141,8 @@ def cmd_metrics(args):
     config, seed, out_dir = _prepare(args)
     ds, sha, _src = _build_dataset(config.get("dataset"), seed)
     learner = _build_learner(config.get("learner"))
-    metrics = config.get("metrics") or (
-        ["MSE"] if ds.task == "regression"
-        else ["FPR", "FNR", "EO", "ZOL", "SD", "AUC"])
+    learner.check_task(ds.task)
+    metrics = task_metrics(ds.task, config.get("metrics") or ())
     test_fraction = float(config.get("test_fraction", 0.3))
     pool, test = holdout_split(ds, test_fraction, seed)
     model = fit(learner, pool)

@@ -7,12 +7,12 @@ metrics, the reference grid point and one Cell (a count per pool) per
 grid point.  The ensemble step draws a unique cell's K samples through
 one dataset primitive, fits them with one ``fit_many`` call and predicts
 the holdout.  A small reducer per family turns the ensembles into
-per-model cells, bias estimates or gap terms.
+per-model cells and appends their summary rows and bias estimates.
 
 Every (cell, replicate) draw has its own RNG stream derived by hashing
-(seed, family, cell key, replicate index), and aggregation consumes
-results in fixed grid order, so a sweep's output depends on the dataset
-and the spec only.
+(seed, family, cell key, replicate index), and the reducers consume the
+ensembles in fixed grid order, so a sweep's output depends on the
+dataset and the spec only.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .dataset import (CLASSIFICATION, REGRESSION, draw_from_pools,
 from .decomposition import (SQUARED, ZERO_ONE, PredictionEnsemble,
                             decompose_bias_gap)
 from .errors import ConfigError, DataError
-from .group_metrics import ALL_METRICS, group_cost
+from .group_metrics import ALL_METRICS, group_cost, task_metrics
 from .learners import Learner, fit_many
 
 FAMILIES = ("ssb_size", "urb_ratio", "decomposition", "collect")
@@ -133,20 +133,18 @@ class SweepResult:
     grid_dropped: tuple = ()  # default-grid points that cannot be drawn
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_COLUMNS)
-            for row in self.rows:
-                w.writerow(row.to_csv_row())
-        return len(self.rows)
+        return _write_rows(path, CSV_COLUMNS, self.rows)
 
     def write_bias_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(be.CSV_HEADER)
-            for row in self.bias_rows:
-                w.writerow(row.to_csv_row())
-        return len(self.bias_rows)
+        return _write_rows(path, be.CSV_HEADER, self.bias_rows)
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(row.to_csv_row() for row in rows)
+    return len(rows)
 
 
 def task_seed(seed, family, grid_value, tag=0):
@@ -169,53 +167,39 @@ def _mean_stderr(values):
     return mean, stderr, k
 
 
-def aggregate(result):
-    """Recompute summary rows from per-replicate cell values; idempotent."""
-    rows = []
-    for grid_value in result.grid:
-        for metric in result.metrics:
-            cell = result.cells.get((grid_value, metric))
-            if cell is None:
-                continue
-            mean, stderr, k_defined = _mean_stderr(cell["disc"])
-            g0, _, _ = _mean_stderr(cell.get("a0", []))
-            g1, _, _ = _mean_stderr(cell.get("a1", []))
-            row = SweepRow(result.family, result.grid_param, grid_value,
-                           metric, cell.get("estimator",
-                                            result.spec.estimator),
-                           mean, stderr, k_defined, len(cell["disc"]),
-                           cell.get("bias_delta"), cell.get("netvar_delta"),
-                           g0, g1)
-            if "ensemble_total" in cell:
-                row.mean = cell["ensemble_total"]
-            rows.append(row)
-    result.rows = rows
-    return rows
+def _add_row(result, g, metric, cell, estimator, mean=None,
+              bias_delta=None, netvar_delta=None):
+    """Store grid point g's per-replicate cell for metric and append its
+    summary row; mean, when not given, is the mean of the defined
+    per-replicate discs."""
+    result.cells[(g, metric)] = cell
+    disc_mean, stderr, k_defined = _mean_stderr(cell["disc"])
+    result.rows.append(SweepRow(
+        result.family, result.grid_param, g, metric, estimator,
+        disc_mean if mean is None else mean, stderr, k_defined,
+        len(cell["disc"]), bias_delta, netvar_delta,
+        _mean_stderr(cell["a0"])[0], _mean_stderr(cell["a1"])[0]))
 
 
-def _default_metrics(spec, task):
-    if spec.metrics:
-        metrics = tuple(spec.metrics)
-    elif task == REGRESSION:
-        metrics = ("MSE",)
-    elif spec.family == "decomposition":
-        metrics = ("ZOL", "FPR", "EO")
-    else:
-        metrics = ("FPR", "FNR", "EO", "ZOL", "SD", "AUC")
-    _validate_metrics(metrics, task)
+def _float(value, sign=1):
+    return None if value is None else float(sign * value)
+
+
+# the metrics a decomposition sweep can decompose, in its default order
+_DECOMPOSABLE = ("ZOL", "FPR", "EO", "MSE")
+
+
+def _sweep_metrics(spec, task):
+    """spec.metrics checked against the task, or the task's defaults; a
+    decomposition's defaults are the ones it can decompose."""
+    metrics = task_metrics(task, spec.metrics)
     if spec.family == "decomposition":
+        if not spec.metrics:
+            metrics = tuple(m for m in _DECOMPOSABLE if m in metrics)
         for metric in metrics:
-            if metric not in ("MSE", "ZOL", "FPR", "EO"):
+            if metric not in _DECOMPOSABLE:
                 raise ConfigError(f"metric {metric} has no decomposition")
     return metrics
-
-
-def _validate_metrics(metrics, task):
-    for m in metrics:
-        if task == REGRESSION and m != "MSE":
-            raise ConfigError(f"metric {m} requires a classification task")
-        if task == CLASSIFICATION and m == "MSE":
-            raise ConfigError("MSE requires a regression task")
 
 
 def default_ssb_grid(pool_n, portion=0.8):
@@ -333,7 +317,8 @@ def _resolve(ds, spec):
     family = spec.family
     if family == "collect" and ds.task != CLASSIFICATION:
         raise ConfigError("collect simulation requires a classification task")
-    metrics = _default_metrics(spec, ds.task)
+    spec.learner.check_task(ds.task)
+    metrics = _sweep_metrics(spec, ds.task)
     pool, test = holdout_split(ds, spec.test_fraction, spec.seed)
     ratio = population_ratio(ds)
     pools = {f"group a{g}": pool.group_indices(g) for g in (0, 1)}
@@ -355,9 +340,6 @@ def _resolve(ds, spec):
         grid_param = "m"
         grid = tuple(spec.grid) if spec.grid \
             else default_ssb_grid(pool.n, spec.pool_portion)
-        if max(grid) > pool.n:
-            raise DataError(f"grid point {max(grid)} exceeds training pool "
-                            f"size {pool.n}")
         counts = {m: _split_counts(ratio, m) for m in grid}
         ref = max(grid)
     else:
@@ -455,7 +437,7 @@ def _reduce_bias(result, plan, spec, ref, ensembles):
         estimate, ref_desc = be.urb, desc(plan.ref)
     for g, ens in ensembles:
         for metric, cell in _per_model_cells(ens, plan.metrics).items():
-            result.cells[(g, metric)] = cell
+            _add_row(result, g, metric, cell, spec.estimator)
             result.bias_rows.append(estimate(
                 ens, ref, metric, spec.estimator, target_desc=desc(g),
                 ref_desc=ref_desc))
@@ -465,31 +447,24 @@ def _reduce_decomposition(result, plan, spec, ref, ensembles):
     """Per-group bias/net-variance deltas against the reference.
 
     Row means are the ensemble-level SSB/URB totals (average-over-models
-    discrimination gap); for squared loss they equal
-    bias_delta + netvar_delta exactly.  stderr is over the per-replicate
-    single-model gaps.
+    discrimination gap, whatever spec.estimator says); for squared loss
+    they equal bias_delta + netvar_delta exactly.  stderr is over the
+    per-replicate single-model gaps.
     """
-    ref_disc = {}
-    for metric in plan.metrics:
-        d, _ = be.ensemble_disc(ref, metric, be.MEAN_OVER_MODELS)
-        ref_disc[metric] = None if d is None else float(d)
+    ref_disc = {metric: _float(be.ensemble_disc(ref, metric,
+                                                be.MEAN_OVER_MODELS)[0])
+                for metric in plan.metrics}
     for g, ens in ensembles:
         for metric, cell in _per_model_cells(ens, plan.metrics).items():
             gap = decompose_bias_gap(ens, ref, metric)
             sign = gap.target.cost_sign
-            bias_delta = None if gap.bias_delta_diff is None \
-                else float(sign * gap.bias_delta_diff)
-            netvar_delta = None if gap.net_variance_delta_diff is None \
-                else float(sign * gap.net_variance_delta_diff)
             # per-replicate single-model gaps drive the dispersion column
             rd = ref_disc[metric]
             cell["disc"] = [None if (d is None or rd is None) else d - rd
                             for d in cell["disc"]]
-            cell["bias_delta"] = bias_delta
-            cell["netvar_delta"] = netvar_delta
-            if gap.total is not None:
-                cell["ensemble_total"] = float(gap.total)
-            result.cells[(g, metric)] = cell
+            _add_row(result, g, metric, cell, be.MEAN_OVER_MODELS,
+                     _float(gap.total), _float(gap.bias_delta_diff, sign),
+                     _float(gap.net_variance_delta_diff, sign))
 
 
 def _reduce_collect(result, plan, spec, ref, ensembles):
@@ -505,8 +480,7 @@ def _reduce_collect(result, plan, spec, ref, ensembles):
                      for g, ens in ensembles)
     for g, per_metric in per_point:
         for metric, cell in per_metric.items():
-            cell["estimator"] = label
-            result.cells[(g, metric)] = cell
+            _add_row(result, g, metric, cell, label)
 
 
 _REDUCERS = {"ssb_size": _reduce_bias, "urb_ratio": _reduce_bias,
@@ -521,7 +495,6 @@ def _run(ds, spec, family):
     result = SweepResult(family, plan.grid_param, plan.grid, plan.metrics,
                          spec, plan.ratio, {}, grid_dropped=plan.dropped)
     _REDUCERS[family](result, plan, spec, *_ensembles(plan, spec))
-    aggregate(result)
     return result
 
 

@@ -14,11 +14,25 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dataset import REGRESSION
 from .errors import ConfigError
 
+# each task's metrics, in the default order of its reports
 CLASSIFICATION_METRICS = ("FPR", "FNR", "EO", "ZOL", "SD", "AUC")
 REGRESSION_METRICS = ("MSE",)
 ALL_METRICS = CLASSIFICATION_METRICS + REGRESSION_METRICS
+
+
+def task_metrics(task, metrics=()):
+    """metrics, each named once, or all of the task's metrics when none
+    are given; a metric of the other task is a ConfigError."""
+    own = REGRESSION_METRICS if task == REGRESSION else CLASSIFICATION_METRICS
+    for m in metrics:
+        if m not in own:
+            raise ConfigError(f"metric {m} does not apply to a {task} task"
+                              if m in ALL_METRICS
+                              else f"unknown metric {m!r}")
+    return tuple(dict.fromkeys(metrics)) or own
 
 
 @dataclass(frozen=True)

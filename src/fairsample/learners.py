@@ -55,6 +55,12 @@ class Learner:
     def task(self):
         return REGRESSION if self.kind == "linear_regression" else CLASSIFICATION
 
+    def check_task(self, task):
+        """Reject a dataset whose labels this learner does not fit."""
+        if task != self.task:
+            raise ConfigError(f"learner {self.kind} fits {self.task} labels, "
+                              f"the dataset's task is {task}")
+
 
 @dataclass(frozen=True)
 class FittedModel:

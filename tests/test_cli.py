@@ -157,6 +157,42 @@ def test_mse_on_classification_exit_2(tmp_path):
                  str(tmp_path / "o")]) == 2
 
 
+REG_SYNTH = {"synth": {"n": 400, "d": 2, "group1_share": 0.4, "seed": 21,
+                       "task": "regression"}}
+
+
+@pytest.mark.parametrize("command, dataset, learner", [
+    ("sweep", SYNTH, "linear_regression"),
+    ("sweep", REG_SYNTH, "logistic_regression"),
+    ("metrics", SYNTH, "linear_regression"),
+    ("metrics", REG_SYNTH, "logistic_regression"),
+], ids=["sweep-ols-on-labels", "sweep-logreg-on-targets",
+        "metrics-ols-on-labels", "metrics-logreg-on-targets"])
+def test_learner_for_the_other_task_exit_2(tmp_path, capsys, command,
+                                           dataset, learner):
+    cfg = write_config(tmp_path, {
+        "dataset": dataset, "learner": {"kind": learner},
+        "sweep": {"family": "ssb_size", "grid": [20, 50], "replicates": 3}})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "labels, the dataset" in capsys.readouterr().err
+    assert not any(p.suffix == ".csv" for p in out.iterdir())
+
+
+@pytest.mark.parametrize("dataset, learner, metrics", [
+    (SYNTH, TREE, ["MSE"]),
+    (REG_SYNTH, {"kind": "linear_regression"}, ["SD", "ZOL"]),
+], ids=["mse-on-classification", "rates-on-regression"])
+def test_metrics_of_the_other_task_exit_2(tmp_path, capsys, dataset,
+                                          learner, metrics):
+    cfg = write_config(tmp_path, {
+        "dataset": dataset, "learner": learner, "metrics": metrics})
+    out = tmp_path / "o"
+    assert main(["metrics", "--config", cfg, "--out", str(out)]) == 2
+    assert f"metric {metrics[0]} does not apply" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_negative_collect_grid_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],

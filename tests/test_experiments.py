@@ -176,7 +176,32 @@ def test_infeasible_grid_rejected_before_any_fit(clf_ds, monkeypatch):
             assert f"{r!r} needs" in str(err.value)
         with pytest.raises(ConfigError, match="empty group"):
             run(clf_ds, replace(spec, grid=(0.001, 0.5), total_m=60))
+    # SSB sizes past the pools (210 rows here) fail the same check
+    small = generate(SynthSpec(n=300, d=2, group1_share=0.3, seed=1))
+    for run, kw in ((run_ssb_sweep, {"family": "ssb_size"}),
+                    (run_decomposition_sweep, {"family": "decomposition"})):
+        spec = SweepSpec(replicates=2, seed=1, grid=(20, 250, 400), **kw)
+        with pytest.raises(DataError, match="group pool exhausted") as err:
+            run(small, spec)
+        assert [m for m in spec.grid if f"{m!r} needs" in str(err.value)] \
+            == [250, 400]
     assert fits == []
+
+
+def test_ssb_sizes_past_the_pool_draw_with_replacement(monkeypatch):
+    fitted = _count_fit_many(monkeypatch)
+    small = generate(SynthSpec(n=300, d=2, group1_share=0.3, seed=1))
+    for run, kw in ((run_ssb_sweep, {"family": "ssb_size"}),
+                    (run_decomposition_sweep, {"family": "decomposition"})):
+        fitted.clear()
+        spec = SweepSpec(replicates=2, seed=1, grid=(20, 250, 400),
+                         learner=FAST_TREE, metrics=("ZOL",),
+                         with_replacement=True, **kw)
+        res = run(small, spec)
+        assert [r.grid_value for r in res.rows] == [20, 250, 400]
+        # the reference (400) is fitted first
+        assert sorted(s.n for samples in fitted for s in samples) == \
+            [20, 20, 250, 250, 400, 400]
 
 
 @pytest.mark.parametrize("family, grid, bad, kw", [
@@ -266,6 +291,18 @@ def test_decomposition_sweep_urb_kind(clf_ds):
     assert row.mean == 0.0
 
 
+def test_decomposition_rows_are_mean_over_models_for_any_estimator(clf_ds):
+    # the gap terms and totals are mean-over-models whatever the estimator
+    spec = SweepSpec(family="decomposition", grid=(0.2, 0.4, 0.6),
+                     replicates=3, seed=13, learner=FAST_TREE,
+                     decomp_kind="urb", total_m=60)
+    default = run_decomposition_sweep(clf_ds, spec)
+    main = run_decomposition_sweep(clf_ds, replace(
+        spec, estimator="main_prediction"))
+    assert main.rows == default.rows
+    assert {r.estimator for r in main.rows} == {"mean_over_models"}
+
+
 def test_decomposition_rejects_metrics_without_decomposition(reg_ds):
     spec = SweepSpec(family="decomposition", grid=(20, 50), replicates=3,
                      seed=1, learner=FAST_OLS, metrics=("MSE",))
@@ -342,15 +379,17 @@ _SMALL_OR_ANY = st.integers(-2, 2) | st.integers(-2, 240)
        points=st.lists(_SMALL_OR_ANY, min_size=1, max_size=3, unique=True),
        fixed_majority=_SMALL_OR_ANY, total_m=st.integers(1, 160),
        variant=st.sampled_from(experiments.VARIANTS),
-       with_replacement=st.booleans(), use_cv=st.booleans())
+       with_replacement=st.booleans(), use_cv=st.booleans(),
+       learner=st.sampled_from([FAST_TREE, FAST_OLS]))
 def test_feasible_spec_never_fails_once_fitting_starts(
         family, points, fixed_majority, total_m, variant, with_replacement,
-        use_cv):
-    # every spec either fails up front, before any fit, or finishes
+        use_cv, learner):
+    # every spec either fails up front, before any fit, or finishes; a
+    # regression learner on classification data always fails up front
     grid = sorted(points) if family != "urb_ratio" \
         else sorted({round(p / 200 - 0.05, 3) for p in points})
     spec = SweepSpec(family=family, grid=tuple(grid), replicates=2, seed=3,
-                     learner=FAST_TREE, metrics=("ZOL", "EO"),
+                     learner=learner, metrics=("ZOL", "EO"),
                      fixed_majority=fixed_majority, total_m=total_m,
                      variant=variant, with_replacement=with_replacement,
                      use_cv=use_cv)
@@ -362,6 +401,8 @@ def test_feasible_spec_never_fails_once_fitting_starts(
             run(_PROPERTY_DS, spec)
         except (ConfigError, DataError):
             assert fitted == []
+        else:
+            assert learner.task == _PROPERTY_DS.task
 
 
 def test_collect_sim_deterministic(clf_ds, tmp_path):
