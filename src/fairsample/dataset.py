@@ -173,6 +173,20 @@ def load_csv(path, schema):
             out.append(v)
         return out
 
+    def numeric(name):
+        # float() strips the whitespace str.strip() does, so the raw cells
+        # give column()'s values; a column that fails is walked cell by
+        # cell to name its first bad row
+        i = col[name]
+        try:
+            x = np.array([float(row[i]) for row in rows])
+        except ValueError:
+            x = None
+        if x is None or not np.isfinite(x).all():
+            x = np.array([_parse_float(v, name, r)
+                          for r, v in enumerate(column(name))])
+        return x
+
     # sensitive -> group vector
     svals = column(schema.sensitive)
     levels = sorted(set(svals))
@@ -187,8 +201,8 @@ def load_csv(path, schema):
     a = np.array([0 if v == schema.privileged_value else 1 for v in svals])
 
     # target
-    tvals = column(schema.target)
     if schema.task == CLASSIFICATION:
+        tvals = column(schema.target)
         tlevels = sorted(set(tvals))
         if len(tlevels) != 2:
             raise DataError(
@@ -199,15 +213,14 @@ def load_csv(path, schema):
                 f"column {schema.target!r}")
         y = np.array([1.0 if v == schema.positive_label else 0.0 for v in tvals])
     else:
-        y = _parse_floats(tvals, schema.target)
+        y = numeric(schema.target)
 
     # features
     blocks = []
     names = []
     for name, kind in schema.features:
-        vals = column(name)
         if kind == NUMERIC:
-            x = _parse_floats(vals, name)
+            x = numeric(name)
             mu = x.mean()
             sd = x.std(ddof=1) if len(x) > 1 else 0.0
             if sd > 0:
@@ -217,6 +230,7 @@ def load_csv(path, schema):
             blocks.append(x[:, None])
             names.append(name)
         else:
+            vals = column(name)
             flevels = sorted(set(vals))
             idx = {lv: j for j, lv in enumerate(flevels)}
             onehot = np.zeros((len(vals), len(flevels)))
@@ -234,19 +248,6 @@ def load_csv(path, schema):
             raise DataError(f"empty group: no rows with group a{group}")
 
     return Dataset(X, y, a, np.arange(len(rows)), tuple(names), schema.task)
-
-
-def _parse_floats(vals, name):
-    """A column's cells as float64, checked for finiteness in one pass; a
-    bad column is walked cell by cell to name its first bad row."""
-    try:
-        x = np.array([float(v) for v in vals])
-    except ValueError:
-        x = None
-    if x is None or not np.isfinite(x).all():
-        for r, v in enumerate(vals):
-            _parse_float(v, name, r)
-    return x
 
 
 def _parse_float(v, name, row):

@@ -148,30 +148,52 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / q, e / q)
 
 
-def _logreg_loss_grad(w, Xb, y, flip, l2):
-    """Loss and gradient of each replicate k at its own weights w[k].
+def _logreg_grad(w, Xb, y, l2):
+    """Margins z = Xb w and loss gradient of each replicate k at its own
+    weights w[k].
 
     Each replicate gets the arithmetic of a one-sample fit: a matmul per
-    slice (gemv, ddot), a mean as np.mean takes it (a pairwise sum along
-    the contiguous row axis, then a divide), and -margin = z * flip with
-    flip = -1 where y is positive, which is exact.
+    slice (gemv) and the mean gradient as a sum, then a divide.
     """
     n = y.shape[1]
     z = np.matmul(Xb, w[:, :, None])[:, :, 0]
-    # log(1 + exp(-m)) with m = (2y-1) z, numerically stable
-    loss = np.add.reduce(np.logaddexp(0.0, z * flip), axis=1) / n
     reg = w.copy()
     reg[:, -1] = 0.0  # intercept not penalized
-    loss += 0.5 * l2 * np.matmul(reg[:, None, :], reg[:, :, None])[:, 0, 0]
     r = _sigmoid(z) - y
     grad = (np.matmul(Xb.transpose(0, 2, 1), r[:, :, None])[:, :, 0] / n
             + l2 * reg)
-    return loss, grad
+    return z, grad
+
+
+def _logreg_loss(z, w, flip, l2):
+    """Loss of each replicate at weights w[k], from its margins z[k].
+
+    A pure function of (z, w), with a one-sample fit's arithmetic: a mean
+    as np.mean takes it (a pairwise sum along the contiguous row axis,
+    then a divide), -margin = z * flip with flip = -1 where y is
+    positive, which is exact, and the penalty as a matmul per slice.
+    """
+    n = z.shape[1]
+    # log(1 + exp(-m)) with m = (2y-1) z, numerically stable
+    loss = np.add.reduce(np.logaddexp(0.0, z * flip), axis=1) / n
+    reg = w.copy()
+    reg[:, -1] = 0.0
+    loss += 0.5 * l2 * np.matmul(reg[:, None, :], reg[:, :, None])[:, 0, 0]
+    return loss
+
+
+def _sq_norm(v):
+    """Squared Euclidean norm of each row."""
+    return np.einsum("kj,kj->k", v, v)
 
 
 def _max_abs(grad):
     """Largest |gradient| entry of each replicate."""
     return np.maximum.reduce(np.abs(grad), axis=1)
+
+
+# float64 unit roundoff
+_U = 2.0 ** -53
 
 
 def _fit_logreg(learner, Xs, ys):
@@ -182,6 +204,76 @@ def _fit_logreg(learner, Xs, ys):
     stops once its gradient is below grad_tol, after max_iter accepted
     steps, or when its step falls to 1e-12.  Stopped replicates leave
     the batch.
+
+    Most steps are certified: a bound shows that the computed loss at
+    the trial point w' cannot exceed the one at w, so neither loss (one
+    logaddexp per row, most of a round's time) is computed.  Only a step
+    the bound leaves open compares computed losses, after recomputing
+    the loss at w from its stored margins if it was skipped; the loss is
+    a pure function of (z, w), so its bits do not change.  Each
+    replicate therefore takes the steps, and ends at the weights, of a
+    fit that computes every loss.
+
+    The bound.  Let u = 2**-53, gh the computed gradient at w, g = ||gh||,
+    s the step, q = ||w||, q' = ||w'||, R the mean row norm of Xb and
+    L = tr(Xb'Xb) / (4n) + l2, which bounds the Hessian everywhere
+    (sigma' <= 1/4, and the trace bounds the largest eigenvalue).  Loss
+    and gradient are means over rows, so a row's share of any error
+    below scales with its own norm, and the mean norm R bounds the total.
+    Every float error term is over-estimated by at least 4x, which also
+    covers the terms of order u^2 and the rounding of the test's own
+    arithmetic.
+
+    - Gradient error: ||gh - grad f(w)|| <= (a + b q) / 4 + u g, with
+      a = 4u (n + 8) R and b = 4u ((d+1) (L - l2) + l2), from the
+      (d+1)-term gemv for z (|dz_i| <= (d+1) u ||x_i|| q, through
+      sigma' <= 1/4), 5u for the sigmoid and u for sigma - y, the n-row
+      gemv Xb'r (n u R in any summation order), the divide by n,
+      l2 * reg and the final add.  As ||grad f|| <= R + l2 q, also
+      g <= 2R + (l2 + b) q.
+    - Step rounding: w' = fl(w - fl(s gh)) = w - s gh + r, with
+      ||r|| <= u (s g + q').
+    - The descent lemma (Nesterov, Introductory Lectures on Convex
+      Optimization, 1.2.3), f(w') <= f(w) + grad f(w).(w' - w)
+      + L/2 ||w' - w||^2, with sL < 2 (else the test fails anyway), gives
+      the exact decrease, error terms 4x,
+
+          f(w) - f(w') >= s g^2 (1 - 16u - sL/2) - s g (a + b q)
+                          - 12u (2R + (l2 + b) q) q'.
+
+      Young's inequality, s g a <= (t1 s^2 g^2 + a^2 / t1) / 2 with
+      t1 = a^2 / u and s g b q <= (t2 s^2 g^2 + b^2 q^2 / t2) / 2 with
+      t2 = L / 1024, moves the middle terms into Lt = L + t1 + t2 and
+      into the slack.
+    - Loss error: |fl(f(v)) - f(v)| <= u (d + h + 8) (R q + 1 + l2 q^2)
+      at ||v|| = q, from the (d+1)-term gemv for z (logaddexp(0, .) is
+      1-Lipschitz); libm logaddexp, 5u relative (exp and log1p within an
+      ulp each, one add); numpy's pairwise add.reduce of the n terms,
+      each at most log 2 + ||x_i|| q, where a term meets at most
+      h = log2 n + 19 + n / 8192 roundings (8 lanes of 16 per 128-block,
+      three levels to combine them, a remainder of 7, one level per
+      halving above 128, and one per 8192-element buffer should numpy sum
+      in buffers); the divide by n; the penalty's (d+1)-term ddot and
+      products; the final add.
+
+    A point's slack holds its loss error 4x, its share of the last term
+    above, 24u R q' + 12u (l2 + b) q q' <= 24u R q'
+    + 6u (l2 + b) (q^2 + q'^2), and the Young remainders b^2 q^2 / (2 t2)
+    and a^2 / (2 t1) = u / 2: with c = 4 (d + h + 14),
+
+        slack(v) = c u (R q + 1 + l2 q^2) + (6u b + 512 b^2 / L) q^2 + u,
+
+    and a replicate's step is certified when
+
+        s g^2 (1 - 16u - s Lt / 2) > slack(w) + slack(w').
+
+    Then the exact decrease exceeds the float error of both computed
+    losses, and fl(f(w')) <= fl(f(w)) is what the comparison would find.
+    R and L are inflated by 2**-20 for their own rounding (sums of fewer
+    than 2**31 terms).  Lt >= 1/4 (the intercept column), so a positive
+    factor needs s < 8, and g^2 is capped at 2**960, which only lowers
+    the left side: it cannot overflow.  A NaN or an overflow anywhere
+    fails the test, and the step takes the exact path.
     """
     lr, l2 = learner.learning_rate, learner.l2
     K, (n, d) = len(Xs), Xs[0].shape
@@ -191,8 +283,24 @@ def _fit_logreg(learner, Xs, ys):
     Xb[:, :, d] = 1.0
     y = np.stack(ys)
     flip = np.where(y > 0.5, -1.0, 1.0)
+    # the bound's constants, one per replicate
+    row_sq = np.einsum("kij,kij->ki", Xb, Xb)
+    R = np.sum(np.sqrt(row_sq), axis=1) / n * (1.0 + 2.0 ** -20)
+    L = (np.sum(row_sq, axis=1) / (4 * n) + l2) * (1.0 + 2.0 ** -20)
+    a = 4 * _U * (n + 8) * R
+    b = 4 * _U * ((d + 1) * (L - l2) + l2)
+    half_Lt = (L + a * a / _U + L / 1024) / 2
+    cu = 4 * (d + math.log2(n) + n / 8192 + 33) * _U
+    # slack(v) = k0 + k1 ||v|| + k2 ||v||^2
+    k0 = cu + _U
+    k1 = cu * R
+    k2 = cu * l2 + 6 * _U * b + 512 * b * b / L
+
     w = np.zeros((K, d + 1))
-    loss, grad = _logreg_loss_grad(w, Xb, y, flip, l2)
+    z, grad = _logreg_grad(w, Xb, y, l2)
+    loss = _logreg_loss(z, w, flip, l2)
+    slack = np.full(K, k0)
+    skipped = np.zeros(K, dtype=bool)  # loss[k] is stale; z[k] is current
     step = np.full(K, lr)
     accepted = np.zeros(K, dtype=int)
     live = np.arange(K)
@@ -204,21 +312,48 @@ def _fit_logreg(learner, Xs, ys):
             keep = ~stop
             if not keep.any():
                 break
-            Xb, y, flip, w, loss, grad, step, accepted, live = (
-                a[keep] for a in (Xb, y, flip, w, loss, grad, step,
-                                  accepted, live))
+            (Xb, y, flip, w, z, loss, grad, slack, skipped, step, accepted,
+             live, half_Lt, k1, k2) = (
+                v[keep] for v in (Xb, y, flip, w, z, loss, grad, slack,
+                                  skipped, step, accepted, live, half_Lt,
+                                  k1, k2))
+        g2 = np.minimum(_sq_norm(grad), 2.0 ** 960)
         w_new = w - step[:, None] * grad
-        loss_new, grad_new = _logreg_loss_grad(w_new, Xb, y, flip, l2)
-        ok = loss_new <= loss
-        w = np.where(ok[:, None], w_new, w)
-        loss = np.where(ok, loss_new, loss)
-        grad = np.where(ok[:, None], grad_new, grad)
-        accepted += ok
-        step = np.where(ok, lr, step * 0.5)
-        # not (step > 1e-12), the one-sample loop's test: a NaN step stops
-        stop = ~(step > 1e-12) | (ok & (
-            (accepted >= learner.max_iter)
-            | (_max_abs(grad) < learner.grad_tol)))
+        z_new, grad_new = _logreg_grad(w_new, Xb, y, l2)
+        q = np.sqrt(_sq_norm(w_new))
+        slack_new = (k2 * q + k1) * q + k0
+        sure = (step * g2 * ((1.0 - 16 * _U) - step * half_Lt)
+                > slack + slack_new)
+        if sure.all():
+            w, z, grad, slack = w_new, z_new, grad_new, slack_new
+            accepted += 1
+            step.fill(lr)  # above 1e-12, or no replicate would be live
+            stop = ((accepted >= learner.max_iter)
+                    | (_max_abs(grad) < learner.grad_tol))
+        else:
+            # the bound leaves these steps open: compare computed losses
+            check = np.flatnonzero(~sure)
+            stale = check[skipped[check]]
+            if stale.size:
+                loss[stale] = _logreg_loss(z[stale], w[stale], flip[stale],
+                                           l2)
+            old = loss[check]
+            new = _logreg_loss(z_new[check], w_new[check], flip[check], l2)
+            ok = sure.copy()
+            ok[check] = new <= old
+            loss[check] = np.where(ok[check], new, old)
+            w = np.where(ok[:, None], w_new, w)
+            z = np.where(ok[:, None], z_new, z)
+            grad = np.where(ok[:, None], grad_new, grad)
+            slack = np.where(ok, slack_new, slack)
+            accepted += ok
+            step = np.where(ok, lr, step * 0.5)
+            # not (step > 1e-12), the one-sample loop's test: a NaN step
+            # stops
+            stop = ~(step > 1e-12) | (ok & (
+                (accepted >= learner.max_iter)
+                | (_max_abs(grad) < learner.grad_tol)))
+        skipped = sure
     return [{"w": wk} for wk in out]
 
 

@@ -100,6 +100,27 @@ def test_regression_target_non_finite_names_row(tmp_path):
         load_csv(path, schema)
 
 
+def test_padded_numeric_cells_load_as_stripped(tmp_path):
+    # float() strips the whitespace str.strip() does, except ASCII
+    # separators such as \x1c, whose column takes the per-cell path
+    schema = Schema(target="label", sensitive="sex", privileged_value="m",
+                    features=(("age", "numeric"), ("job", "categorical")),
+                    task="regression")
+    plain = [["0.5", "m", "1", "x"], ["1.5", "f", "2", "y"],
+             ["2.5", "f", "3", "z"]]
+    padded = [[" 0.5\t", "m", " 1", "x"], ["1.5 ", "f", "\x1c2", "y"],
+              ["2.5", "f", "3 ", "z"]]
+    loaded = []
+    for name, rows in (("plain.csv", plain), ("padded.csv", padded)):
+        path = tmp_path / name
+        path.write_text("label,sex,age,job\n"
+                        + "".join(",".join(r) + "\n" for r in rows),
+                        encoding="utf-8")
+        loaded.append(load_csv(str(path), schema))
+    assert np.array_equal(loaded[0].X, loaded[1].X)
+    assert np.array_equal(loaded[0].y, loaded[1].y)
+
+
 def test_missing_value_rejected(tmp_path):
     path = basic_csv(tmp_path, [
         ["yes", "m", "", "x"],

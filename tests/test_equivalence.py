@@ -53,6 +53,84 @@ def test_logreg_fit_many_matches_one_sample_oracle(k, n, d, learning_rate,
             assert np.array_equal(model.params["w"], w)
 
 
+def _record_logreg_parts(monkeypatch):
+    """Log of the solver's calls to its two parts, as (part, w) with part
+    "grad" (the gradient at trial points w) or "loss"."""
+    log = []
+    grad_part, loss_part = learners._logreg_grad, learners._logreg_loss
+
+    def grad(w, *args):
+        log.append(("grad", w.copy()))
+        return grad_part(w, *args)
+
+    def loss(z, w, *args):
+        log.append(("loss", w.copy()))
+        return loss_part(z, w, *args)
+
+    monkeypatch.setattr(learners, "_logreg_grad", grad)
+    monkeypatch.setattr(learners, "_logreg_loss", loss)
+    return log
+
+
+def _recomputed_losses(log):
+    """Loss calls at points other than the latest trial points: losses
+    skipped when their step was certified and needed again later."""
+    count, trial = 0, set()
+    for part, w in log:
+        if part == "grad":
+            trial = {row.tobytes() for row in w}
+        elif any(row.tobytes() not in trial for row in w):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("m", [10, 2000])
+def test_logreg_certified_steps_skip_the_loss(monkeypatch, m):
+    # the shape of the ssb_logreg benchmark: five standardized features,
+    # K = 5 draws of one size
+    ds = generate(SynthSpec(n=4000, d=5, group1_share=0.3, seed=1))
+    X = (ds.X - ds.X.mean(axis=0)) / ds.X.std(axis=0, ddof=1)
+    rng = np.random.default_rng(m)
+    rows = [np.sort(rng.choice(ds.n, m, replace=False)) for _ in range(5)]
+    samples = [Dataset(X[r], ds.y[r], ds.a[r], r) for r in rows]
+    assert all(len(np.unique(s.y)) == 2 for s in samples)
+    log = _record_logreg_parts(monkeypatch)
+    learner = Learner()
+    models = learners.fit_many(learner, samples)
+    losses = [w for part, w in log if part == "loss"]
+    # every step is certified: the one loss is the starting batch's
+    assert len(losses) == 1
+    assert np.array_equal(losses[0], np.zeros((5, 6)))
+    assert sum(part == "grad" for part, _ in log) > 100
+    for model, s in zip(models, samples):
+        w = oracles._fit_logreg(learner, s.X, s.y)["w"]
+        assert np.array_equal(model.params["w"], w)
+
+
+def test_logreg_mixed_certified_and_exact_steps_match_oracle(monkeypatch):
+    rng = np.random.default_rng(11)
+    k, n, d = 4, 80, 3
+    X = rng.standard_normal((k, n, d))
+    y = (rng.random((k, n)) < 1 / (1 + np.exp(-X.sum(axis=2)))).astype(float)
+    # steps near 2 / L, with L the solver's Hessian bound, leave the bound
+    # little room: it settles the early steps, and the steps near the
+    # optimum, which a tiny grad_tol lets run, take the exact path
+    L = (np.einsum("kij,kij->k", X, X) / n + 1) / 4
+    learner = Learner(learning_rate=1.9 / L.max(), grad_tol=1e-13,
+                      max_iter=150)
+    samples = [Dataset(X[i], y[i], np.zeros(n, dtype=int), np.arange(n))
+               for i in range(k)]
+    log = _record_logreg_parts(monkeypatch)
+    models = learners.fit_many(learner, samples)
+    steps = sum(len(w) for part, w in log if part == "grad") - k
+    exact = sum(len(w) for part, w in log if part == "loss") - k
+    assert 0 < exact < steps
+    assert _recomputed_losses(log) >= 1
+    for model, s in zip(models, samples):
+        w = oracles._fit_logreg(learner, s.X, s.y)["w"]
+        assert np.array_equal(model.params["w"], w)
+
+
 def test_logreg_scores_match_masked_sigmoid():
     rng = np.random.default_rng(0)
     z = np.concatenate([[0.0, -0.0, 800.0, -800.0, 36.0, -36.0, 745.0,

@@ -1,0 +1,151 @@
+"""Property tests of the exact identities on random ensembles and label
+vectors: estimator antisymmetry and zero at the reference, the squared and
+zero-one decompositions, and EO = -FNR.  Example-based versions are in
+test_bias_estimators.py and test_acceptance.py (c01-c03, c05)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairsample import (PredictionEnsemble, decompose_bias_gap,
+                        decompose_cost, decompose_points, group_cost, ssb,
+                        urb)
+from fairsample.bias_estimators import ESTIMATORS, MEAN_OVER_MODELS
+
+CLASSIFICATION = ("FPR", "FNR", "EO", "ZOL", "SD", "AUC")
+ZERO_ONE_DECOMPOSABLE = ("ZOL", "FPR", "EO")
+
+
+@st.composite
+def eval_sets(draw, max_n=30):
+    """Labels y and groups a of one evaluation set; either group, and
+    either class within a group, may be empty."""
+    n = draw(st.integers(1, max_n))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                 dtype=float)
+    a = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return y, a
+
+
+@st.composite
+def binary_ensemble_pairs(draw):
+    """Target and reference zero-one ensembles on one evaluation set, with
+    scores on a coarse grid so that AUC and the main-prediction tie rule
+    see ties."""
+    y, a = draw(eval_sets())
+    n = len(y)
+
+    def ensemble():
+        k = draw(st.integers(1, 5))
+        labels = np.array(draw(st.lists(st.integers(0, 1), min_size=k * n,
+                                        max_size=k * n)),
+                          dtype=float).reshape(k, n)
+        scores = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5,
+                                                         0.75, 1.0]),
+                                        min_size=k * n, max_size=k * n)))
+        return PredictionEnsemble(scores.reshape(k, n), labels, y, a,
+                                  "zero_one")
+
+    return ensemble(), ensemble()
+
+
+@st.composite
+def squared_ensemble_pairs(draw):
+    y, a = draw(eval_sets())
+    n = len(y)
+    finite = st.floats(-10, 10, allow_nan=False)
+
+    def ensemble():
+        k = draw(st.integers(1, 5))
+        scores = np.array(draw(st.lists(finite, min_size=k * n,
+                                        max_size=k * n))).reshape(k, n)
+        return PredictionEnsemble(scores, scores.copy(), y, a, "squared")
+
+    return ensemble(), ensemble()
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=binary_ensemble_pairs(),
+       metric=st.sampled_from(CLASSIFICATION),
+       estimator=st.sampled_from(ESTIMATORS))
+def test_estimates_are_antisymmetric_and_zero_at_the_reference(
+        pair, metric, estimator):
+    t, r = pair
+    for estimate in (ssb, urb):
+        fwd = estimate(t, r, metric, estimator).value
+        bwd = estimate(r, t, metric, estimator).value
+        assert (fwd is None) == (bwd is None)
+        if fwd is not None:
+            assert fwd == -bwd
+        at_ref = estimate(r, r, metric, estimator).value
+        assert at_ref is None or at_ref == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=squared_ensemble_pairs(), estimator=st.sampled_from(ESTIMATORS))
+def test_mse_estimates_are_antisymmetric_and_zero_at_the_reference(
+        pair, estimator):
+    t, r = pair
+    fwd = ssb(t, r, "MSE", estimator).value
+    bwd = ssb(r, t, "MSE", estimator).value
+    assert (fwd is None) == (bwd is None)
+    if fwd is not None:
+        assert fwd == -bwd
+    at_ref = ssb(r, r, "MSE", estimator).value
+    assert at_ref is None or at_ref == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=binary_ensemble_pairs())
+def test_zero_one_decomposition_identities(pair):
+    t, r = pair
+    points = decompose_points(t)
+    for i in range(t.n):
+        assert (points.bias[i] + points.net_factor[i] * points.variance[i]
+                == points.mean_loss[i])
+    for metric in ZERO_ONE_DECOMPOSABLE:
+        # each group's cost is the mean over models of its metric value
+        rep = decompose_cost(t, metric)
+        for group in (0, 1):
+            values = [getattr(group_cost(metric, t.eval_y, t.labels[k],
+                                         t.scores[k], t.eval_a),
+                              f"value_a{group}") for k in range(t.k)]
+            if values[0] is None:
+                assert rep.cost(group) is None
+            else:
+                assert rep.cost(group) == sum(values) / t.k
+        # the gap's terms add up to the mean-over-models estimate
+        gap = decompose_bias_gap(t, r, metric)
+        assert gap.total == ssb(t, r, metric, MEAN_OVER_MODELS).value
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=squared_ensemble_pairs())
+def test_squared_decomposition_identities(pair):
+    t, r = pair
+    rep = decompose_cost(t, "MSE")
+    for group in (0, 1):
+        sel = t.eval_a == group
+        if not sel.any():
+            assert rep.cost(group) is None
+            continue
+        direct = float(np.mean((t.scores[:, sel] - t.eval_y[sel]) ** 2))
+        assert abs(rep.cost(group) - direct) <= 1e-9 * (1 + direct)
+    gap = decompose_bias_gap(t, r, "MSE")
+    value = ssb(t, r, "MSE", MEAN_OVER_MODELS).value
+    if value is None:
+        assert gap.total is None
+    else:
+        assert abs(gap.total - value) <= 1e-9 * (1 + abs(value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=eval_sets(max_n=60), seed=st.integers(0, 2**32 - 1))
+def test_eo_is_negated_fnr(data, seed):
+    y, a = data
+    labels = np.random.default_rng(seed).integers(0, 2, len(y)).astype(float)
+    eo = group_cost("EO", y, labels, None, a).disc
+    fnr = group_cost("FNR", y, labels, None, a).disc
+    assert (eo is None) == (fnr is None)
+    if eo is not None:
+        assert eo == -fnr
