@@ -165,13 +165,11 @@ def load_csv(path, schema):
 
     def column(name):
         i = col[name]
-        out = []
-        for r, row in enumerate(rows):
-            v = row[i].strip()
-            if v == "":
-                raise DataError(f"missing value in column {name!r}, row {r + 1}")
-            out.append(v)
-        return out
+        vals = [row[i].strip() for row in rows]
+        if "" in vals:
+            raise DataError(f"missing value in column {name!r}, row "
+                            f"{vals.index('') + 1}")
+        return vals
 
     def numeric(name):
         # float() strips the whitespace str.strip() does, so the raw cells
@@ -198,7 +196,8 @@ def load_csv(path, schema):
         raise DataError(
             f"privileged value {schema.privileged_value!r} not present in "
             f"column {schema.sensitive!r}")
-    a = np.array([0 if v == schema.privileged_value else 1 for v in svals])
+    a = (np.array(svals, dtype=object)
+         != schema.privileged_value).astype(int)
 
     # target
     if schema.task == CLASSIFICATION:
@@ -211,7 +210,8 @@ def load_csv(path, schema):
             raise DataError(
                 f"positive label {schema.positive_label!r} not present in "
                 f"column {schema.target!r}")
-        y = np.array([1.0 if v == schema.positive_label else 0.0 for v in tvals])
+        y = (np.array(tvals, dtype=object)
+             == schema.positive_label).astype(float)
     else:
         y = numeric(schema.target)
 

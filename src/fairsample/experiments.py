@@ -4,9 +4,11 @@ decomposition sweeps, and data-collection simulations.
 Every family runs on one engine.  A resolver maps (dataset, spec) to the
 holdout split, the training pool's named row-index pools, the grid, the
 metrics, the reference grid point and one Cell (a count per pool) per
-grid point.  The ensemble step draws a unique cell's K samples through
-one dataset primitive, fits them with one ``fit_many`` call and predicts
-the holdout.  A small reducer per family turns the ensembles into
+grid point.  The ensemble step draws each unique cell's K samples
+through one dataset primitive and fits consecutive cells together, one
+``fit_many`` call per batch, a batch stacking no more training rows than
+the sweep's largest cell; a cell is predicted on the holdout when the
+grid reaches it.  A small reducer per family turns the ensembles into
 per-model cells and appends their summary rows and bias estimates.
 
 Every (cell, replicate) draw has its own RNG stream derived by hashing
@@ -382,10 +384,41 @@ def _draws(cell, spec, plan):
             for rep in range(spec.replicates)]
 
 
-def _fit_cell(cell, spec, plan):
-    """A cell's K draws -> one fit_many -> stacked holdout predictions."""
-    models = fit_many(spec.learner, _draws(cell, spec, plan))
-    test = plan.test
+def _fitted(cells, spec, draw):
+    """(models, extra) of each cell, in order, where draw(cell) gives the
+    cell's training samples and extra, what its reducer needs with them.
+
+    Consecutive cells share one fit_many call until the next cell would
+    take the batch past the largest cell's rows (sum(cell.counts) per
+    draw, K draws per cell), so a batch stacks no more training rows than
+    that cell alone.  Each batch is drawn when the caller reaches it, and
+    a cell's models are let go when the caller takes the next cell's.
+    """
+    budget = max(sum(cell.counts) for cell in cells)
+    batches = []
+    for cell in cells:
+        if not batches or rows + sum(cell.counts) > budget:
+            batches.append([])
+            rows = 0
+        batches[-1].append(cell)
+        rows += sum(cell.counts)
+    for batch in batches:
+        fitted = _fit_batch(batch, spec, draw)
+        while fitted:
+            yield fitted.pop(0)
+
+
+def _fit_batch(batch, spec, draw):
+    """[(models, extra)] of each cell of a batch, from one fit_many."""
+    drawn = [draw(cell) for cell in batch]
+    models = iter(fit_many(spec.learner,
+                           [s for samples, _ in drawn for s in samples]))
+    return [([next(models) for _ in samples], extra)
+            for samples, extra in drawn]
+
+
+def _predict(models, test):
+    """Stacked holdout predictions of a cell's models."""
     preds = [model.predict(test.X) for model in models]
     return PredictionEnsemble(np.stack([p[0] for p in preds]),
                               np.stack([p[1] for p in preds]), test.y, test.a,
@@ -395,19 +428,25 @@ def _fit_cell(cell, spec, plan):
 def _ensembles(plan, spec):
     """(reference ensemble, iterator of (grid value, ensemble)).
 
-    The reference is fitted first; the iterator fits each other cell once,
-    when the grid reaches it.  Grid points that share a cell are adjacent,
-    so only the reference and the latest cell are held.
+    The cells are fitted in _fitted's batches, in fit order: the reference
+    first, then each other cell where the grid reaches it, and a cell is
+    predicted when the grid reaches it.  Grid points that share a cell are
+    adjacent, so only the reference and the latest cell are held.
     """
     ref_cell = plan.cells.get(plan.ref)
-    ref = None if ref_cell is None else _fit_cell(ref_cell, spec, plan)
+    cells = [plan.cells[g] for g in plan.grid]
+    prev = [ref_cell] + cells[:-1]
+    fresh = [c for p, c in zip(prev, cells) if c != p and c != ref_cell]
+    fitted = _fitted(([ref_cell] if ref_cell else []) + fresh, spec,
+                     lambda cell: (_draws(cell, spec, plan), None))
+    ref = None if ref_cell is None else _predict(next(fitted)[0], plan.test)
 
     def each():
-        cell, ens = ref_cell, ref
-        for g in plan.grid:
-            if plan.cells[g] != cell:
-                cell = plan.cells[g]
-                ens = ref if cell == ref_cell else _fit_cell(cell, spec, plan)
+        ens = ref
+        for g, p, c in zip(plan.grid, prev, cells):
+            if c != p:
+                ens = ref if c == ref_cell else _predict(next(fitted)[0],
+                                                         plan.test)
             yield g, ens
     return ref, each()
 
@@ -472,8 +511,11 @@ def _reduce_collect(result, plan, spec, ref, ensembles):
     costs from k-fold CV on each draw (the ensembles are never fitted)."""
     if spec.use_cv:
         label = f"cv{spec.cv_folds}"
-        per_point = ((g, _cv_cells(plan.cells[g], spec, plan))
-                     for g in plan.grid)
+        fitted = _fitted([plan.cells[g] for g in plan.grid], spec,
+                         lambda cell: _cv_folds(cell, spec, plan))
+        per_point = ((g, _cv_cells(models, holds, spec.cv_folds,
+                                      plan.metrics))
+                     for g, (models, holds) in zip(plan.grid, fitted))
     else:
         label = "holdout"
         per_point = ((g, _per_model_cells(ens, plan.metrics))
@@ -522,10 +564,10 @@ def run_collect_sim(ds, spec):
     return _run(ds, spec, "collect")
 
 
-def _cv_cells(cell, spec, plan):
-    """Per-draw fold-mean group costs of a collect cell; the training sets
-    of every fold of every draw are fitted by one fit_many."""
-    folds, metrics, trains, holds = spec.cv_folds, plan.metrics, [], []
+def _cv_folds(cell, spec, plan):
+    """A collect cell's training folds, every fold of every draw, and the
+    held-out fold of each."""
+    folds, trains, holds = spec.cv_folds, [], []
     for rep, sample in enumerate(_draws(cell, spec, plan)):
         rng = np.random.default_rng(
             np.random.SeedSequence((cell.seed, rep, 0xCF)))
@@ -534,8 +576,14 @@ def _cv_cells(cell, spec, plan):
             trains.append(sample.subset(np.sort(np.concatenate(
                 chunks[:f] + chunks[f + 1:]))))
             holds.append(sample.subset(np.sort(chunk)))
+    return trains, holds
+
+
+def _cv_cells(models, holds, folds, metrics):
+    """Per-draw fold-mean group costs of a collect cell, from the models of
+    its training folds and their held-out folds."""
     costs = []
-    for model, hold in zip(fit_many(spec.learner, trains), holds):
+    for model, hold in zip(models, holds):
         scores, labels = model.predict(hold.X)
         costs.append({m: group_cost(m, hold.y, labels, scores,
                                     hold.a).as_floats() for m in metrics})

@@ -7,6 +7,7 @@ which the experiment harness relies on for reproducibility.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -102,12 +103,14 @@ def fit(learner, train):
 def fit_many(learner, samples):
     """One FittedModel per training sample, in order.
 
-    Samples of one shape are fitted together, so a cell's K same-size
-    draws make one batched logistic-regression solve; each model is
-    bit-identical to a fit of its sample alone.
+    Single-class samples get a constant model; every other sample, whatever
+    its size, goes to the learner's fitter in one call.  Logistic
+    regression solves them all in one lockstep loop, so the draws of
+    several sweep cells make one solve; each model is bit-identical to a
+    fit of its sample alone.
     """
     models = [None] * len(samples)
-    by_shape = {}
+    idx = []
     for i, train in enumerate(samples):
         if train.n == 0:
             raise DataError("cannot fit on an empty training set")
@@ -121,61 +124,96 @@ def fit_many(learner, samples):
                                     {"constant": float(train.y[0])},
                                     CLASSIFICATION)
         else:
-            by_shape.setdefault(train.X.shape, []).append(i)
-    for idx in by_shape.values():
-        fitted = _FITTERS[learner.kind](learner, [samples[i].X for i in idx],
-                                        [samples[i].y for i in idx])
-        for i, params in zip(idx, fitted):
-            models[i] = FittedModel(learner.kind, learner.threshold,
-                                    samples[i].X.shape[1], params,
-                                    learner.task)
+            idx.append(i)
+    fitted = _FITTERS[learner.kind](learner, [samples[i].X for i in idx],
+                                    [samples[i].y for i in idx])
+    for i, params in zip(idx, fitted):
+        models[i] = FittedModel(learner.kind, learner.threshold,
+                                samples[i].X.shape[1], params, learner.task)
     return models
 
 
 def _each(fit_one):
-    """A fitter over same-shape samples from a one-sample fitter."""
+    """A fitter over many samples from a one-sample fitter."""
     return lambda learner, Xs, ys: [fit_one(learner, X, y)
                                     for X, y in zip(Xs, ys)]
 
 
 # ---------------------------------------------------------------- logistic
 
-def _sigmoid(z):
-    """Logistic function without masks: exp(-|z|) is exp(-z) for z >= 0
-    and exp(z) below, so either branch is what a masked version computes."""
-    e = np.exp(-np.abs(z))
-    q = 1.0 + e
-    return np.where(z >= 0, 1.0 / q, e / q)
+def _sigmoid(z, out=None):
+    """Logistic function without masks, into out if given: e = exp(-|z|)
+    is exp(-z) for z >= 0 and exp(z) below, and max(e, 1[z >= 0]) is 1
+    for z >= 0 (e is at most 1) and e below, so either side divides what a
+    masked version divides."""
+    e = np.abs(z, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    top = np.maximum(e, z >= 0)
+    e += 1.0
+    return np.divide(top, e, out=e)
 
 
-def _logreg_grad(w, Xb, y, l2):
+def _blocks(shapes):
+    """(replicate slice, row slice) of each block of a flat layout: block
+    (k, m) of shapes is k replicates of m rows each, after the block
+    before it."""
+    i = o = 0
+    for k, m in shapes:
+        yield slice(i, i + k), slice(o, o + k * m)
+        i, o = i + k, o + k * m
+
+
+def _logreg_grad(w, stacks, y, n, l2, work):
     """Margins z = Xb w and loss gradient of each replicate k at its own
     weights w[k].
 
-    Each replicate gets the arithmetic of a one-sample fit: a matmul per
-    slice (gemv) and the mean gradient as a sum, then a divide.
+    stacks holds (Xb, replicate slice, row slice) per sample size m: a
+    (k, m, d+1) stack, where its replicates are in w and n (each
+    replicate's row count), and where their rows, replicate after
+    replicate, are in y and in the flat z.  Each replicate gets the
+    arithmetic of a one-sample fit: a matmul per slice (gemv) and the mean
+    gradient as a sum, then a divide.  Every other step runs once over all
+    replicates, the residual in the work buffer.
     """
-    n = y.shape[1]
-    z = np.matmul(Xb, w[:, :, None])[:, :, 0]
-    reg = w.copy()
+    z = np.empty(len(y))
+    grad = np.empty_like(w)
+    for Xb, reps, rows in stacks:
+        np.matmul(Xb, w[reps, :, None], out=z[rows].reshape(*Xb.shape[:2], 1))
+    r = _sigmoid(z, out=work)
+    r -= y
+    for Xb, reps, rows in stacks:
+        np.matmul(Xb.transpose(0, 2, 1), r[rows].reshape(*Xb.shape[:2], 1),
+                  out=grad[reps, :, None])
+    grad /= n[:, None]
+    reg = l2 * w
     reg[:, -1] = 0.0  # intercept not penalized
-    r = _sigmoid(z) - y
-    grad = (np.matmul(Xb.transpose(0, 2, 1), r[:, :, None])[:, :, 0] / n
-            + l2 * reg)
+    grad += reg
     return z, grad
 
 
-def _logreg_loss(z, w, flip, l2):
-    """Loss of each replicate at weights w[k], from its margins z[k].
+def _stacks(Xbs):
+    """_logreg_grad's (Xb, replicate slice, row slice) of each stack."""
+    return [(Xb, *b) for Xb, b in zip(Xbs, _blocks(Xb.shape[:2]
+                                                   for Xb in Xbs))]
+
+
+def _logreg_loss(z, w, flip, n, l2):
+    """Loss of each replicate at weights w[k], from its margins z, laid out
+    as in _logreg_grad.
 
     A pure function of (z, w), with a one-sample fit's arithmetic: a mean
-    as np.mean takes it (a pairwise sum along the contiguous row axis,
-    then a divide), -margin = z * flip with flip = -1 where y is
-    positive, which is exact, and the penalty as a matmul per slice.
+    as np.mean takes it (a pairwise sum along the contiguous row axis, per
+    run of replicates of one size, then a divide), -margin = z * flip with
+    flip = -1 where y is positive, which is exact, and the penalty as a
+    matmul per slice.
     """
-    n = z.shape[1]
     # log(1 + exp(-m)) with m = (2y-1) z, numerically stable
-    loss = np.add.reduce(np.logaddexp(0.0, z * flip), axis=1) / n
+    terms = np.logaddexp(0.0, z * flip)
+    loss = np.empty(len(w))
+    runs = [(len(list(g)), m) for m, g in itertools.groupby(n.tolist())]
+    for (k, m), (reps, rows) in zip(runs, _blocks(runs)):
+        loss[reps] = np.add.reduce(terms[rows].reshape(k, m), axis=1) / m
     reg = w.copy()
     reg[:, -1] = 0.0
     loss += 0.5 * l2 * np.matmul(reg[:, None, :], reg[:, :, None])[:, 0, 0]
@@ -197,13 +235,22 @@ _U = 2.0 ** -53
 
 
 def _fit_logreg(learner, Xs, ys):
-    """Gradient descent with backtracking, the K replicates in lockstep.
+    """Gradient descent with backtracking, every sample in one lockstep
+    loop (one loop per feature count).
 
     Every round tries one step for each live replicate.  A replicate
     accepts it when the loss does not rise, else halves its step; it
     stops once its gradient is below grad_tol, after max_iter accepted
     steps, or when its step falls to 1e-12.  Stopped replicates leave
     the batch.
+
+    Samples of every size share the rounds.  The replicates of one size
+    m are a (k, m, d+1) stack with its own two matmuls per round, Xb w and
+    Xb' r; every other step runs once per round on flat arrays over all
+    live replicates: the residual over all their rows, the step, the
+    certificate, the stop test and compaction, which copies only the
+    stacks that lost a replicate.  No step mixes two replicates, so each
+    one's arithmetic is that of a fit of its sample alone.
 
     Most steps are certified: a bound shows that the computed loss at
     the trial point w' cannot exceed the one at w, so neither loss (one
@@ -275,35 +322,56 @@ def _fit_logreg(learner, Xs, ys):
     the left side: it cannot overflow.  A NaN or an overflow anywhere
     fails the test, and the step takes the exact path.
     """
-    lr, l2 = learner.learning_rate, learner.l2
-    K, (n, d) = len(Xs), Xs[0].shape
-    Xb = np.empty((K, n, d + 1))
-    for k, X in enumerate(Xs):
-        Xb[k, :, :d] = X
-    Xb[:, :, d] = 1.0
-    y = np.stack(ys)
-    flip = np.where(y > 0.5, -1.0, 1.0)
-    # the bound's constants, one per replicate
-    row_sq = np.einsum("kij,kij->ki", Xb, Xb)
-    R = np.sum(np.sqrt(row_sq), axis=1) / n * (1.0 + 2.0 ** -20)
-    L = (np.sum(row_sq, axis=1) / (4 * n) + l2) * (1.0 + 2.0 ** -20)
-    a = 4 * _U * (n + 8) * R
-    b = 4 * _U * ((d + 1) * (L - l2) + l2)
-    half_Lt = (L + a * a / _U + L / 1024) / 2
-    cu = 4 * (d + math.log2(n) + n / 8192 + 33) * _U
-    # slack(v) = k0 + k1 ||v|| + k2 ||v||^2
-    k0 = cu + _U
-    k1 = cu * R
-    k2 = cu * l2 + 6 * _U * b + 512 * b * b / L
+    by_d = {}
+    for i, X in enumerate(Xs):
+        by_d.setdefault(X.shape[1], []).append(i)
+    out = [None] * len(Xs)
+    for idx in by_d.values():
+        ws = _lockstep(learner, [Xs[i] for i in idx], [ys[i] for i in idx])
+        for i, w in zip(idx, ws):
+            out[i] = {"w": w}
+    return out
 
+
+def _lockstep(learner, Xs, ys):
+    """_fit_logreg's weights of samples with one feature count, in order."""
+    lr, l2, d = learner.learning_rate, learner.l2, Xs[0].shape[1]
+    by_n = {}
+    for i, X in enumerate(Xs):
+        by_n.setdefault(len(X), []).append(i)
+    Xbs, consts = [], []
+    for m, idx in by_n.items():
+        Xb = np.empty((len(idx), m, d + 1))
+        for k, i in enumerate(idx):
+            Xb[k, :, :d] = Xs[i]
+        Xb[:, :, d] = 1.0
+        Xbs.append(Xb)
+        # the bound's constants, one per replicate
+        row_sq = np.einsum("kij,kij->ki", Xb, Xb)
+        R = np.sum(np.sqrt(row_sq), axis=1) / m * (1.0 + 2.0 ** -20)
+        L = (np.sum(row_sq, axis=1) / (4 * m) + l2) * (1.0 + 2.0 ** -20)
+        a = 4 * _U * (m + 8) * R
+        b = 4 * _U * ((d + 1) * (L - l2) + l2)
+        cu = 4 * (d + math.log2(m) + m / 8192 + 33) * _U
+        # half_Lt, and slack(v) = k0 + k1 ||v|| + k2 ||v||^2
+        consts.append(((L + a * a / _U + L / 1024) / 2,
+                       np.full(len(idx), cu + _U), cu * R,
+                       cu * l2 + 6 * _U * b + 512 * b * b / L))
+    half_Lt, k0, k1, k2 = (np.concatenate(c) for c in zip(*consts))
+    live = np.array([i for idx in by_n.values() for i in idx])
+    n = np.array([len(Xs[i]) for i in live])
+    y = np.concatenate([ys[i] for i in live])
+    flip = np.where(y > 0.5, -1.0, 1.0)
+
+    K = len(Xs)
     w = np.zeros((K, d + 1))
-    z, grad = _logreg_grad(w, Xb, y, l2)
-    loss = _logreg_loss(z, w, flip, l2)
-    slack = np.full(K, k0)
-    skipped = np.zeros(K, dtype=bool)  # loss[k] is stale; z[k] is current
+    stacks, work = _stacks(Xbs), np.empty(len(y))
+    z, grad = _logreg_grad(w, stacks, y, n, l2, work)
+    loss = _logreg_loss(z, w, flip, n, l2)
+    slack = k0.copy()
+    skipped = np.zeros(K, dtype=bool)  # loss[k] is stale; z is current
     step = np.full(K, lr)
     accepted = np.zeros(K, dtype=int)
-    live = np.arange(K)
     out = np.empty((K, d + 1))
     stop = (_max_abs(grad) < learner.grad_tol) | ~(step > 1e-12)
     while True:
@@ -312,14 +380,19 @@ def _fit_logreg(learner, Xs, ys):
             keep = ~stop
             if not keep.any():
                 break
-            (Xb, y, flip, w, z, loss, grad, slack, skipped, step, accepted,
-             live, half_Lt, k1, k2) = (
-                v[keep] for v in (Xb, y, flip, w, z, loss, grad, slack,
-                                  skipped, step, accepted, live, half_Lt,
-                                  k1, k2))
+            kept = np.split(keep, np.cumsum([len(Xb) for Xb in Xbs[:-1]]))
+            Xbs = [Xb if s.all() else Xb[s] for Xb, s in zip(Xbs, kept)
+                   if s.any()]
+            stacks = _stacks(Xbs)
+            rows = np.repeat(keep, n)
+            y, flip, z, work = y[rows], flip[rows], z[rows], work[:rows.sum()]
+            (w, loss, grad, slack, skipped, step, accepted, live, n, half_Lt,
+             k0, k1, k2) = (
+                v[keep] for v in (w, loss, grad, slack, skipped, step,
+                                  accepted, live, n, half_Lt, k0, k1, k2))
         g2 = np.minimum(_sq_norm(grad), 2.0 ** 960)
         w_new = w - step[:, None] * grad
-        z_new, grad_new = _logreg_grad(w_new, Xb, y, l2)
+        z_new, grad_new = _logreg_grad(w_new, stacks, y, n, l2, work)
         q = np.sqrt(_sq_norm(w_new))
         slack_new = (k2 * q + k1) * q + k0
         sure = (step * g2 * ((1.0 - 16 * _U) - step * half_Lt)
@@ -332,18 +405,21 @@ def _fit_logreg(learner, Xs, ys):
                     | (_max_abs(grad) < learner.grad_tol))
         else:
             # the bound leaves these steps open: compare computed losses
-            check = np.flatnonzero(~sure)
-            stale = check[skipped[check]]
-            if stale.size:
-                loss[stale] = _logreg_loss(z[stale], w[stale], flip[stale],
-                                           l2)
+            check = ~sure
+            stale = check & skipped
+            if stale.any():
+                rows = np.repeat(stale, n)
+                loss[stale] = _logreg_loss(z[rows], w[stale], flip[rows],
+                                           n[stale], l2)
+            rows = np.repeat(check, n)
             old = loss[check]
-            new = _logreg_loss(z_new[check], w_new[check], flip[check], l2)
+            new = _logreg_loss(z_new[rows], w_new[check], flip[rows],
+                               n[check], l2)
             ok = sure.copy()
             ok[check] = new <= old
             loss[check] = np.where(ok[check], new, old)
             w = np.where(ok[:, None], w_new, w)
-            z = np.where(ok[:, None], z_new, z)
+            z = np.where(np.repeat(ok, n), z_new, z)
             grad = np.where(ok[:, None], grad_new, grad)
             slack = np.where(ok, slack_new, slack)
             accepted += ok
@@ -354,7 +430,7 @@ def _fit_logreg(learner, Xs, ys):
                 (accepted >= learner.max_iter)
                 | (_max_abs(grad) < learner.grad_tol)))
         skipped = sure
-    return [{"w": wk} for wk in out]
+    return list(out)
 
 
 def _score_logreg(params, X):

@@ -16,7 +16,7 @@ from fairsample import (DataError, Dataset, Learner, PredictionEnsemble,
                         SweepSpec, SynthSpec, decompose_cost,
                         decompose_points, fit, generate, holdout_split,
                         run_collect_sim, run_decomposition_sweep,
-                        run_ssb_sweep, sd_bounds)
+                        run_ssb_sweep, run_urb_sweep, sd_bounds)
 from fairsample import decomposition, experiments, learners
 
 
@@ -44,6 +44,45 @@ def test_logreg_fit_many_matches_one_sample_oracle(k, n, d, learning_rate,
     learner = Learner(learning_rate=learning_rate, max_iter=max_iter)
     samples = [Dataset(X[i], y[i], np.zeros(n, dtype=int), np.arange(n))
                for i in range(k)]
+    models = learners.fit_many(learner, samples)
+    for model, s in zip(models, samples):
+        if len(np.unique(s.y)) < 2:
+            assert model.params == {"constant": s.y[0]}
+        else:
+            w = oracles._fit_logreg(learner, s.X, s.y)["w"]
+            assert np.array_equal(model.params["w"], w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(2, 200), min_size=2, max_size=4,
+                      unique=True),
+       per_size=st.integers(1, 3),
+       d=st.integers(1, 5),
+       learning_rate=st.sampled_from([0.1, 5.0, 50.0]),
+       max_iter=st.integers(1, 60),
+       single_class=st.booleans(),
+       other_d=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_logreg_fit_many_of_mixed_sizes_matches_one_sample_oracle(
+        sizes, per_size, d, learning_rate, max_iter, single_class, other_d,
+        seed):
+    # samples of several sizes, interleaved, share one lockstep solve; at a
+    # 1e7 feature scale every step overshoots down to the 1e-12 floor, so
+    # replicates of different sizes stop on different rounds
+    rng = np.random.default_rng(seed)
+    shapes = [(n, d) for n in sizes for _ in range(per_size)]
+    if other_d:
+        shapes.append((sizes[0], d + 1))
+    samples = []
+    for i in rng.permutation(len(shapes)):
+        n, dk = shapes[i]
+        X = rng.standard_normal((n, dk)) * rng.choice([1.0, 10.0, 1e7])
+        y = rng.integers(0, 2, n).astype(float)
+        y[:2] = (0.0, 1.0)
+        samples.append(Dataset(X, y, np.zeros(n, dtype=int), np.arange(n)))
+    if single_class:
+        samples[rng.integers(len(samples))].y[:] = float(rng.integers(2))
+    learner = Learner(learning_rate=learning_rate, max_iter=max_iter)
     models = learners.fit_many(learner, samples)
     for model, s in zip(models, samples):
         if len(np.unique(s.y)) < 2:
@@ -133,12 +172,17 @@ def test_logreg_mixed_certified_and_exact_steps_match_oracle(monkeypatch):
 
 def test_logreg_scores_match_masked_sigmoid():
     rng = np.random.default_rng(0)
+    # the sigmoid has no mask, so the edges of either side: infinities,
+    # NaN and subnormal margins, whose exp(-|z|) rounds to 1
     z = np.concatenate([[0.0, -0.0, 800.0, -800.0, 36.0, -36.0, 745.0,
-                         -745.0], rng.standard_normal(500) * 20])
-    assert np.array_equal(learners._sigmoid(z), oracles._sigmoid(z))
+                         -745.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                         1e-310, -1e-310], rng.standard_normal(500) * 20])
+    assert np.array_equal(learners._sigmoid(z), oracles._sigmoid(z),
+                          equal_nan=True)
     params = {"w": np.array([1.0, 0.0])}
     assert np.array_equal(learners._score_logreg(params, z[:, None]),
-                          oracles.score_logreg(params, z[:, None]))
+                          oracles.score_logreg(params, z[:, None]),
+                          equal_nan=True)
     params = {"w": rng.standard_normal(4) * 3}
     X = rng.standard_normal((300, 3)) * 10
     assert np.array_equal(learners._score_logreg(params, X),
@@ -389,6 +433,16 @@ def test_logreg_ssb_sweep_matches_oracle_bytewise(tmp_path, monkeypatch):
     before = _sweep_csv_bytes(run_ssb_sweep, ds, spec, path)
     _swap_in_logreg_oracles(monkeypatch)
     assert _sweep_csv_bytes(run_ssb_sweep, ds, spec, path) == before
+
+
+def test_logreg_urb_sweep_matches_oracle_bytewise(tmp_path, monkeypatch):
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=8))
+    spec = SweepSpec(family="urb_ratio", grid=(0.1, 0.5, 0.9), total_m=80,
+                     replicates=4, seed=8, metrics=("SD", "EO", "AUC"))
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_urb_sweep, ds, spec, path)
+    _swap_in_logreg_oracles(monkeypatch)
+    assert _sweep_csv_bytes(run_urb_sweep, ds, spec, path) == before
 
 
 def test_logreg_urb_decomposition_sweep_matches_oracle_bytewise(

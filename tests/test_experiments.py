@@ -266,6 +266,25 @@ def test_one_fit_many_per_unique_cell(clf_ds, monkeypatch):
     assert len(at_ref) == 2 and all(b.value == 0 for b in at_ref)
 
 
+def test_size_sweep_packs_small_cells_into_one_fit_many(monkeypatch):
+    fitted = _count_fit_many(monkeypatch)
+    # the ssb_logreg benchmark's data shape and default grid
+    ds = generate(SynthSpec(n=4000, d=5, group1_share=0.3, seed=1))
+    spec = SweepSpec(family="ssb_size", replicates=2, seed=1,
+                     metrics=("ZOL",))
+    res = run_ssb_sweep(ds, spec)
+    *small, m2000, cap = res.grid
+    assert small == [10, 20, 50, 100, 200, 500, 1000] and m2000 == 2000
+    # the reference first, then the cells of 10 to 1000 rows (1880 in all)
+    # together, until 2000 more would pass the reference's rows
+    assert [sorted({s.n for s in samples}) for samples in fitted] == [
+        [cap], small, [m2000]]
+    assert all(sum(s.n for s in samples) <= spec.replicates * cap
+               for samples in fitted)
+    assert sorted(s.n for samples in fitted for s in samples) == sorted(
+        m for m in res.grid for _ in range(spec.replicates))
+
+
 def test_decomposition_sweep_mse_identity(reg_ds):
     spec = SweepSpec(family="decomposition", grid=(20, 50, 120),
                      replicates=4, seed=11, learner=FAST_OLS,
