@@ -2,9 +2,10 @@
 
 Every estimate is a difference of discriminations, target minus reference.
 Two estimator modes exist: the main prediction of each ensemble, or the
-average of per-model discriminations ("mean over models").  Undefined
-discrimination in either term propagates to an undefined estimate with the
-cause recorded.
+average of per-model discriminations ("mean over models"), both from one
+group_metrics.model_costs call for all metrics (the main prediction is a
+one-row stack).  Undefined discrimination in either term propagates to an
+undefined estimate with the cause recorded.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .decomposition import main_prediction
 from .errors import ConfigError
-from .group_metrics import group_cost
+from .group_metrics import disc_vector, group_cost, model_costs
 
 MAIN_PREDICTION = "main_prediction"
 MEAN_OVER_MODELS = "mean_over_models"
@@ -49,44 +48,46 @@ CSV_HEADER = ["kind", "metric", "estimator", "target", "reference",
               "value", "k"]
 
 
-def ensemble_disc(ens, metric, estimator):
-    """(disc, cause) for one ensemble under the chosen estimator mode."""
+def mean_over_models(reports):
+    """(disc, cause): the mean of the defined per-model discriminations."""
+    defined = [r.disc for r in reports if r.disc is not None]
+    if not defined:
+        return None, "all per-model discriminations undefined"
+    return sum(defined) / len(defined), ""
+
+
+def _defined(disc):
+    return disc, "" if disc is not None else "undefined group value"
+
+
+def ensemble_discs(ens, costs, metrics, estimator):
+    """{metric: (disc, cause)} under the chosen estimator mode; mean over
+    models reads costs, the ensemble's model_costs (or computes them)."""
     if estimator == MAIN_PREDICTION:
         scores, labels = main_prediction(ens)
-        disc = group_cost(metric, ens.eval_y, labels, scores,
-                          ens.eval_a).disc
-        return disc, "" if disc is not None else "undefined group value"
+        return {r.metric: _defined(r.disc) for r in disc_vector(
+            ens.eval_y, labels, scores, ens.eval_a, metrics)}
     if estimator == MEAN_OVER_MODELS:
-        defined = []
-        undefined = 0
-        for k in range(ens.k):
-            d = group_cost(metric, ens.eval_y, ens.labels[k],
-                           ens.scores[k], ens.eval_a).disc
-            if d is None:
-                undefined += 1
-            else:
-                defined.append(d)
-        if not defined:
-            return None, "all per-model discriminations undefined"
-        return sum(defined) / len(defined), ""
+        costs = costs or model_costs(ens.eval_y, ens.labels, ens.scores,
+                                     ens.eval_a, metrics)
+        return {m: mean_over_models(costs[m]) for m in metrics}
     raise ConfigError(f"unknown estimator {estimator!r}")
 
 
-def single_disc(scores, labels, ens, metric):
-    d = group_cost(metric, ens.eval_y, labels, scores, ens.eval_a).disc
-    return d, "" if d is not None else "undefined group value"
+def ensemble_disc(ens, metric, estimator):
+    """(disc, cause) for one ensemble under the chosen estimator mode."""
+    return ensemble_discs(ens, None, (metric,), estimator)[metric]
 
 
-def _estimate(kind, metric, estimator, target_desc, ref_desc,
-              disc_t, cause_t, disc_r, cause_r, k):
-    if disc_t is None or disc_r is None:
-        cause = "; ".join(c for c, d in ((f"target: {cause_t}", disc_t),
-                                         (f"reference: {cause_r}", disc_r))
-                          if d is None)
-        return BiasEstimate(kind, metric, estimator, target_desc, ref_desc,
-                            None, k, cause)
+def estimate(kind, metric, estimator, target_desc, ref_desc,
+             disc_t, cause_t, disc_r, cause_r, k):
+    """disc_t - disc_r, or undefined with each undefined term's cause."""
+    causes = [f"{term}: {cause}" for term, disc, cause in
+              (("target", disc_t, cause_t), ("reference", disc_r, cause_r))
+              if disc is None]
     return BiasEstimate(kind, metric, estimator, target_desc, ref_desc,
-                        disc_t - disc_r, k)
+                        None if causes else disc_t - disc_r, k,
+                        "; ".join(causes))
 
 
 def _ensemble_bias(kind, target_ens, ref_ens, metric,
@@ -94,23 +95,25 @@ def _ensemble_bias(kind, target_ens, ref_ens, metric,
                    ref_desc=None):
     """Bias of the target ensemble against the reference ensemble, both
     under one estimator mode; kind labels the estimate."""
-    _check_eval(target_ens, ref_ens)
-    dt, ct = ensemble_disc(target_ens, metric, estimator)
-    dr, cr = ensemble_disc(ref_ens, metric, estimator)
-    return _estimate(kind, metric, estimator,
-                     target_desc or f"K={target_ens.k}",
-                     ref_desc or f"K={ref_ens.k}", dt, ct, dr, cr,
-                     target_ens.k)
+    if not target_ens.same_eval_set(ref_ens):
+        raise ConfigError("target and reference ensembles must share the "
+                          "same evaluation set")
+    return estimate(kind, metric, estimator,
+                    target_desc or f"K={target_ens.k}",
+                    ref_desc or f"K={ref_ens.k}",
+                    *ensemble_disc(target_ens, metric, estimator),
+                    *ensemble_disc(ref_ens, metric, estimator), target_ens.k)
 
 
 def _single_bias(kind, scores, labels, ref_ens, metric,
                  target_desc="single", ref_desc=None):
     """Bias of one specific trained model against the main prediction of
     the reference ensemble; kind labels the estimate."""
-    dt, ct = single_disc(scores, labels, ref_ens, metric)
-    dr, cr = ensemble_disc(ref_ens, metric, MAIN_PREDICTION)
-    return _estimate(kind, metric, MAIN_PREDICTION, target_desc,
-                     ref_desc or f"K={ref_ens.k}", dt, ct, dr, cr, 1)
+    return estimate(kind, metric, MAIN_PREDICTION, target_desc,
+                    ref_desc or f"K={ref_ens.k}",
+                    *_defined(group_cost(metric, ref_ens.eval_y, labels,
+                                         scores, ref_ens.eval_a).disc),
+                    *ensemble_disc(ref_ens, metric, MAIN_PREDICTION), 1)
 
 
 # Sample size bias is measured against the largest-size reference
@@ -120,9 +123,3 @@ ssb = partial(_ensemble_bias, SSB_ENSEMBLE)
 urb = partial(_ensemble_bias, URB_ENSEMBLE)
 ssb_single = partial(_single_bias, SSB_SINGLE)
 urb_single = partial(_single_bias, URB_SINGLE)
-
-
-def _check_eval(target_ens, ref_ens):
-    if not target_ens.same_eval_set(ref_ens):
-        raise ConfigError("target and reference ensembles must share the "
-                          "same evaluation set")

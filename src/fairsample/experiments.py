@@ -31,7 +31,8 @@ from .dataset import (CLASSIFICATION, REGRESSION, draw_from_pools,
 from .decomposition import (SQUARED, ZERO_ONE, PredictionEnsemble,
                             decompose_bias_gap)
 from .errors import ConfigError, DataError
-from .group_metrics import ALL_METRICS, group_cost, task_metrics
+from .group_metrics import (ALL_METRICS, disc_vector, model_costs,
+                            task_metrics)
 from .learners import Learner, fit_many
 
 FAMILIES = ("ssb_size", "urb_ratio", "decomposition", "collect")
@@ -108,17 +109,8 @@ class SweepRow:
     group1_mean: float = None
 
     def to_csv_row(self):
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
-        return [self.family, self.grid_param, fmt(self.grid_value),
-                self.metric, self.estimator, fmt(self.mean),
-                fmt(self.stderr), str(self.k_defined), str(self.k_total),
-                fmt(self.bias_delta), fmt(self.netvar_delta),
-                fmt(self.group0_mean), fmt(self.group1_mean)]
+        values = (getattr(self, column) for column in CSV_COLUMNS)
+        return ["" if v is None else str(v) for v in values]
 
 
 @dataclass
@@ -169,18 +161,18 @@ def _mean_stderr(values):
     return mean, stderr, k
 
 
-def _add_row(result, g, metric, cell, estimator, mean=None,
-              bias_delta=None, netvar_delta=None):
-    """Store grid point g's per-replicate cell for metric and append its
-    summary row; mean, when not given, is the mean of the defined
-    per-replicate discs."""
-    result.cells[(g, metric)] = cell
-    disc_mean, stderr, k_defined = _mean_stderr(cell["disc"])
+def _add_row(result, g, metric, values, estimator, mean=None,
+             bias_delta=None, netvar_delta=None):
+    """Store grid point g's per-replicate (a0, a1, disc) values for metric
+    as its cell and append its summary row; mean, when not given, is the
+    mean of the defined per-replicate discs."""
+    a0, a1, disc = zip(*values)
+    result.cells[(g, metric)] = {"disc": disc, "a0": a0, "a1": a1}
+    disc_mean, stderr, k_defined = _mean_stderr(disc)
     result.rows.append(SweepRow(
         result.family, result.grid_param, g, metric, estimator,
-        disc_mean if mean is None else mean, stderr, k_defined,
-        len(cell["disc"]), bias_delta, netvar_delta,
-        _mean_stderr(cell["a0"])[0], _mean_stderr(cell["a1"])[0]))
+        disc_mean if mean is None else mean, stderr, k_defined, len(disc),
+        bias_delta, netvar_delta, _mean_stderr(a0)[0], _mean_stderr(a1)[0]))
 
 
 def _float(value, sign=1):
@@ -417,16 +409,20 @@ def _fit_batch(batch, spec, draw):
             for samples, extra in drawn]
 
 
-def _predict(models, test):
-    """Stacked holdout predictions of a cell's models."""
+def _predict(models, plan):
+    """(ensemble, costs): the stacked holdout predictions of a cell's
+    models, and their per-model reports of the plan's metrics."""
+    test = plan.test
     preds = [model.predict(test.X) for model in models]
-    return PredictionEnsemble(np.stack([p[0] for p in preds]),
-                              np.stack([p[1] for p in preds]), test.y, test.a,
-                              SQUARED if test.task == REGRESSION else ZERO_ONE)
+    scores, labels = (np.stack(p) for p in zip(*preds))
+    loss = SQUARED if test.task == REGRESSION else ZERO_ONE
+    return (PredictionEnsemble(scores, labels, test.y, test.a, loss),
+            model_costs(test.y, labels, scores, test.a, plan.metrics))
 
 
 def _ensembles(plan, spec):
-    """(reference ensemble, iterator of (grid value, ensemble)).
+    """(reference, iterator of (grid value, ensemble, costs)), where the
+    reference is a _predict pair.
 
     The cells are fitted in _fitted's batches, in fit order: the reference
     first, then each other cell where the grid reaches it, and a cell is
@@ -439,47 +435,37 @@ def _ensembles(plan, spec):
     fresh = [c for p, c in zip(prev, cells) if c != p and c != ref_cell]
     fitted = _fitted(([ref_cell] if ref_cell else []) + fresh, spec,
                      lambda cell: (_draws(cell, spec, plan), None))
-    ref = None if ref_cell is None else _predict(next(fitted)[0], plan.test)
+    ref = None if ref_cell is None else _predict(next(fitted)[0], plan)
 
     def each():
-        ens = ref
+        current = ref
         for g, p, c in zip(plan.grid, prev, cells):
             if c != p:
-                ens = ref if c == ref_cell else _predict(next(fitted)[0],
-                                                         plan.test)
-            yield g, ens
+                current = ref if c == ref_cell else _predict(
+                    next(fitted)[0], plan)
+            yield (g, *current)
     return ref, each()
-
-
-def _per_replicate(triples):
-    """Per-replicate group values and disc from (v0, v1, disc) triples."""
-    a0, a1, disc = zip(*triples)
-    return {"disc": disc, "a0": a0, "a1": a1}
-
-
-def _per_model_cells(ens, metrics):
-    """Each metric's per-model cell on the ensemble's evaluation set."""
-    return {metric: _per_replicate(
-        group_cost(metric, ens.eval_y, ens.labels[k], ens.scores[k],
-                   ens.eval_a).as_floats() for k in range(ens.k))
-            for metric in metrics}
 
 
 def _reduce_bias(result, plan, spec, ref, ensembles):
     """ssb_size / urb_ratio: per-model cells, plus SSB against the largest
-    size or URB against the population split."""
+    size or URB against the population split, from the same reports."""
     if result.family == "ssb_size":
-        estimate, desc, ref_desc = be.ssb, "m={}".format, f"M={plan.ref}"
+        kind, desc, ref_desc = (be.SSB_ENSEMBLE, "m={}".format,
+                                f"M={plan.ref}")
     else:
         def desc(g):
             return "split={0[1]}/{0[0]}".format(plan.cells[g].counts)
-        estimate, ref_desc = be.urb, desc(plan.ref)
-    for g, ens in ensembles:
-        for metric, cell in _per_model_cells(ens, plan.metrics).items():
-            _add_row(result, g, metric, cell, spec.estimator)
-            result.bias_rows.append(estimate(
-                ens, ref, metric, spec.estimator, target_desc=desc(g),
-                ref_desc=ref_desc))
+        kind, ref_desc = be.URB_ENSEMBLE, desc(plan.ref)
+    ref_disc = be.ensemble_discs(*ref, plan.metrics, spec.estimator)
+    for g, ens, costs in ensembles:
+        disc = be.ensemble_discs(ens, costs, plan.metrics, spec.estimator)
+        for metric, reports in costs.items():
+            _add_row(result, g, metric, [r.as_floats() for r in reports],
+                     spec.estimator)
+            result.bias_rows.append(be.estimate(
+                kind, metric, spec.estimator, desc(g), ref_desc,
+                *disc[metric], *ref_disc[metric], ens.k))
 
 
 def _reduce_decomposition(result, plan, spec, ref, ensembles):
@@ -490,18 +476,18 @@ def _reduce_decomposition(result, plan, spec, ref, ensembles):
     they equal bias_delta + netvar_delta exactly.  stderr is over the
     per-replicate single-model gaps.
     """
-    ref_disc = {metric: _float(be.ensemble_disc(ref, metric,
-                                                be.MEAN_OVER_MODELS)[0])
+    ref_ens, ref_costs = ref
+    ref_disc = {metric: _float(be.mean_over_models(ref_costs[metric])[0])
                 for metric in plan.metrics}
-    for g, ens in ensembles:
-        for metric, cell in _per_model_cells(ens, plan.metrics).items():
-            gap = decompose_bias_gap(ens, ref, metric)
+    for g, ens, costs in ensembles:
+        for metric, reports in costs.items():
+            gap = decompose_bias_gap(ens, ref_ens, metric)
             sign = gap.target.cost_sign
             # per-replicate single-model gaps drive the dispersion column
             rd = ref_disc[metric]
-            cell["disc"] = [None if (d is None or rd is None) else d - rd
-                            for d in cell["disc"]]
-            _add_row(result, g, metric, cell, be.MEAN_OVER_MODELS,
+            values = [(v0, v1, None if (d is None or rd is None) else d - rd)
+                      for v0, v1, d in (r.as_floats() for r in reports)]
+            _add_row(result, g, metric, values, be.MEAN_OVER_MODELS,
                      _float(gap.total), _float(gap.bias_delta_diff, sign),
                      _float(gap.net_variance_delta_diff, sign))
 
@@ -518,11 +504,12 @@ def _reduce_collect(result, plan, spec, ref, ensembles):
                      for g, (models, holds) in zip(plan.grid, fitted))
     else:
         label = "holdout"
-        per_point = ((g, _per_model_cells(ens, plan.metrics))
-                     for g, ens in ensembles)
+        per_point = ((g, {m: [r.as_floats() for r in reports]
+                          for m, reports in costs.items()})
+                     for g, _, costs in ensembles)
     for g, per_metric in per_point:
-        for metric, cell in per_metric.items():
-            _add_row(result, g, metric, cell, label)
+        for metric, values in per_metric.items():
+            _add_row(result, g, metric, values, label)
 
 
 _REDUCERS = {"ssb_size": _reduce_bias, "urb_ratio": _reduce_bias,
@@ -585,8 +572,8 @@ def _cv_cells(models, holds, folds, metrics):
     costs = []
     for model, hold in zip(models, holds):
         scores, labels = model.predict(hold.X)
-        costs.append({m: group_cost(m, hold.y, labels, scores,
-                                    hold.a).as_floats() for m in metrics})
+        costs.append({r.metric: r.as_floats() for r in disc_vector(
+            hold.y, labels, scores, hold.a, metrics)})
     draws = [costs[r:r + folds] for r in range(0, len(costs), folds)]
-    return {m: _per_replicate([_mean_stderr(v)[0] for v in zip(
-        *(fold[m] for fold in draw))] for draw in draws) for m in metrics}
+    return {m: [[_mean_stderr(v)[0] for v in zip(*(fold[m] for fold in draw))]
+                for draw in draws] for m in metrics}

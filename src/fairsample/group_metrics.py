@@ -1,10 +1,10 @@
 """Per-group cost metrics and discrimination differences.
 
-Rate metrics (FPR, FNR, EO, ZOL, SD) and AUC are computed as exact
-rationals (fractions.Fraction) so identities like Disc^EO == -Disc^FNR and
-the disc = value_a1 - value_a0 contract hold exactly, not just to float
-precision.  MSE is a float.  Empty conditioning sets yield None
-(UNDEFINED), never a silent zero.
+Rate metrics (FPR, FNR, EO, ZOL, SD) are exact Fractions of two sums of a
+whole ensemble's confusion_counts, one np.bincount; AUC is exact too, so
+Disc^EO == -Disc^FNR and disc = value_a1 - value_a0 hold exactly.  MSE is
+a float.  Empty conditioning sets yield None (UNDEFINED), never a silent
+zero.  Groups, and the outcomes and labels a metric counts, must be 0/1.
 """
 
 from __future__ import annotations
@@ -54,55 +54,69 @@ class GroupCostReport:
 
 def group_cost(metric, y, labels, scores, a):
     """One metric evaluated per group, with disc = a1 - a0."""
-    if metric not in ALL_METRICS:
-        raise ConfigError(f"unknown metric {metric!r}")
-    y = np.asarray(y)
-    labels = np.asarray(labels)
-    a = np.asarray(a)
-    if metric == "AUC" and scores is None:
-        raise ConfigError("AUC requires scores")
-    if scores is not None:
-        scores = np.asarray(scores)
-    values = []
-    for group in (0, 1):
-        g = a == group
-        values.append(_metric_value(metric, y[g], labels[g],
-                                    None if scores is None else scores[g]))
-    return GroupCostReport(metric, values[0], values[1])
+    return disc_vector(y, labels, scores, a, (metric,))[0]
 
 
 def disc_vector(y, labels, scores, a, metrics):
-    """group_cost applied per metric; identical to individual calls."""
-    return [group_cost(m, y, labels, scores, a) for m in metrics]
+    """One model's report per metric: the K = 1 row of model_costs."""
+    costs = model_costs(y, [labels], None if scores is None else [scores], a,
+                        metrics)
+    return [costs[m][0] for m in metrics]
 
 
-def _rate(num, den):
-    if den == 0:
-        return None
-    return Fraction(int(num), int(den))
+# each rate metric's (numerator, denominator) cells; cell 2y + label
+_RATE_CELLS = {"FPR": ((1,), (0, 1)), "FNR": ((2,), (2, 3)),
+               "EO": ((3,), (2, 3)), "ZOL": ((1, 2), (0, 1, 2, 3)),
+               "SD": ((1, 3), (0, 1, 2, 3))}
 
 
-def _metric_value(metric, y, labels, scores):
-    if metric == "FPR":
-        neg = y == 0
-        return _rate(labels[neg].sum(), neg.sum())
-    if metric == "FNR":
-        pos = y == 1
-        return _rate((1 - labels[pos]).sum(), pos.sum())
-    if metric == "EO":
-        pos = y == 1
-        return _rate(labels[pos].sum(), pos.sum())
-    if metric == "ZOL":
-        return _rate((labels != y).sum(), len(y))
-    if metric == "SD":
-        return _rate(labels.sum(), len(labels))
-    if metric == "MSE":
-        if len(y) == 0:
-            return None
-        return float(np.mean((scores - y) ** 2))
-    if metric == "AUC":
-        return _auc(y, scores)
-    raise ConfigError(f"unknown metric {metric!r}")
+def _check_binary(**named):
+    """Reject any of the named arrays (None: unchecked) that is not 0/1."""
+    for name, values in named.items():
+        if values is not None and not np.isin(values, (0, 1)).all():
+            raise ConfigError(f"{name} must be 0 or 1")
+
+
+def confusion_counts(y, labels, a):
+    """int (K, 2, 4) tn/fp/fn/tp counts per model and group of 0/1 y, a
+    and a (K, n) label stack: one np.bincount of 8k + 4a + 2y + label."""
+    _check_binary(groups=a, outcomes=y, labels=labels)
+    codes = np.array(labels, dtype=np.intp)  # one (K, n) array, in place
+    k = len(codes)
+    codes += 4 * np.asarray(a, np.intp) + 2 * np.asarray(y, np.intp)
+    codes += 8 * np.arange(k)[:, None]
+    return np.bincount(codes.ravel(), minlength=8 * k).reshape(k, 2, 4)
+
+
+def model_costs(y, labels, scores, a, metrics):
+    """{metric: K GroupCostReports} for a (K, n) stack of labels and
+    scores on one evaluation set (y, a); AUC and MSE run per model."""
+    for m in metrics:
+        if m not in ALL_METRICS:
+            raise ConfigError(f"unknown metric {m!r}")
+        if m in ("AUC", "MSE") and scores is None:
+            raise ConfigError(f"{m} requires scores")
+    y, a = np.asarray(y), np.asarray(a)
+    _check_binary(groups=a, outcomes=y if "AUC" in metrics else None)
+    if any(m in _RATE_CELLS for m in metrics):
+        counts = confusion_counts(y, labels, a)
+    costs = {}
+    for m in metrics:
+        if m in _RATE_CELLS:
+            num, den = (counts[..., list(c)].sum(axis=-1).tolist()
+                        for c in _RATE_CELLS[m])
+            values = [[None if d == 0 else Fraction(n, d)
+                       for n, d in zip(*nd)] for nd in zip(num, den)]
+        else:
+            value = _auc if m == "AUC" else _mse
+            values = [[value(y[a == g], s[a == g]) for g in (0, 1)]
+                      for s in np.asarray(scores)]
+        costs[m] = [GroupCostReport(m, *v) for v in values]
+    return costs
+
+
+def _mse(y, scores):
+    return None if len(y) == 0 else float(np.mean((scores - y) ** 2))
 
 
 def _auc(y, scores):

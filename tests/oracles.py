@@ -2,7 +2,8 @@
 time, the two samplers the sweep families drew with before they shared
 one draw primitive, logistic-regression fitting one sample at a time, per-row kNN and
 tree scoring, the exact zero-one decomposition one point at a time, and
-brute-force group metrics and decompositions.
+brute-force group metrics (one model and one group at a time) and
+decompositions.
 
 These are the straightforward loops the library's array code must match
 exactly: one stratum key per row, one gradient-descent loop per training
@@ -318,6 +319,18 @@ def oracle_metrics(y, labels, scores, a, metrics=None):
     return reports
 
 
+def oracle_model_costs(y, labels, scores, a, metrics):
+    """group_metrics.model_costs one model at a time through
+    oracle_metrics: {metric: K reports} for a (K, n) stack."""
+    labels = np.asarray(labels)
+    per_model = [oracle_metrics(y, labels[k],
+                                None if scores is None else scores[k], a,
+                                list(metrics))
+                 for k in range(len(labels))]
+    return {m: [reports[i] for reports in per_model]
+            for i, m in enumerate(metrics)}
+
+
 def _oracle_value(metric, y, labels, scores, idx):
     if metric == "FPR":
         den = [i for i in idx if y[i] == 0]
@@ -335,8 +348,11 @@ def _oracle_value(metric, y, labels, scores, idx):
     if metric == "MSE":
         if not idx:
             return None
-        return sum((float(scores[i]) - float(y[i])) ** 2
-                   for i in idx) / len(idx)
+        # the squared errors one row at a time, squared as e * e (Python's
+        # e ** 2 can differ in the last bit) and averaged in numpy's
+        # summation order, so that a sweep's bytes can be compared
+        errors = [float(scores[i]) - float(y[i]) for i in idx]
+        return float(np.mean([e * e for e in errors]))
     if metric == "AUC":
         pos = [scores[i] for i in idx if y[i] == 1]
         neg = [scores[i] for i in idx if y[i] == 0]

@@ -1,7 +1,7 @@
 """The array implementations of the holdout split, the sweep draws,
-logistic-regression fitting, kNN scoring, tree scoring and the exact
-zero-one decomposition against the per-sample / per-row / per-point loops
-and the per-family samplers in oracles.py."""
+logistic-regression fitting, kNN scoring, tree scoring, the group metrics
+and the exact zero-one decomposition against the per-sample / per-row /
+per-model / per-point loops and the per-family samplers in oracles.py."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,7 +17,8 @@ from fairsample import (DataError, Dataset, Learner, PredictionEnsemble,
                         decompose_points, fit, generate, holdout_split,
                         run_collect_sim, run_decomposition_sweep,
                         run_ssb_sweep, run_urb_sweep, sd_bounds)
-from fairsample import decomposition, experiments, learners
+from fairsample import (bias_estimators, decomposition, experiments,
+                        group_metrics, learners)
 
 
 @settings(max_examples=200, deadline=None)
@@ -497,3 +498,60 @@ def test_logreg_collect_sweep_matches_oracle_bytewise(tmp_path, monkeypatch,
     before = _sweep_csv_bytes(run_collect_sim, ds, spec, path)
     _swap_in_logreg_oracles(monkeypatch)
     assert _sweep_csv_bytes(run_collect_sim, ds, spec, path) == before
+
+
+def _swap_in_metric_oracles(monkeypatch):
+    """Every per-model metric value from oracle_metrics, one model and one
+    group at a time (holdouts stay under its 500-row cap)."""
+    for module in (group_metrics, bias_estimators):
+        monkeypatch.setattr(module, "model_costs", oracles.oracle_model_costs)
+
+
+@pytest.mark.parametrize("estimator", ["mean_over_models", "main_prediction"])
+def test_ssb_sweep_matches_metric_oracle_bytewise(tmp_path, monkeypatch,
+                                                  estimator):
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=9,
+                            intercept_a1=-1.0))
+    spec = SweepSpec(family="ssb_size", grid=(6, 30, 120), replicates=4,
+                     seed=9, estimator=estimator,
+                     metrics=("FPR", "FNR", "EO", "ZOL", "SD", "AUC"))
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_ssb_sweep, ds, spec, path)
+    _swap_in_metric_oracles(monkeypatch)
+    assert _sweep_csv_bytes(run_ssb_sweep, ds, spec, path) == before
+
+
+def test_urb_decomposition_sweep_matches_metric_oracle_bytewise(
+        tmp_path, monkeypatch):
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=10))
+    spec = SweepSpec(family="decomposition", decomp_kind="urb", total_m=80,
+                     grid=(0.1, 0.5), replicates=4, seed=10,
+                     learner=Learner("knn", k=5))
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path)
+    _swap_in_metric_oracles(monkeypatch)
+    assert _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path) == before
+
+
+def test_cv_collect_sweep_matches_metric_oracle_bytewise(tmp_path,
+                                                         monkeypatch):
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=11))
+    spec = SweepSpec(family="collect", grid=(4, 20), replicates=3, seed=11,
+                     fixed_majority=30, use_cv=True,
+                     learner=Learner("decision_tree", min_leaf=2),
+                     metrics=("FPR", "FNR", "EO", "ZOL", "SD", "AUC"))
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_collect_sim, ds, spec, path)
+    _swap_in_metric_oracles(monkeypatch)
+    assert _sweep_csv_bytes(run_collect_sim, ds, spec, path) == before
+
+
+def test_ols_ssb_sweep_matches_metric_oracle_bytewise(tmp_path, monkeypatch):
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=12,
+                            task="regression"))
+    spec = SweepSpec(family="ssb_size", grid=(10, 40, 160), replicates=4,
+                     seed=12, learner=Learner("linear_regression"))
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_ssb_sweep, ds, spec, path)
+    _swap_in_metric_oracles(monkeypatch)
+    assert _sweep_csv_bytes(run_ssb_sweep, ds, spec, path) == before

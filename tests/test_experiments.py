@@ -9,7 +9,7 @@ from fairsample import (ConfigError, DataError, Learner, SweepSpec,
                         SynthSpec, generate, run_collect_sim,
                         run_decomposition_sweep, run_ssb_sweep,
                         run_urb_sweep)
-from fairsample import experiments
+from fairsample import experiments, group_metrics
 from fairsample.dataset import holdout_split, population_ratio
 from fairsample.experiments import (_mean_stderr, _split_counts,
                                     default_ssb_grid, default_urb_grid,
@@ -453,3 +453,25 @@ def test_write_csv_header_and_rows(clf_ds, tmp_path):
     blines = bpath.read_text().strip().split("\n")
     assert blines[0].startswith("kind,metric,estimator")
     assert len(blines) == nb + 1
+
+
+def test_each_ensemble_is_evaluated_once(monkeypatch):
+    # the ssb_logreg benchmark shape: default grid (9 points, the
+    # reference included), K = 5, the default estimator
+    ds = generate(SynthSpec(n=4000, d=5, group1_share=0.3, seed=1))
+    spec = SweepSpec(family="ssb_size", replicates=5, seed=1,
+                     metrics=("AUC",))
+    calls = []
+    auc = group_metrics._auc
+
+    def counted(y, scores):
+        calls.append(1)
+        return auc(y, scores)
+
+    monkeypatch.setattr(group_metrics, "_auc", counted)
+    result = run_ssb_sweep(ds, spec)
+    grid_points = len(result.grid)
+    assert grid_points == 9
+    # one AUC per (model, group) for each grid point, plus the reference
+    # once before the grid
+    assert len(calls) <= 2 * spec.replicates * (grid_points + 1)

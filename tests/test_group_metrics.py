@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsample import ConfigError, disc_vector, group_cost
-from oracles import oracle_metrics
+from fairsample.group_metrics import (CLASSIFICATION_METRICS,
+                                      confusion_counts, model_costs)
+from oracles import oracle_metrics, oracle_model_costs
 
 
 def test_hand_fixture_fpr_eo():
@@ -134,3 +138,88 @@ def test_matches_oracle_on_fixtures():
             mine = group_cost(rep.metric, y, labels, scores, a)
             assert (mine.value_a0, mine.value_a1) == (rep.value_a0,
                                                       rep.value_a1)
+
+
+def test_values_outside_zero_one_are_config_errors():
+    y = np.array([0, 0, 1, 0, 0, 1])
+    scores = np.array([0.9, 0.2, 0.8, 0.3, 0.6, 0.7])
+    a = np.array([1, 1, 1, 0, 0, 0])
+    # a fractional label once truncated to 0 and counted as a negative
+    with pytest.raises(ConfigError, match="labels must be 0 or 1"):
+        group_cost("FPR", y, [0.7, 0.7, 1, 0, 0, 1], None, a)
+    # a label of 2 once counted twice under SD
+    with pytest.raises(ConfigError, match="labels must be 0 or 1"):
+        group_cost("SD", y, [2, 0, 1, 0, 0, 1], None, a)
+    # rows of a third group once dropped out of both groups
+    for metric in ("FPR", "AUC", "MSE"):
+        with pytest.raises(ConfigError, match="groups must be 0 or 1"):
+            group_cost(metric, y, y, scores, [1, 1, 2, 0, 0, 0])
+    for metric in ("EO", "ZOL", "AUC"):
+        with pytest.raises(ConfigError, match="outcomes must be 0 or 1"):
+            group_cost(metric, [0, 0, 3, 0, 0, 1], y, scores, a)
+    # MSE takes real-valued outcomes and predictions
+    rep = group_cost("MSE", [0.5, 2.0, 1.0, 0.0, 0.25, 3.0], scores, scores,
+                     a)
+    assert rep.value_a0 is not None and rep.value_a1 is not None
+
+
+def test_mse_requires_scores():
+    y = np.array([0.5, 1.5])
+    with pytest.raises(ConfigError, match="MSE requires scores"):
+        group_cost("MSE", y, y, None, np.array([0, 1]))
+
+
+def test_confusion_counts_one_bincount_layout():
+    y = np.array([0, 0, 1, 1, 0, 1])
+    a = np.array([0, 0, 0, 1, 1, 1])
+    labels = np.array([[0, 1, 1, 0, 1, 1], [1, 1, 1, 1, 1, 1]])
+    counts = confusion_counts(y, labels, a)
+    assert counts.shape == (2, 2, 4)
+    # model 0: a0 has tn, fp, tp; a1 has fn, fp, tp
+    assert counts[0].tolist() == [[1, 1, 0, 1], [0, 1, 1, 1]]
+    # model 1 predicts 1 everywhere: fp and tp only
+    assert counts[1].tolist() == [[0, 2, 0, 1], [0, 1, 0, 2]]
+
+
+@st.composite
+def label_stacks(draw):
+    """A (K, n) stack of 0/1 labels and coarse-grid scores on one
+    evaluation set, where groups may be empty and y or a model's labels
+    single-class."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    y_kind, a_kind, label_kind = (draw(st.sampled_from(("mixed", 0, 1)))
+                                  for _ in range(3))
+    y = rng.integers(0, 2, n) if y_kind == "mixed" else np.full(n, y_kind)
+    a = rng.integers(0, 2, n) if a_kind == "mixed" else np.full(n, a_kind)
+    labels = rng.integers(0, 2, (k, n)).astype(float)
+    if label_kind != "mixed":
+        labels[0] = label_kind
+    scores = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], (k, n))
+    return y, labels, scores, a
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=label_stacks())
+def test_model_costs_match_oracle_model_by_model(stack):
+    y, labels, scores, a = stack
+    costs = model_costs(y, labels, scores, a, CLASSIFICATION_METRICS)
+    assert list(costs) == list(CLASSIFICATION_METRICS)
+    assert costs == oracle_model_costs(y, labels, scores, a,
+                                       CLASSIFICATION_METRICS)
+    for k in range(len(labels)):
+        assert [costs[m][k] for m in CLASSIFICATION_METRICS] == disc_vector(
+            y, labels[k], scores[k], a, CLASSIFICATION_METRICS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 6), n=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_model_costs_mse_matches_oracle_on_a_regression_stack(k, n, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=n)
+    scores = rng.normal(size=(k, n))
+    a = rng.integers(0, 2, n)
+    assert (model_costs(y, scores, scores, a, ("MSE",))
+            == oracle_model_costs(y, scores, scores, a, ("MSE",)))
