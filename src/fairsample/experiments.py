@@ -83,6 +83,8 @@ class SweepSpec:
             raise ConfigError(f"unknown decomp_kind {self.decomp_kind!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
+        if not 0.0 < self.pool_portion < np.inf:
+            raise ConfigError("pool_portion must be positive and finite")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be >= 2")
         if self.seed < 0:

@@ -221,8 +221,9 @@ def _logreg_loss(z, w, flip, n, l2):
 
 
 def _sq_norm(v):
-    """Squared Euclidean norm of each row."""
-    return np.einsum("kj,kj->k", v, v)
+    """Squared Euclidean norm of each row.  vecdot is a ufunc, so the two
+    calls of a lockstep round skip einsum's Python-level dispatch."""
+    return np.vecdot(v, v)
 
 
 def _max_abs(grad):
@@ -542,9 +543,10 @@ def _score_tree(params, X):
 
 # ---------------------------------------------------------------- knn
 
-# distance terms (query rows x training rows x features) per chunk in
-# _score_knn: ~512 KB as float64, shared out over one array per feature;
-# larger chunks cut per-chunk overhead until they fall out of cache
+# query rows per chunk in _score_knn: _KNN_CHUNK_ELEMS // (n_train * d),
+# so a chunk's one-gemm filter array and each of the exact fallback's
+# per-feature terms stay ~512 KB as float64 at most; larger chunks cut
+# per-chunk overhead until they fall out of cache
 _KNN_CHUNK_ELEMS = 65536
 
 
@@ -588,36 +590,91 @@ def _sq_distances(Xt_cols, Xq_cols, lo, hi):
     return acc
 
 
+def _knn_exact(Xt_cols, Xq, k):
+    """Neighbour mask of query rows Xq, (queries, n_train), exactly.
+
+    Squared distances come from _sq_distances, whose summation order does
+    not depend on the chunk, so ties are exact.  A row with exactly k
+    training rows at or below its k-th distance takes them all; only a row
+    with more, a tie across the k-th place, gives the tied places to the
+    lower training rows, as a stable argsort would.
+    """
+    d2 = _sq_distances(Xt_cols, np.ascontiguousarray(Xq.T), 0, len(Xt_cols))
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    near = d2 <= kth
+    # rows with more than k candidates have ties across the k-th place
+    over = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
+    if over.size:
+        d2, kth = d2[over], kth[over]
+        fill = d2 < kth
+        tie = d2 == kth
+        need = k - fill.sum(axis=1, keepdims=True)
+        fill |= tie & (np.cumsum(tie, axis=1) <= need)
+        near[over] = fill
+    return near
+
+
 def _score_knn(params, X):
     """Fraction of positive labels among the k nearest training rows.
 
-    Query rows are scored in chunks of at most _KNN_CHUNK_ELEMS distance
-    terms.  Squared distances come from _sq_distances, whose summation
-    order does not depend on the chunk, so ties are exact.  A row with
-    exactly k training rows at or below its k-th distance takes them all;
-    only a row with more, a tie across the k-th place, gives the tied
-    places to the lower training rows, as a stable argsort would.  Labels
-    are 0/1, so the positive count over k is exact too.
+    The neighbours are those of _knn_exact: distances as
+    np.sum((Xt - q) ** 2, axis=1) computes them, ties at the k-th place
+    to the lower training rows.  Query rows are scored in chunks of
+    _KNN_CHUNK_ELEMS // (n_train * d) rows, and a filter settles almost
+    every row without the exact pass.
+
+    The filter.  One gemm per chunk, [-2q, 1] @ [t, ||t||^2]', gives
+    a = ||t||^2 - 2 q.t for every query row q and training row t: the
+    squared distance less ||q||^2, which is the same along a row.  Let T
+    be a row's k-th smallest a, u = 2**-53, x = ||q|| + max ||t|| and
+
+        B = 8 (d + 4) (u x^2 + 2**-1074).
+
+    Let D be the exact squared distance and D' the one _knn_exact
+    computes.  In any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.1), an n-term float sum is off by at
+    most gamma_n = n u / (1 - n u) times the sum of its |terms|, plus
+    2**-1075 for each product that rounds in the subnormal range (a sum or
+    difference that lands there is exact).  So |D' - D| <= gamma_(d+2) D
+    + d 2**-1075, with D <= x^2.  a is a (d+1)-term sum whose |terms| add
+    up to at most 2 ||q|| ||t|| + ||t||^2 <= x^2, and its last term, the
+    computed ||t||^2, is itself a d-term sum; so a is within (2d + 1) u x^2
+    (1 + 1e-12) + 2d 2**-1075 of D - ||q||^2.  B bounds the sum of both
+    errors at least 2x over, which covers the rounding of the norms in x
+    (an underflowed norm only matters where u x^2 is far below 2**-1074),
+    of B and of the test's T + 2B.
+
+    A row is decided when exactly k training rows have a <= T + 2B and
+    x^2 < 2**1020.  At least k rows have a <= T, so the k are those rows,
+    each with D' <= T + ||q||^2 + B.  Every other row has a > T + 2B, so
+    D' > T + ||q||^2 + B: strictly farther than each of the k, never tied
+    with them, so they are the k nearest under any tie rule.  The limit
+    on x^2 keeps a, T + 2B and every D' of a decided row finite, and it
+    fails for a NaN or an inf in the data.  Every other row takes
+    _knn_exact.  Labels are 0/1, so the positive count over k is exact.
     """
     Xt, yt, k = params["X"], params["y"], params["k"]
+    d = Xt.shape[1]
     Xt_cols = np.ascontiguousarray(Xt.T)
+    tt = np.vecdot(Xt, Xt)
+    Ta = np.vstack([Xt_cols, tt])
+    Xa = np.hstack([-2.0 * X, np.ones((len(X), 1))])
+    x2 = (np.sqrt(np.vecdot(X, X)) + np.sqrt(tt.max())) ** 2
+    # 2B; a NaN limit selects no training row, so the row is not decided
+    two_B = np.where(x2 < 2.0 ** 1020,
+                     16 * (d + 4) * (x2 * _U + 2.0 ** -1074), np.nan)
+    # one product gives each row's positive and neighbour counts
+    y_one = np.column_stack([yt, np.ones(len(yt))])
     rows = max(1, _KNN_CHUNK_ELEMS // Xt.size)
     out = np.empty(len(X))
     for s in range(0, len(X), rows):
-        Xq_cols = np.ascontiguousarray(X[s:s + rows].T)
-        d2 = _sq_distances(Xt_cols, Xq_cols, 0, len(Xt_cols))
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        near = d2 <= kth
-        # rows with more than k candidates have ties across the k-th place
-        over = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
-        if over.size:
-            d2, kth = d2[over], kth[over]
-            fill = d2 < kth
-            tie = d2 == kth
-            need = k - fill.sum(axis=1, keepdims=True)
-            fill |= tie & (np.cumsum(tie, axis=1) <= need)
-            near[over] = fill
-        out[s:s + rows] = near @ yt / k
+        a = Xa[s:s + rows] @ Ta
+        lim = np.partition(a, k - 1, axis=1)[:, k - 1] + two_B[s:s + rows]
+        pos, count = ((a <= lim[:, None]) @ y_one).T
+        out[s:s + rows] = pos / k
+        exact = s + np.flatnonzero(count != k)
+        if exact.size:
+            out[exact] = _knn_exact(Xt_cols, X[exact], k) @ yt / k
     return out
 
 

@@ -118,6 +118,19 @@ def test_infinite_learning_rate_exit_2(tmp_path, capsys):
     assert "learning_rate must be finite" in capsys.readouterr().err
 
 
+def test_nan_pool_portion_exit_2(tmp_path, capsys):
+    # json reads NaN; the default SSB grid would take its cap from it
+    cfg = write_config(tmp_path, {
+        "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],
+        "sweep": {"family": "ssb_size", "replicates": 3,
+                  "pool_portion": float("nan")}})
+    assert "NaN" in (tmp_path / "config.json").read_text()
+    assert main(["sweep", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "pool_portion must be positive and finite" in \
+        capsys.readouterr().err
+
+
 def write_schema(tmp_path):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({

@@ -218,6 +218,19 @@ def test_knn_predict_matches_per_row_oracle(d, n_train, k, levels, scale,
     assert np.array_equal(labels, (expected >= 0.5).astype(float))
 
 
+def _record_knn_exact(monkeypatch):
+    """Query rows handed to the exact fallback, one array per call."""
+    calls = []
+    exact = learners._knn_exact
+
+    def record(Xt_cols, Xq, k):
+        calls.append(Xq.copy())
+        return exact(Xt_cols, Xq, k)
+
+    monkeypatch.setattr(learners, "_knn_exact", record)
+    return calls
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.sampled_from([1, 2, 5, 9]),
        n_train=st.integers(20, 60),
@@ -225,12 +238,19 @@ def test_knn_predict_matches_per_row_oracle(d, n_train, k, levels, scale,
        seed=st.integers(0, 2**32 - 1))
 def test_knn_predict_mixes_fast_path_and_tie_fill_rows(d, n_train, k, seed):
     rng = np.random.default_rng(seed)
-    # continuous rows, so most queries have exactly k rows at or below
-    # their k-th distance; row 0 has k + 1 copies after it and a few other
-    # rows are duplicated, so queries on them tie across the k-th place
+    # continuous rows, so the filter decides most queries; row 0 has k + 1
+    # copies after it, so a query on it ties across the k-th place; rows
+    # c .. c+k-1 are k copies of one row and row c+k a copy off by a few
+    # ulps, so a query on them has exactly k rows at or below its k-th
+    # distance, but the filter cannot tell the near copy apart; a few
+    # other rows are duplicated
     X = rng.standard_normal((n_train, d))
     X[1:k + 2] = X[0]
-    X[rng.integers(k + 2, n_train, 3)] = X[rng.integers(k + 2, n_train, 3)]
+    c = k + 2
+    X[c + 1:c + k] = X[c]
+    X[c + k] = X[c] * (1 + 2.0 ** -40)
+    rest = c + k + 1
+    X[rng.integers(rest, n_train, 3)] = X[rng.integers(rest, n_train, 3)]
     y = rng.integers(0, 2, n_train).astype(float)
     y[:2] = (0.0, 1.0)
     model = fit(Learner("knn", k=k),
@@ -241,16 +261,75 @@ def test_knn_predict_mixes_fast_path_and_tie_fill_rows(d, n_train, k, seed):
     Xq = rng.standard_normal((n_query, d))
     on_train = rng.choice(n_query, n_query // 4, replace=False)
     Xq[on_train] = X[rng.integers(0, n_train, len(on_train))]
-    Xq[rng.integers(rows_per_chunk)] = X[0]
+    Xq[rng.choice(rows_per_chunk, 2, replace=False)] = X[0], X[c]
     # the first chunk holds rows of both kinds
     d2 = np.sum((X - Xq[:rows_per_chunk, None]) ** 2, axis=2)
     kth = np.sort(d2, axis=1)[:, k - 1:k]
     excess = np.count_nonzero(d2 <= kth, axis=1) > k
     assert excess.any() and not excess.all()
-    scores, labels = model.predict(Xq)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_knn_exact(mp)
+        scores, labels = model.predict(Xq)
     expected = oracles.score_knn(model.params, Xq)
     assert np.array_equal(scores, expected)
     assert np.array_equal(labels, (expected >= 0.5).astype(float))
+    # the first chunk has both filtered and exact rows, and its exact rows
+    # take both of the exact path's branches
+    first = calls[0]
+    assert 0 < len(first) < rows_per_chunk
+    d2 = np.sum((X - first[:, None]) ** 2, axis=2)
+    kth = np.sort(d2, axis=1)[:, k - 1:k]
+    at_or_below = np.count_nonzero(d2 <= kth, axis=1)
+    assert (at_or_below > k).any() and (at_or_below == k).any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from([1, 2, 5, 9]),
+       n_train=st.integers(1, 30),
+       k=st.sampled_from(["1", "3", "n_train"]),
+       scale=st.sampled_from([1.0, 1e160, 1e-160, 1e-161]),
+       rows=st.sampled_from(["normal", "grid", "duplicated"]),
+       scaled=st.sampled_from(["all", "some"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_knn_filter_matches_per_row_oracle_at_extreme_scales(
+        d, n_train, k, scale, rows, scaled, seed):
+    # at 1e160 squares overflow, and with "some" rows scaled, some of a
+    # row's distances do and others do not; at 1e-160 and 1e-161 squared
+    # distances are subnormal, a few thousand or tens of multiples of
+    # 2**-1074
+    rng = np.random.default_rng(seed)
+    if rows == "grid":
+        X = rng.integers(-2, 3, (n_train, d)).astype(float)
+        Xq = rng.integers(-3, 4, (60, d)).astype(float)
+    else:
+        X = rng.standard_normal((n_train, d))
+        Xq = rng.standard_normal((60, d))
+    if rows == "duplicated":
+        X = X[rng.integers(0, n_train, n_train)]
+    Xq[:10] = X[rng.integers(0, n_train, 10)]
+    for A in (X, Xq):
+        A *= scale if scaled == "all" else \
+            np.where(rng.random((len(A), 1)) < 0.5, scale, 1.0)
+    k = n_train if k == "n_train" else min(int(k), n_train)
+    params = {"X": X, "y": rng.integers(0, 2, n_train).astype(float),
+              "k": k}
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = learners._score_knn(params, Xq)
+        expected = oracles.score_knn(params, Xq)
+    assert np.array_equal(scores, expected)
+
+
+def test_knn_filter_decides_almost_every_standard_normal_row(monkeypatch):
+    # the decomposition benchmark's shape: 100 training rows, 5 features,
+    # k = 5
+    rng = np.random.default_rng(3)
+    params = {"X": rng.standard_normal((100, 5)),
+              "y": rng.integers(0, 2, 100).astype(float), "k": 5}
+    Xq = rng.standard_normal((6000, 5))
+    calls = _record_knn_exact(monkeypatch)
+    scores = learners._score_knn(params, Xq)
+    assert np.array_equal(scores, oracles.score_knn(params, Xq))
+    assert sum(len(c) for c in calls) < 0.01 * len(Xq)
 
 
 @settings(max_examples=200, deadline=None)

@@ -84,6 +84,17 @@ def test_spec_validation():
         SweepSpec(family="ssb_size", metrics=("WOMBAT",))
     with pytest.raises(ConfigError, match="unknown collect variant"):
         SweepSpec(family="collect", variant="everything_random")
+    for portion in (float("nan"), float("inf"), 0.0, -0.5):
+        with pytest.raises(ConfigError, match="pool_portion"):
+            SweepSpec(family="ssb_size", pool_portion=portion)
+
+
+def test_pool_portion_above_one_reaches_the_grid_check(clf_ds):
+    # a cap above the pool is a grid point the pool cannot draw
+    spec = SweepSpec(family="ssb_size", replicates=3, seed=2,
+                     learner=FAST_TREE, metrics=("SD",), pool_portion=1.5)
+    with pytest.raises(DataError, match="infeasible grid points"):
+        run_ssb_sweep(clf_ds, spec)
 
 
 def test_ssb_sweep_shape_and_reference_zero(clf_ds):
