@@ -20,7 +20,8 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .dataset import Schema, holdout_split, load_csv, population_ratio
-from .errors import ConfigError, DataError, FairsampleError
+from .errors import (ConfigError, DataError, FairsampleError,
+                     check_integer)
 from .experiments import (SweepSpec, run_collect_sim, run_decomposition_sweep,
                           run_ssb_sweep, run_urb_sweep)
 from .group_metrics import disc_vector, task_metrics
@@ -123,7 +124,10 @@ def _write_manifest(path, config, seed, dataset_sha, pop_ratio,
 def _prepare(args):
     config = _load_config(args.config)
     _take(config, _TOP_KEYS, "config")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     out_dir = args.out or config.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     return config, seed, out_dir

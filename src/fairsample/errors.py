@@ -4,6 +4,8 @@ ConfigError maps to CLI exit code 2, DataError to 3; anything else escaping
 the library is treated as an internal invariant violation (exit 4).
 """
 
+import numbers
+
 
 class FairsampleError(Exception):
     pass
@@ -16,3 +18,10 @@ class ConfigError(FairsampleError):
 class DataError(FairsampleError):
     """Input data violates a documented precondition (bad CSV, empty group,
     exhausted sampling pool, undersized stratum, ...)."""
+
+
+def check_integer(name, value):
+    """Raise a ConfigError naming value unless it is an integer (a Python
+    or numpy int, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +32,7 @@ from .dataset import (CLASSIFICATION, REGRESSION, draw_from_pools,
                       holdout_split, population_ratio)
 from .decomposition import (SQUARED, ZERO_ONE, PredictionEnsemble,
                             decompose_bias_gap)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 from .group_metrics import (ALL_METRICS, disc_vector, model_costs,
                             task_metrics)
 from .learners import Learner, fit_many
@@ -68,10 +70,22 @@ class SweepSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
-        if self.grid:
-            g = list(self.grid)
-            if any(b <= a for a, b in zip(g, g[1:])):
-                raise ConfigError("grid must be strictly increasing")
+        if self.decomp_kind not in ("ssb", "urb"):
+            raise ConfigError(f"unknown decomp_kind {self.decomp_kind!r}")
+        for name in ("replicates", "seed", "total_m", "fixed_majority",
+                     "cv_folds"):
+            check_integer(name, getattr(self, name))
+        ratios = self.family == "urb_ratio" or (
+            self.family == "decomposition" and self.decomp_kind == "urb")
+        for p in self.grid:
+            if not ratios:
+                check_integer("grid point", p)
+            elif not (isinstance(p, numbers.Real) and math.isfinite(p)):
+                raise ConfigError(f"ratio grid point must be finite, "
+                                  f"got {p!r}")
+        g = list(self.grid)
+        if any(b <= a for a, b in zip(g, g[1:])):
+            raise ConfigError("grid must be strictly increasing")
         if self.replicates < 2:
             raise ConfigError("replicates must be >= 2 for dispersion "
                               "reporting")
@@ -79,8 +93,6 @@ class SweepSpec:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown collect variant {self.variant!r}")
-        if self.decomp_kind not in ("ssb", "urb"):
-            raise ConfigError(f"unknown decomp_kind {self.decomp_kind!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
         if not 0.0 < self.pool_portion < np.inf:

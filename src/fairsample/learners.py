@@ -7,14 +7,13 @@ which the experiment harness relies on for reproducibility.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import CLASSIFICATION, REGRESSION
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_integer
 
 KINDS = ("logistic_regression", "decision_tree", "knn", "linear_regression")
 
@@ -39,6 +38,8 @@ class Learner:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown learner kind {self.kind!r}")
+        for name in ("max_iter", "max_depth", "min_leaf", "k"):
+            check_integer(name, getattr(self, name))
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be in (0, 1)")
         # an infinite learning rate never finds a step; NaN fits nothing
@@ -154,14 +155,16 @@ def _sigmoid(z, out=None):
     return np.divide(top, e, out=e)
 
 
-def _blocks(shapes):
-    """(replicate slice, row slice) of each block of a flat layout: block
-    (k, m) of shapes is k replicates of m rows each, after the block
+def _stacks(Xbs):
+    """_logreg_grad's (Xb, replicate slice, row slice) of each stack: a
+    (k, m, d+1) stack holds k replicates of m rows each, after the stack
     before it."""
-    i = o = 0
-    for k, m in shapes:
-        yield slice(i, i + k), slice(o, o + k * m)
+    out, i, o = [], 0, 0
+    for Xb in Xbs:
+        k, m = Xb.shape[:2]
+        out.append((Xb, slice(i, i + k), slice(o, o + k * m)))
         i, o = i + k, o + k * m
+    return out
 
 
 def _logreg_grad(w, stacks, y, n, l2, work):
@@ -192,27 +195,20 @@ def _logreg_grad(w, stacks, y, n, l2, work):
     return z, grad
 
 
-def _stacks(Xbs):
-    """_logreg_grad's (Xb, replicate slice, row slice) of each stack."""
-    return [(Xb, *b) for Xb, b in zip(Xbs, _blocks(Xb.shape[:2]
-                                                   for Xb in Xbs))]
-
-
-def _logreg_loss(z, w, flip, n, l2):
+def _logreg_loss(z, w, flip, stacks, l2):
     """Loss of each replicate at weights w[k], from its margins z, laid out
     as in _logreg_grad.
 
     A pure function of (z, w), with a one-sample fit's arithmetic: a mean
     as np.mean takes it (a pairwise sum along the contiguous row axis, per
-    run of replicates of one size, then a divide), -margin = z * flip with
-    flip = -1 where y is positive, which is exact, and the penalty as a
-    matmul per slice.
+    stack, then a divide), -margin = z * flip with flip = -1 where y is
+    positive, which is exact, and the penalty as a matmul per slice.
     """
     # log(1 + exp(-m)) with m = (2y-1) z, numerically stable
     terms = np.logaddexp(0.0, z * flip)
     loss = np.empty(len(w))
-    runs = [(len(list(g)), m) for m, g in itertools.groupby(n.tolist())]
-    for (k, m), (reps, rows) in zip(runs, _blocks(runs)):
+    for Xb, reps, rows in stacks:
+        k, m = Xb.shape[:2]
         loss[reps] = np.add.reduce(terms[rows].reshape(k, m), axis=1) / m
     reg = w.copy()
     reg[:, -1] = 0.0
@@ -254,11 +250,11 @@ def _fit_logreg(learner, Xs, ys):
     one's arithmetic is that of a fit of its sample alone.
 
     Most steps are certified: a bound shows that the computed loss at
-    the trial point w' cannot exceed the one at w, so neither loss (one
-    logaddexp per row, most of a round's time) is computed.  Only a step
-    the bound leaves open compares computed losses, after recomputing
-    the loss at w from its stored margins if it was skipped; the loss is
-    a pure function of (z, w), so its bits do not change.  Each
+    the trial point w' cannot exceed the one at w.  A round that
+    certifies every live step computes no loss (one logaddexp per row,
+    most of a round's time).  Any other round computes both losses of
+    every live replicate from its margins and accepts each step whose
+    loss does not rise, which a certified step passes too.  Each
     replicate therefore takes the steps, and ends at the weights, of a
     fit that computes every loss.
 
@@ -368,9 +364,7 @@ def _lockstep(learner, Xs, ys):
     w = np.zeros((K, d + 1))
     stacks, work = _stacks(Xbs), np.empty(len(y))
     z, grad = _logreg_grad(w, stacks, y, n, l2, work)
-    loss = _logreg_loss(z, w, flip, n, l2)
     slack = k0.copy()
-    skipped = np.zeros(K, dtype=bool)  # loss[k] is stale; z is current
     step = np.full(K, lr)
     accepted = np.zeros(K, dtype=int)
     out = np.empty((K, d + 1))
@@ -387,10 +381,9 @@ def _lockstep(learner, Xs, ys):
             stacks = _stacks(Xbs)
             rows = np.repeat(keep, n)
             y, flip, z, work = y[rows], flip[rows], z[rows], work[:rows.sum()]
-            (w, loss, grad, slack, skipped, step, accepted, live, n, half_Lt,
-             k0, k1, k2) = (
-                v[keep] for v in (w, loss, grad, slack, skipped, step,
-                                  accepted, live, n, half_Lt, k0, k1, k2))
+            w, grad, slack, step, accepted, live, n, half_Lt, k0, k1, k2 = (
+                v[keep] for v in (w, grad, slack, step, accepted, live, n,
+                                  half_Lt, k0, k1, k2))
         g2 = np.minimum(_sq_norm(grad), 2.0 ** 960)
         w_new = w - step[:, None] * grad
         z_new, grad_new = _logreg_grad(w_new, stacks, y, n, l2, work)
@@ -405,20 +398,9 @@ def _lockstep(learner, Xs, ys):
             stop = ((accepted >= learner.max_iter)
                     | (_max_abs(grad) < learner.grad_tol))
         else:
-            # the bound leaves these steps open: compare computed losses
-            check = ~sure
-            stale = check & skipped
-            if stale.any():
-                rows = np.repeat(stale, n)
-                loss[stale] = _logreg_loss(z[rows], w[stale], flip[rows],
-                                           n[stale], l2)
-            rows = np.repeat(check, n)
-            old = loss[check]
-            new = _logreg_loss(z_new[rows], w_new[check], flip[rows],
-                               n[check], l2)
-            ok = sure.copy()
-            ok[check] = new <= old
-            loss[check] = np.where(ok[check], new, old)
+            # the bound leaves a step open: compare computed losses
+            ok = (_logreg_loss(z_new, w_new, flip, stacks, l2)
+                  <= _logreg_loss(z, w, flip, stacks, l2))
             w = np.where(ok[:, None], w_new, w)
             z = np.where(np.repeat(ok, n), z_new, z)
             grad = np.where(ok[:, None], grad_new, grad)
@@ -430,7 +412,6 @@ def _lockstep(learner, Xs, ys):
             stop = ~(step > 1e-12) | (ok & (
                 (accepted >= learner.max_iter)
                 | (_max_abs(grad) < learner.grad_tol)))
-        skipped = sure
     return list(out)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASSIFICATION, REGRESSION, Dataset
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,10 @@ class SynthSpec:
     noise_sd: float = 1.0         # regression only
 
     def __post_init__(self):
+        for name in ("n", "d", "seed"):
+            check_integer(name, getattr(self, name))
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.n < 4 or self.d < 1:
             raise ConfigError("degenerate synthetic spec: need n >= 4, d >= 1")
         if not 0.0 < self.group1_share < 1.0:

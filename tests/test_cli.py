@@ -131,6 +131,22 @@ def test_nan_pool_portion_exit_2(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, change, field", [
+    ("sweep", {"sweep": {"family": "ssb_size", "grid": [20, 50],
+                         "replicates": 2.5}}, "replicates"),
+    ("metrics", {"learner": {"kind": "knn", "k": 2.5}}, "k"),
+    ("metrics", {"seed": float("nan")}, "seed"),
+])
+def test_non_integer_count_exit_2(tmp_path, capsys, command, change, field):
+    # each would otherwise stop in numpy with a traceback (exit 1), or
+    # truncate silently
+    cfg = write_config(tmp_path, {
+        "dataset": SYNTH, "learner": TREE, "metrics": ["SD"], **change})
+    assert main([command, "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+
+
 def write_schema(tmp_path):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({

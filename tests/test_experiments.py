@@ -87,6 +87,25 @@ def test_spec_validation():
     for portion in (float("nan"), float("inf"), 0.0, -0.5):
         with pytest.raises(ConfigError, match="pool_portion"):
             SweepSpec(family="ssb_size", pool_portion=portion)
+    # counts must be integers (numpy ints count), ratios finite
+    nan = float("nan")
+    for field, value in (("replicates", 2.5), ("replicates", nan),
+                         ("cv_folds", nan), ("total_m", nan),
+                         ("total_m", 60.5), ("fixed_majority", 2.5),
+                         ("seed", nan)):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SweepSpec(family="collect", **{field: value})
+    SweepSpec(family="collect", replicates=np.int64(3), seed=np.int32(1),
+              total_m=np.int64(60), grid=(np.int64(4), 20))
+    for family, kind in (("ssb_size", "ssb"), ("collect", "ssb"),
+                         ("decomposition", "ssb")):
+        with pytest.raises(ConfigError, match="grid point must be an int"):
+            SweepSpec(family=family, decomp_kind=kind, grid=(10, 20.5))
+    for family, kind in (("urb_ratio", "ssb"), ("decomposition", "urb")):
+        for bad in (nan, float("inf")):
+            with pytest.raises(ConfigError, match="ratio grid point must "
+                                                  "be finite"):
+                SweepSpec(family=family, decomp_kind=kind, grid=(0.2, bad))
 
 
 def test_pool_portion_above_one_reaches_the_grid_check(clf_ds):

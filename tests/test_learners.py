@@ -157,3 +157,11 @@ def test_scores_in_unit_interval():
 def test_non_finite_logreg_settings_rejected(name, value):
     with pytest.raises(ConfigError, match=name):
         Learner(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["max_iter", "max_depth", "min_leaf", "k"])
+@pytest.mark.parametrize("value", [2.5, float("nan"), 3.0, True])
+def test_non_integer_counts_rejected(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        Learner(**{name: value})
+    Learner(**{name: np.int64(3)})

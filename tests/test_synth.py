@@ -73,6 +73,15 @@ def test_spec_validation():
         SynthSpec(n=100, d=2, group1_share=0.5, seed=0, noise_sd=-1.0)
     with pytest.raises(ConfigError):
         SynthSpec(n=100, d=2, group1_share=0.5, seed=0, task="ranking")
+    for field, value in (("n", 100.5), ("d", float("nan")), ("seed", 1.5)):
+        spec = dict(n=100, d=2, group1_share=0.5, seed=0)
+        spec[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SynthSpec(**spec)
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        SynthSpec(n=100, d=2, group1_share=0.5, seed=-1)
+    SynthSpec(n=np.int64(100), d=np.int32(2), group1_share=0.5,
+              seed=np.uint64(3))
 
 
 def test_write_csv_roundtrip(tmp_path):
