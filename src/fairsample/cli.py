@@ -58,7 +58,7 @@ def _build_learner(raw):
 
 
 def _build_dataset(raw, seed):
-    """Returns (dataset, sha256 of the source, descriptor)."""
+    """Returns (dataset, sha256 of the source)."""
     if raw is None:
         raise ConfigError("config requires a 'dataset' section")
     _take(raw, ("csv", "schema", "synth"), "dataset")
@@ -73,7 +73,7 @@ def _build_dataset(raw, seed):
                 sraw[key] = tuple(sraw[key])
         sraw.setdefault("seed", seed)
         ds = generate(SynthSpec(**sraw))
-        return ds, ds.fingerprint(), "synth"
+        return ds, ds.fingerprint()
     if "csv" not in raw or "schema" not in raw:
         raise ConfigError("dataset requires both 'csv' and 'schema' paths")
     try:
@@ -86,7 +86,7 @@ def _build_dataset(raw, seed):
     ds = load_csv(raw["csv"], schema)
     with open(raw["csv"], "rb") as fh:
         sha = hashlib.sha256(fh.read()).hexdigest()
-    return ds, sha, raw["csv"]
+    return ds, sha
 
 
 def _build_sweep_spec(raw, learner, metrics, seed, family=None):
@@ -143,7 +143,7 @@ _RUNNERS = {
 
 def cmd_metrics(args):
     config, seed, out_dir = _prepare(args)
-    ds, sha, _src = _build_dataset(config.get("dataset"), seed)
+    ds, sha = _build_dataset(config.get("dataset"), seed)
     learner = _build_learner(config.get("learner"))
     learner.check_task(ds.task)
     metrics = task_metrics(ds.task, config.get("metrics") or ())
@@ -167,7 +167,7 @@ def cmd_metrics(args):
 
 def _run_sweep_family(args, family=None):
     config, seed, out_dir = _prepare(args)
-    ds, sha, _src = _build_dataset(config.get("dataset"), seed)
+    ds, sha = _build_dataset(config.get("dataset"), seed)
     learner = _build_learner(config.get("learner"))
     spec = _build_sweep_spec(config.get("sweep"), learner,
                              config.get("metrics"), seed, family)
@@ -195,7 +195,7 @@ def cmd_synth(args):
     _take(raw, ("synth",), "dataset")
     if "synth" not in raw:
         raise ConfigError("synth command requires dataset.synth")
-    ds, sha, _src = _build_dataset(raw, seed)
+    ds, sha = _build_dataset(raw, seed)
     csv_path = os.path.join(out_dir, "data.csv")
     schema_path = os.path.join(out_dir, "schema.json")
     write_csv(ds, csv_path, schema_path)

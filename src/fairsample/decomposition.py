@@ -22,7 +22,8 @@ SQUARED = "squared"
 ZERO_ONE = "zero_one"
 ABSOLUTE = "absolute"
 
-# conditioning subset per decomposable metric
+# conditioning subset per decomposable metric, in a decomposition sweep's
+# default order
 _CONDITIONING = {"MSE": "all", "ZOL": "all", "FPR": "y==0", "EO": "y==1"}
 # cost = offset + sign * (mean conditioned loss)
 _COST_AFFINE = {"MSE": (0, 1), "ZOL": (0, 1), "FPR": (0, 1), "EO": (1, -1)}

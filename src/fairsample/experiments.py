@@ -23,15 +23,15 @@ import csv
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import bias_estimators as be
 from .dataset import (CLASSIFICATION, REGRESSION, draw_from_pools,
                       holdout_split, population_ratio)
-from .decomposition import (SQUARED, ZERO_ONE, PredictionEnsemble,
-                            decompose_bias_gap)
+from .decomposition import (_CONDITIONING, SQUARED, ZERO_ONE,
+                            PredictionEnsemble, decompose_bias_gap)
 from .errors import ConfigError, DataError, check_integer
 from .group_metrics import (ALL_METRICS, disc_vector, model_costs,
                             task_metrics)
@@ -39,10 +39,6 @@ from .learners import Learner, fit_many
 
 FAMILIES = ("ssb_size", "urb_ratio", "decomposition", "collect")
 VARIANTS = ("minority_random", "majority_random", "minority_positive_only")
-
-CSV_COLUMNS = ["family", "grid_param", "grid_value", "metric", "estimator",
-               "mean", "stderr", "k_defined", "k_total", "bias_delta",
-               "netvar_delta", "group0_mean", "group1_mean"]
 
 
 @dataclass(frozen=True)
@@ -127,6 +123,10 @@ class SweepRow:
         return ["" if v is None else str(v) for v in values]
 
 
+# sweep.csv's header: SweepRow's fields, in order
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
+
+
 @dataclass
 class SweepResult:
     family: str
@@ -193,19 +193,16 @@ def _float(value, sign=1):
     return None if value is None else float(sign * value)
 
 
-# the metrics a decomposition sweep can decompose, in its default order
-_DECOMPOSABLE = ("ZOL", "FPR", "EO", "MSE")
-
-
 def _sweep_metrics(spec, task):
     """spec.metrics checked against the task, or the task's defaults; a
-    decomposition's defaults are the ones it can decompose."""
+    decomposition's defaults are the ones it can decompose, in the order
+    of its table."""
     metrics = task_metrics(task, spec.metrics)
     if spec.family == "decomposition":
         if not spec.metrics:
-            metrics = tuple(m for m in _DECOMPOSABLE if m in metrics)
+            metrics = tuple(m for m in _CONDITIONING if m in metrics)
         for metric in metrics:
-            if metric not in _DECOMPOSABLE:
+            if metric not in _CONDITIONING:
                 raise ConfigError(f"metric {metric} has no decomposition")
     return metrics
 
@@ -284,13 +281,12 @@ def _check_cells(pools, counts, spec):
 class Cell:
     """The K draws behind one grid point.
 
-    key is the grid value the family's task_seed hashes, counts the rows
-    a draw takes from each of the plan's pools, in pool order, and
-    replicate rep draws from the stream (seed, rep).  Grid points with
-    equal cells share one ensemble.
+    counts are the rows a draw takes from each of the plan's pools, in
+    pool order, and replicate rep draws from the stream (seed, rep); seed
+    is task_seed of the family's key for the point (_SEED_KEYS).  Grid
+    points with equal cells share one ensemble.
     """
 
-    key: object
     counts: tuple
     seed: int
 
@@ -374,10 +370,10 @@ def _resolve(ds, spec):
         else:
             ref = min(grid, key=lambda r: abs(r - ratio))
     _check_cells(pools, {g: counts[g] for g in grid}, spec)
-    cells = {}
-    for g in grid:
-        key = _SEED_KEYS[family](spec, g, counts[g])
-        cells[g] = Cell(key, counts[g], task_seed(spec.seed, family, key))
+    key = _SEED_KEYS[family]
+    cells = {g: Cell(counts[g], task_seed(spec.seed, family,
+                                          key(spec, g, counts[g])))
+             for g in grid}
     return _Plan(grid_param, grid, metrics, ratio, test, pool, pools, cells,
                  ref, dropped)
 

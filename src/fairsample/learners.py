@@ -15,8 +15,6 @@ import numpy as np
 from .dataset import CLASSIFICATION, REGRESSION
 from .errors import ConfigError, DataError, check_integer
 
-KINDS = ("logistic_regression", "decision_tree", "knn", "linear_regression")
-
 
 @dataclass(frozen=True)
 class Learner:
@@ -36,18 +34,21 @@ class Learner:
     ridge_jitter: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _FITTERS:
             raise ConfigError(f"unknown learner kind {self.kind!r}")
         for name in ("max_iter", "max_depth", "min_leaf", "k"):
             check_integer(name, getattr(self, name))
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be in (0, 1)")
         # an infinite learning rate never finds a step; NaN fits nothing
-        for name in ("l2", "learning_rate", "grad_tol"):
+        for name in ("l2", "learning_rate", "grad_tol", "ridge_jitter"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         if self.l2 < 0 or self.learning_rate <= 0 or self.max_iter < 1:
             raise ConfigError("invalid logistic regression hyperparameters")
+        if self.ridge_jitter <= 0:
+            # a singular Gram matrix would reach the solve unregularised
+            raise ConfigError("ridge_jitter must be > 0")
         if self.max_depth < 1 or self.min_leaf < 1:
             raise ConfigError("invalid decision tree hyperparameters")
         if self.k < 1:
@@ -104,11 +105,11 @@ def fit(learner, train):
 def fit_many(learner, samples):
     """One FittedModel per training sample, in order.
 
-    Single-class samples get a constant model; every other sample, whatever
-    its size, goes to the learner's fitter in one call.  Logistic
-    regression solves them all in one lockstep loop, so the draws of
-    several sweep cells make one solve; each model is bit-identical to a
-    fit of its sample alone.
+    The samples share one feature count.  Single-class samples get a
+    constant model; every other sample, whatever its size, goes to the
+    learner's fitter in one call.  Logistic regression solves them all in
+    one lockstep loop, so the draws of several sweep cells make one solve;
+    each model is bit-identical to a fit of its sample alone.
     """
     models = [None] * len(samples)
     idx = []
@@ -117,6 +118,10 @@ def fit_many(learner, samples):
             raise DataError("cannot fit on an empty training set")
         if train.X.shape[1] == 0:
             raise DataError("zero-feature input")
+        if train.X.shape[1] != samples[0].X.shape[1]:
+            raise DataError("fit_many takes samples of one feature count, "
+                            f"got {samples[0].X.shape[1]} and "
+                            f"{train.X.shape[1]}")
         if learner.task == CLASSIFICATION and len(np.unique(train.y)) < 2:
             # Single-class draws are common at very small m; a constant
             # model keeps sweeps running instead of crashing.
@@ -216,24 +221,13 @@ def _logreg_loss(z, w, flip, stacks, l2):
     return loss
 
 
-def _sq_norm(v):
-    """Squared Euclidean norm of each row.  vecdot is a ufunc, so the two
-    calls of a lockstep round skip einsum's Python-level dispatch."""
-    return np.vecdot(v, v)
-
-
-def _max_abs(grad):
-    """Largest |gradient| entry of each replicate."""
-    return np.maximum.reduce(np.abs(grad), axis=1)
-
-
 # float64 unit roundoff
 _U = 2.0 ** -53
 
 
 def _fit_logreg(learner, Xs, ys):
     """Gradient descent with backtracking, every sample in one lockstep
-    loop (one loop per feature count).
+    loop: the weights of each sample, in order, as params dicts.
 
     Every round tries one step for each live replicate.  A replicate
     accepts it when the loss does not rise, else halves its step; it
@@ -319,19 +313,8 @@ def _fit_logreg(learner, Xs, ys):
     the left side: it cannot overflow.  A NaN or an overflow anywhere
     fails the test, and the step takes the exact path.
     """
-    by_d = {}
-    for i, X in enumerate(Xs):
-        by_d.setdefault(X.shape[1], []).append(i)
-    out = [None] * len(Xs)
-    for idx in by_d.values():
-        ws = _lockstep(learner, [Xs[i] for i in idx], [ys[i] for i in idx])
-        for i, w in zip(idx, ws):
-            out[i] = {"w": w}
-    return out
-
-
-def _lockstep(learner, Xs, ys):
-    """_fit_logreg's weights of samples with one feature count, in order."""
+    if not Xs:
+        return []
     lr, l2, d = learner.learning_rate, learner.l2, Xs[0].shape[1]
     by_n = {}
     for i, X in enumerate(Xs):
@@ -368,7 +351,8 @@ def _lockstep(learner, Xs, ys):
     step = np.full(K, lr)
     accepted = np.zeros(K, dtype=int)
     out = np.empty((K, d + 1))
-    stop = (_max_abs(grad) < learner.grad_tol) | ~(step > 1e-12)
+    stop = ((np.maximum.reduce(np.abs(grad), axis=1) < learner.grad_tol)
+            | ~(step > 1e-12))
     while True:
         if stop.any():
             out[live[stop]] = w[stop]
@@ -384,10 +368,10 @@ def _lockstep(learner, Xs, ys):
             w, grad, slack, step, accepted, live, n, half_Lt, k0, k1, k2 = (
                 v[keep] for v in (w, grad, slack, step, accepted, live, n,
                                   half_Lt, k0, k1, k2))
-        g2 = np.minimum(_sq_norm(grad), 2.0 ** 960)
+        g2 = np.minimum(np.vecdot(grad, grad), 2.0 ** 960)
         w_new = w - step[:, None] * grad
         z_new, grad_new = _logreg_grad(w_new, stacks, y, n, l2, work)
-        q = np.sqrt(_sq_norm(w_new))
+        q = np.sqrt(np.vecdot(w_new, w_new))
         slack_new = (k2 * q + k1) * q + k0
         sure = (step * g2 * ((1.0 - 16 * _U) - step * half_Lt)
                 > slack + slack_new)
@@ -396,7 +380,8 @@ def _lockstep(learner, Xs, ys):
             accepted += 1
             step.fill(lr)  # above 1e-12, or no replicate would be live
             stop = ((accepted >= learner.max_iter)
-                    | (_max_abs(grad) < learner.grad_tol))
+                    | (np.maximum.reduce(np.abs(grad), axis=1)
+                       < learner.grad_tol))
         else:
             # the bound leaves a step open: compare computed losses
             ok = (_logreg_loss(z_new, w_new, flip, stacks, l2)
@@ -411,8 +396,9 @@ def _lockstep(learner, Xs, ys):
             # stops
             stop = ~(step > 1e-12) | (ok & (
                 (accepted >= learner.max_iter)
-                | (_max_abs(grad) < learner.grad_tol)))
-    return list(out)
+                | (np.maximum.reduce(np.abs(grad), axis=1)
+                   < learner.grad_tol)))
+    return [{"w": w} for w in out]
 
 
 def _score_logreg(params, X):
@@ -456,70 +442,52 @@ def _best_split(X, y, min_leaf):
     return best
 
 
-def _build_tree(X, y, depth, learner):
-    n = len(y)
-    mean = float(y.mean())
-    if (depth >= learner.max_depth or n < 2 * learner.min_leaf
-            or mean in (0.0, 1.0)):
-        return {"leaf": mean}
-    split = _best_split(X, y, learner.min_leaf)
-    if split is None:
-        return {"leaf": mean}
-    _, j, thr = split
-    left = X[:, j] <= thr
-    if left.all() or not left.any():
-        return {"leaf": mean}
-    return {
-        "feature": j,
-        "threshold": thr,
-        "left": _build_tree(X[left], y[left], depth + 1, learner),
-        "right": _build_tree(X[~left], y[~left], depth + 1, learner),
-    }
-
-
 def _fit_tree(learner, X, y):
-    return {"tree": _build_tree(X, y, 0, learner)}
+    """Preorder node arrays (feature, threshold, left, right, and value,
+    each node's mean label) and the tree's height, each node appended as
+    the recursion reaches it.  A leaf points to itself on both sides, so a
+    row that reaches it early stays there while deeper rows descend."""
+    nodes = []
 
-
-def _flatten_tree(tree):
-    """Preorder node arrays (feature, threshold, left, right, value) and
-    the tree's height.  A leaf points to itself on both sides, so a row
-    that reaches it early stays there while deeper rows descend."""
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def add(node):
-        i = len(feature)
-        feature.append(node.get("feature", 0))
-        threshold.append(node.get("threshold", 0.0))
-        value.append(node.get("leaf", 0.0))
-        left.append(i)
-        right.append(i)
-        if "leaf" in node:
+    def grow(X, y, depth):
+        """Append the subtree of (X, y) at depth; return its height."""
+        i = len(nodes)
+        mean = float(y.mean())
+        nodes.append([0, 0.0, i, i, mean])
+        if (depth >= learner.max_depth or len(y) < 2 * learner.min_leaf
+                or mean in (0.0, 1.0)):
             return 0
-        left[i] = len(feature)
-        height = add(node["left"])
-        right[i] = len(feature)
-        return 1 + max(height, add(node["right"]))
+        split = _best_split(X, y, learner.min_leaf)
+        if split is None:
+            return 0
+        _, j, thr = split
+        go = X[:, j] <= thr
+        if go.all() or not go.any():
+            return 0
+        nodes[i][:3] = j, thr, i + 1
+        height = grow(X[go], y[go], depth + 1)
+        nodes[i][3] = len(nodes)
+        return 1 + max(height, grow(X[~go], y[~go], depth + 1))
 
-    height = add(tree)
-    return (np.array(feature), np.array(threshold), np.array(left),
-            np.array(right), np.array(value), height)
+    height = grow(X, y, 0)
+    names = ("feature", "threshold", "left", "right", "value")
+    return dict(zip(names, map(np.array, zip(*nodes))), height=height)
 
 
 def _score_tree(params, X):
     """Leaf value of each row, all rows descending one level per step.
 
     The same `<=` comparisons against the same thresholds as a walk of the
-    fitted dict one row at a time, so every row reaches the same leaf.
+    tree one row at a time, so every row reaches the same leaf.
     """
-    feature, threshold, left, right, value, height = _flatten_tree(
-        params["tree"])
+    feature, threshold = params["feature"], params["threshold"]
+    left, right = params["left"], params["right"]
     rows = np.arange(len(X))
     node = np.zeros(len(X), dtype=np.intp)
-    for _ in range(height):
+    for _ in range(params["height"]):
         go_left = X[rows, feature[node]] <= threshold[node]
         node = np.where(go_left, left[node], right[node])
-    return value[node]
+    return params["value"][node]
 
 
 # ---------------------------------------------------------------- knn
@@ -680,8 +648,8 @@ def _score_ols(params, X):
     return X @ w[:-1] + w[-1]
 
 
-# each takes the features and labels of K samples of one shape and returns
-# K params dicts
+# the learner kinds; each takes the features and labels of K samples of one
+# feature count and returns K params dicts
 _FITTERS = {
     "logistic_regression": _fit_logreg,
     "decision_tree": _each(_fit_tree),

@@ -36,6 +36,11 @@ class SynthSpec:
             raise ConfigError("seed must be non-negative")
         if self.n < 4 or self.d < 1:
             raise ConfigError("degenerate synthetic spec: need n >= 4, d >= 1")
+        # NaN passes the comparisons below; NaN or inf would reach the data
+        for name in ("group1_share", "intercept_a0", "intercept_a1",
+                     "noise_sd", "mean_shift", "coef"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite")
         if not 0.0 < self.group1_share < 1.0:
             raise ConfigError("group1_share must be in (0, 1)")
         if self.group1_share * self.n < 2:

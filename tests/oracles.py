@@ -1,14 +1,14 @@
 """Reference implementations: the stratified holdout split one row at a
 time, the two samplers the sweep families drew with before they shared
 one draw primitive, logistic-regression fitting one sample at a time, per-row kNN and
-tree scoring, the exact zero-one decomposition one point at a time, and
-brute-force group metrics (one model and one group at a time) and
-decompositions.
+tree scoring, a decision tree fitted as a nested dict, the exact zero-one
+decomposition one point at a time, and brute-force group metrics (one
+model and one group at a time) and decompositions.
 
 These are the straightforward loops the library's array code must match
 exactly: one stratum key per row, one gradient-descent loop per training
-sample, one stable argsort per query row, one walk of the fitted tree dict
-per query row, one ``Fraction`` per evaluation point.  Tests compare against them with
+sample, one stable argsort per query row, one dict per tree node and one
+walk of it per query row, one ``Fraction`` per evaluation point.  Tests compare against them with
 ``np.array_equal`` and ``==`` on ``Fraction``s, and can monkeypatch them
 in for an end-to-end byte comparison.
 """
@@ -24,6 +24,7 @@ from fairsample.decomposition import (_COST_AFFINE, _CONDITIONING, SQUARED,
                                       _subset_mask, decompose_points)
 from fairsample.errors import ConfigError, DataError
 from fairsample.group_metrics import ALL_METRICS, GroupCostReport
+from fairsample.learners import _best_split
 
 _ORACLE_N_CAP = 500
 
@@ -118,7 +119,7 @@ def _collect_sampler(pool, spec, max_n1):
         rng = np.random.default_rng(np.random.SeedSequence((cell.seed, rep)))
         take_fixed = rng.choice(fixed_pool, size=spec.fixed_majority,
                                 replace=spec.with_replacement)
-        take_grow = rng.choice(grow_pool, size=cell.key[1],
+        take_grow = rng.choice(grow_pool, size=cell.counts[1],
                                replace=spec.with_replacement)
         return pool.subset(np.sort(np.concatenate([take_fixed, take_grow])))
     return sample
@@ -189,6 +190,37 @@ def score_knn(params, X):
         nn = np.argsort(d2, kind="stable")[:k]
         out[i] = yt[nn].mean()
     return out
+
+
+def _build_tree(X, y, depth, learner):
+    n = len(y)
+    mean = float(y.mean())
+    if (depth >= learner.max_depth or n < 2 * learner.min_leaf
+            or mean in (0.0, 1.0)):
+        return {"leaf": mean}
+    split = _best_split(X, y, learner.min_leaf)
+    if split is None:
+        return {"leaf": mean}
+    _, j, thr = split
+    left = X[:, j] <= thr
+    if left.all() or not left.any():
+        return {"leaf": mean}
+    return {
+        "feature": j,
+        "threshold": thr,
+        "left": _build_tree(X[left], y[left], depth + 1, learner),
+        "right": _build_tree(X[~left], y[~left], depth + 1, learner),
+    }
+
+
+def fit_tree(learner, X, y):
+    """A decision tree as a nested dict, built by recursion."""
+    return {"tree": _build_tree(X, y, 0, learner)}
+
+
+def fit_tree_each(learner, Xs, ys):
+    """fit_tree behind the library's many-sample fitter interface."""
+    return [fit_tree(learner, X, y) for X, y in zip(Xs, ys)]
 
 
 def score_tree_one(node, x):

@@ -222,6 +222,18 @@ def test_metrics_of_the_other_task_exit_2(tmp_path, capsys, dataset,
     assert not (out / "metrics.csv").exists()
 
 
+def test_nan_noise_sd_exit_2(tmp_path, capsys):
+    # json reads NaN; it would make every regression target NaN and the
+    # metrics run write MSE,nan,nan,nan with exit 0
+    synth = {"synth": {**REG_SYNTH["synth"], "noise_sd": float("nan")}}
+    cfg = write_config(tmp_path, {
+        "dataset": synth, "learner": {"kind": "linear_regression"}})
+    out = tmp_path / "o"
+    assert main(["metrics", "--config", cfg, "--out", str(out)]) == 2
+    assert "noise_sd must be finite" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_negative_collect_grid_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],

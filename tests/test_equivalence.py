@@ -1,7 +1,8 @@
 """The array implementations of the holdout split, the sweep draws,
-logistic-regression fitting, kNN scoring, tree scoring, the group metrics
-and the exact zero-one decomposition against the per-sample / per-row /
-per-model / per-point loops and the per-family samplers in oracles.py."""
+logistic-regression fitting, kNN scoring, tree fitting and scoring, the
+group metrics and the exact zero-one decomposition against the
+per-sample / per-row / per-model / per-point loops and the per-family
+samplers in oracles.py."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -84,6 +85,10 @@ def test_logreg_fit_many_of_mixed_sizes_matches_one_sample_oracle(
     if single_class:
         samples[rng.integers(len(samples))].y[:] = float(rng.integers(2))
     learner = Learner(learning_rate=learning_rate, max_iter=max_iter)
+    if other_d:
+        with pytest.raises(DataError, match="one feature count"):
+            learners.fit_many(learner, samples)
+        return
     models = learners.fit_many(learner, samples)
     for model, s in zip(models, samples):
         if len(np.unique(s.y)) < 2:
@@ -371,17 +376,32 @@ def test_tree_predict_matches_per_row_oracle(d, n_train, max_depth, min_leaf,
     y = rng.integers(0, 2, n_train).astype(float)
     if single_class:
         y[:] = y[0]
-    model = fit(Learner("decision_tree", max_depth=max_depth,
-                        min_leaf=min_leaf),
-                Dataset(X, y, np.zeros(n_train, dtype=int),
-                        np.arange(n_train)))
+    learner = Learner("decision_tree", max_depth=max_depth,
+                      min_leaf=min_leaf)
+    model = fit(learner, Dataset(X, y, np.zeros(n_train, dtype=int),
+                                 np.arange(n_train)))
     # halves of the grid: thresholds are midpoints of grid values, so
     # queries land exactly on them as well as on both sides
     Xq = rng.integers(-2 * levels - 2, 2 * levels + 3, (50, d)) / 2.0
     scores, labels = model.predict(Xq)
-    expected = oracles.score_tree(model.params, Xq)
+    expected = oracles.score_tree(oracles.fit_tree(learner, X, y), Xq)
     assert np.array_equal(scores, expected)
     assert np.array_equal(labels, (expected >= 0.5).astype(float))
+    if "constant" in model.params:
+        return
+    # preorder node arrays: exactly the leaves point to themselves, an
+    # internal node's left child is the next node, and height is the
+    # deepest leaf's depth
+    p = model.params
+    nodes = np.arange(len(p["value"]))
+    leaf = (p["left"] == nodes) & (p["right"] == nodes)
+    assert np.all((p["left"] == nodes) == leaf)
+    assert np.all((p["right"] == nodes) == leaf)
+    assert np.array_equal(p["left"][~leaf], nodes[~leaf] + 1)
+    depth = np.zeros(len(nodes), dtype=int)
+    for i in nodes[~leaf]:
+        depth[[p["left"][i], p["right"][i]]] = depth[i] + 1
+    assert p["height"] == depth[leaf].max()
 
 
 @st.composite
@@ -558,6 +578,8 @@ def test_tree_collect_sweep_matches_oracle_bytewise(tmp_path, monkeypatch):
                      learner=Learner("decision_tree", min_leaf=2))
     path = tmp_path / "sweep.csv"
     before = _sweep_csv_bytes(run_collect_sim, ds, spec, path)
+    monkeypatch.setitem(learners._FITTERS, "decision_tree",
+                        oracles.fit_tree_each)
     monkeypatch.setitem(learners._SCORERS, "decision_tree",
                         oracles.score_tree)
     assert _sweep_csv_bytes(run_collect_sim, ds, spec, path) == before

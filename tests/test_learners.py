@@ -90,7 +90,7 @@ def test_tree_deterministic_tie_break():
     X = np.column_stack([x, x])
     y = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     model = fit(Learner("decision_tree", min_leaf=2), make_ds(X, y))
-    assert model.params["tree"]["feature"] == 0
+    assert model.params["feature"][0] == 0
 
 
 def test_knn_distance_tie_lower_row_index():
@@ -152,11 +152,19 @@ def test_scores_in_unit_interval():
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
 
 
-@pytest.mark.parametrize("name", ["learning_rate", "l2", "grad_tol"])
+@pytest.mark.parametrize("name", ["learning_rate", "l2", "grad_tol",
+                                  "ridge_jitter"])
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_non_finite_logreg_settings_rejected(name, value):
     with pytest.raises(ConfigError, match=name):
         Learner(**{name: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_non_positive_ridge_jitter_rejected(value):
+    # a zero jitter would hand a singular Gram matrix to the solve as is
+    with pytest.raises(ConfigError, match="ridge_jitter"):
+        Learner("linear_regression", ridge_jitter=value)
 
 
 @pytest.mark.parametrize("name", ["max_iter", "max_depth", "min_leaf", "k"])

@@ -80,6 +80,15 @@ def test_spec_validation():
             SynthSpec(**spec)
     with pytest.raises(ConfigError, match="seed must be non-negative"):
         SynthSpec(n=100, d=2, group1_share=0.5, seed=-1)
+    nan, inf = float("nan"), float("inf")
+    for field, value in (("group1_share", nan), ("intercept_a0", inf),
+                         ("intercept_a1", nan), ("noise_sd", nan),
+                         ("noise_sd", inf), ("mean_shift", (inf, 0.0)),
+                         ("coef", (nan, 1.0))):
+        spec = dict(n=100, d=2, group1_share=0.5, seed=0)
+        spec[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SynthSpec(**spec)
     SynthSpec(n=np.int64(100), d=np.int32(2), group1_share=0.5,
               seed=np.uint64(3))
 
