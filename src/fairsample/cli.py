@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .dataset import Schema, holdout_split, load_csv, population_ratio
 from .errors import (ConfigError, DataError, FairsampleError,
-                     check_integer)
+                     check_integer, check_real)
 from .experiments import (SweepSpec, run_collect_sim, run_decomposition_sweep,
                           run_ssb_sweep, run_urb_sweep)
 from .group_metrics import disc_vector, task_metrics
@@ -50,6 +50,20 @@ _TOP_KEYS = ("dataset", "learner", "metrics", "sweep", "seed", "threads",
              "output_dir", "test_fraction")
 
 
+def _as_tuple(raw, key):
+    """raw[key], a JSON list, as a tuple."""
+    if not isinstance(raw[key], list):
+        raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
+    return tuple(raw[key])
+
+
+def _metrics(config):
+    """The config's metrics as a tuple; absent or null means none."""
+    if config.get("metrics") is None:
+        return ()
+    return _as_tuple(config, "metrics")
+
+
 def _build_learner(raw):
     raw = dict(raw or {})
     fields = {f.name for f in dataclasses.fields(Learner)}
@@ -66,12 +80,16 @@ def _build_dataset(raw, seed):
         if "csv" in raw or "schema" in raw:
             raise ConfigError("dataset: give either csv+schema or synth")
         sraw = dict(raw["synth"])
-        fields = {f.name for f in dataclasses.fields(SynthSpec)}
-        _take(sraw, fields, "dataset.synth")
+        fields = dataclasses.fields(SynthSpec)
+        _take(sraw, {f.name for f in fields}, "dataset.synth")
         for key in ("mean_shift", "coef"):
             if key in sraw:
-                sraw[key] = tuple(sraw[key])
+                sraw[key] = _as_tuple(sraw, key)
         sraw.setdefault("seed", seed)
+        missing = [f.name for f in fields if f.name not in sraw
+                   and f.default is dataclasses.MISSING]
+        if missing:
+            raise ConfigError(f"dataset.synth requires {missing}")
         ds = generate(SynthSpec(**sraw))
         return ds, ds.fingerprint()
     if "csv" not in raw or "schema" not in raw:
@@ -84,9 +102,11 @@ def _build_dataset(raw, seed):
     if not os.path.exists(raw["csv"]):
         raise DataError(f"dataset file not found: {raw['csv']}")
     ds = load_csv(raw["csv"], schema)
+    sha = hashlib.sha256()
     with open(raw["csv"], "rb") as fh:
-        sha = hashlib.sha256(fh.read()).hexdigest()
-    return ds, sha
+        while chunk := fh.read(1 << 20):
+            sha.update(chunk)
+    return ds, sha.hexdigest()
 
 
 def _build_sweep_spec(raw, learner, metrics, seed, family=None):
@@ -98,9 +118,9 @@ def _build_sweep_spec(raw, learner, metrics, seed, family=None):
     if "family" not in raw:
         raise ConfigError("sweep config requires 'family'")
     if "grid" in raw:
-        raw["grid"] = tuple(raw["grid"])
+        raw["grid"] = _as_tuple(raw, "grid")
     raw.setdefault("seed", seed)
-    return SweepSpec(learner=learner, metrics=tuple(metrics or ()), **raw)
+    return SweepSpec(learner=learner, metrics=metrics, **raw)
 
 
 def _write_manifest(path, config, seed, dataset_sha, pop_ratio,
@@ -146,8 +166,9 @@ def cmd_metrics(args):
     ds, sha = _build_dataset(config.get("dataset"), seed)
     learner = _build_learner(config.get("learner"))
     learner.check_task(ds.task)
-    metrics = task_metrics(ds.task, config.get("metrics") or ())
-    test_fraction = float(config.get("test_fraction", 0.3))
+    metrics = task_metrics(ds.task, _metrics(config))
+    test_fraction = config.get("test_fraction", 0.3)
+    check_real("test_fraction", test_fraction)
     pool, test = holdout_split(ds, test_fraction, seed)
     model = fit(learner, pool)
     scores, labels = model.predict(test.X)
@@ -169,8 +190,8 @@ def _run_sweep_family(args, family=None):
     config, seed, out_dir = _prepare(args)
     ds, sha = _build_dataset(config.get("dataset"), seed)
     learner = _build_learner(config.get("learner"))
-    spec = _build_sweep_spec(config.get("sweep"), learner,
-                             config.get("metrics"), seed, family)
+    spec = _build_sweep_spec(config.get("sweep"), learner, _metrics(config),
+                             seed, family)
     result = _RUNNERS[spec.family](ds, spec)
     rows = result.write_csv(os.path.join(out_dir, "sweep.csv"))
     if result.bias_rows:

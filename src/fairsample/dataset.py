@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -135,12 +136,20 @@ class SamplingPlan:
             raise ConfigError("seed must be a non-negative integer")
 
 
+# Rows decoded per block: a load holds one block of cells as text, and the
+# rest of the file only as encoded arrays.
+_BLOCK_ROWS = 512
+
+
 def load_csv(path, schema):
     """Load and encode a CSV file per the schema.
 
     Categorical features are one-hot encoded with one indicator per level;
     numeric features are standardized over the full file.  Target and
-    sensitive columns are mapped to {0,1}.
+    sensitive columns are mapped to {0,1}.  The file is read in blocks of
+    rows; a row too short for the schema's columns raises at once, and the
+    column checks raise after the read in the order sensitive, target,
+    features, each naming the column's first bad row.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -148,46 +157,38 @@ def load_csv(path, schema):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file")
-        rows = [r for r in reader if r]
-
-    col = {name: i for i, name in enumerate(header)}
-    needed = [schema.target, schema.sensitive] + [n for n, _ in schema.features]
-    for name in needed:
-        if name not in col:
-            raise DataError(f"missing column {name!r}")
-    if not rows:
+        col = {name: i for i, name in enumerate(header)}
+        needed = ([schema.target, schema.sensitive]
+                  + [n for n, _ in schema.features])
+        for name in needed:
+            if name not in col:
+                raise DataError(f"missing column {name!r}")
+        need = max(col[name] for name in needed) + 1
+        numeric = {n for n, kind in schema.features if kind == NUMERIC}
+        if schema.task == REGRESSION:
+            numeric.add(schema.target)
+        columns = {name: _NumericColumn(name) if name in numeric
+                   else _TextColumn(name) for name in needed}
+        n = 0
+        # a block of blank lines is not the end of the file
+        while chunk := list(itertools.islice(reader, _BLOCK_ROWS)):
+            block = [r for r in chunk if r]
+            if not block:
+                continue
+            if min(map(len, block)) < need:
+                r, row = next((r, row) for r, row in enumerate(block)
+                              if len(row) < need)
+                raise DataError(f"row {n + r + 1} has {len(row)} fields, the "
+                                f"schema's columns need {need}")
+            cells = list(zip(*block))
+            for name, column in columns.items():
+                column.add(cells[col[name]], n)
+            n += len(block)
+    if not n:
         raise DataError(f"{path}: no data rows")
-    need = max(col[name] for name in needed) + 1
-    if min(map(len, rows)) < need:
-        r = next(r for r, row in enumerate(rows) if len(row) < need)
-        raise DataError(f"row {r + 1} has {len(rows[r])} fields, the "
-                        f"schema's columns need {need}")
-
-    def column(name):
-        i = col[name]
-        vals = [row[i].strip() for row in rows]
-        if "" in vals:
-            raise DataError(f"missing value in column {name!r}, row "
-                            f"{vals.index('') + 1}")
-        return vals
-
-    def numeric(name):
-        # float() strips the whitespace str.strip() does, so the raw cells
-        # give column()'s values; a column that fails is walked cell by
-        # cell to name its first bad row
-        i = col[name]
-        try:
-            x = np.array([float(row[i]) for row in rows])
-        except ValueError:
-            x = None
-        if x is None or not np.isfinite(x).all():
-            x = np.array([_parse_float(v, name, r)
-                          for r, v in enumerate(column(name))])
-        return x
 
     # sensitive -> group vector
-    svals = column(schema.sensitive)
-    levels = sorted(set(svals))
+    levels, codes = columns[schema.sensitive].levels()
     if len(levels) != 2:
         raise DataError(
             f"sensitive not binary: column {schema.sensitive!r} has "
@@ -196,13 +197,11 @@ def load_csv(path, schema):
         raise DataError(
             f"privileged value {schema.privileged_value!r} not present in "
             f"column {schema.sensitive!r}")
-    a = (np.array(svals, dtype=object)
-         != schema.privileged_value).astype(int)
+    a = (codes != levels.index(schema.privileged_value)).astype(int)
 
     # target
     if schema.task == CLASSIFICATION:
-        tvals = column(schema.target)
-        tlevels = sorted(set(tvals))
+        tlevels, tcodes = columns[schema.target].levels()
         if len(tlevels) != 2:
             raise DataError(
                 f"target not binary: {len(tlevels)} distinct values")
@@ -210,17 +209,16 @@ def load_csv(path, schema):
             raise DataError(
                 f"positive label {schema.positive_label!r} not present in "
                 f"column {schema.target!r}")
-        y = (np.array(tvals, dtype=object)
-             == schema.positive_label).astype(float)
+        y = (tcodes == tlevels.index(schema.positive_label)).astype(float)
     else:
-        y = numeric(schema.target)
+        y = columns[schema.target].values()
 
     # features
     blocks = []
     names = []
     for name, kind in schema.features:
         if kind == NUMERIC:
-            x = numeric(name)
+            x = columns[name].values()
             mu = x.mean()
             sd = x.std(ddof=1) if len(x) > 1 else 0.0
             if sd > 0:
@@ -230,12 +228,9 @@ def load_csv(path, schema):
             blocks.append(x[:, None])
             names.append(name)
         else:
-            vals = column(name)
-            flevels = sorted(set(vals))
-            idx = {lv: j for j, lv in enumerate(flevels)}
-            onehot = np.zeros((len(vals), len(flevels)))
-            for r, v in enumerate(vals):
-                onehot[r, idx[v]] = 1.0
+            flevels, fcodes = columns[name].levels()
+            onehot = np.zeros((n, len(flevels)))
+            onehot[np.arange(n), fcodes] = 1.0
             blocks.append(onehot)
             names.extend(f"{name}={lv}" for lv in flevels)
 
@@ -247,7 +242,87 @@ def load_csv(path, schema):
         if not np.any(a == group):
             raise DataError(f"empty group: no rows with group a{group}")
 
-    return Dataset(X, y, a, np.arange(len(rows)), tuple(names), schema.task)
+    return Dataset(X, y, a, np.arange(n), tuple(names), schema.task)
+
+
+def _missing(name, row):
+    return DataError(f"missing value in column {name!r}, row {row + 1}")
+
+
+class _TextColumn:
+    """A string column read block by block: its stripped cells as integer
+    codes, in order of first appearance, and the first empty cell's row."""
+
+    def __init__(self, name):
+        self.name = name
+        self.code = {}
+        self.codes = []
+        self.missing = None
+
+    def add(self, cells, start):
+        vals = list(map(str.strip, cells))
+        code = self.code
+        for v in set(vals).difference(code):
+            code[v] = len(code)
+        if self.missing is None and "" in code:
+            self.missing = start + vals.index("")
+        self.codes.append(np.fromiter(map(code.__getitem__, vals), np.intp,
+                                      len(vals)))
+
+    def levels(self):
+        """(sorted levels, each row's index into them)."""
+        if self.missing is not None:
+            raise _missing(self.name, self.missing)
+        levels = sorted(self.code)
+        rank = np.empty(len(levels), np.intp)
+        rank[[self.code[v] for v in levels]] = np.arange(len(levels))
+        return levels, rank[np.concatenate(self.codes)]
+
+
+class _NumericColumn:
+    """A numeric column read block by block.
+
+    numpy parses each block's raw cells with Python's float(), which
+    accepts the padding str.strip() removes except ASCII separators such
+    as \x1c.  A block that fails, or holds a non-finite value, is stripped
+    and parsed cell by cell to find its first empty and first bad cell; an
+    empty cell anywhere outranks a bad one.
+    """
+
+    def __init__(self, name):
+        self.name = name
+        self.parts = []
+        self.missing = None
+        self.error = None
+
+    def add(self, cells, start):
+        if self.missing is not None:
+            return
+        try:
+            x = np.array(cells, dtype=np.float64)
+        except ValueError:
+            x = None
+        if x is None or not np.isfinite(x).all():
+            vals = list(map(str.strip, cells))
+            if "" in vals:
+                self.missing = start + vals.index("")
+                return
+            if self.error is not None:
+                return
+            try:
+                x = np.array([_parse_float(v, self.name, start + r)
+                              for r, v in enumerate(vals)])
+            except DataError as exc:
+                self.error = str(exc)
+                return
+        self.parts.append(x)
+
+    def values(self):
+        if self.missing is not None:
+            raise _missing(self.name, self.missing)
+        if self.error is not None:
+            raise DataError(self.error)
+        return np.concatenate(self.parts)
 
 
 def _parse_float(v, name, row):

@@ -25,3 +25,10 @@ def check_integer(name, value):
     or numpy int, not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name, value):
+    """Raise a ConfigError naming value unless it is a real number (a
+    Python or numpy int or float, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")

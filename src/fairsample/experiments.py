@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,7 +31,7 @@ from .dataset import (CLASSIFICATION, REGRESSION, draw_from_pools,
                       holdout_split, population_ratio)
 from .decomposition import (_CONDITIONING, SQUARED, ZERO_ONE,
                             PredictionEnsemble, decompose_bias_gap)
-from .errors import ConfigError, DataError, check_integer
+from .errors import ConfigError, DataError, check_integer, check_real
 from .group_metrics import (ALL_METRICS, disc_vector, model_costs,
                             task_metrics)
 from .learners import Learner, fit_many
@@ -71,12 +70,16 @@ class SweepSpec:
         for name in ("replicates", "seed", "total_m", "fixed_majority",
                      "cv_folds"):
             check_integer(name, getattr(self, name))
+        for name in ("test_fraction", "pool_portion"):
+            check_real(name, getattr(self, name))
         ratios = self.family == "urb_ratio" or (
             self.family == "decomposition" and self.decomp_kind == "urb")
         for p in self.grid:
             if not ratios:
                 check_integer("grid point", p)
-            elif not (isinstance(p, numbers.Real) and math.isfinite(p)):
+                continue
+            check_real("ratio grid point", p)
+            if not math.isfinite(p):
                 raise ConfigError(f"ratio grid point must be finite, "
                                   f"got {p!r}")
         g = list(self.grid)

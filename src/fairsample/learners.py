@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASSIFICATION, REGRESSION
-from .errors import ConfigError, DataError, check_integer
+from .errors import ConfigError, DataError, check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,9 @@ class Learner:
             raise ConfigError(f"unknown learner kind {self.kind!r}")
         for name in ("max_iter", "max_depth", "min_leaf", "k"):
             check_integer(name, getattr(self, name))
+        for name in ("threshold", "l2", "learning_rate", "grad_tol",
+                     "ridge_jitter"):
+            check_real(name, getattr(self, name))
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be in (0, 1)")
         # an infinite learning rate never finds a step; NaN fits nothing

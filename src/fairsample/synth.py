@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASSIFICATION, REGRESSION, Dataset
-from .errors import ConfigError, check_integer
+from .errors import ConfigError, check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,12 @@ class SynthSpec:
             raise ConfigError("seed must be non-negative")
         if self.n < 4 or self.d < 1:
             raise ConfigError("degenerate synthetic spec: need n >= 4, d >= 1")
+        for name in ("group1_share", "intercept_a0", "intercept_a1",
+                     "noise_sd"):
+            check_real(name, getattr(self, name))
+        for name in ("mean_shift", "coef"):
+            for v in getattr(self, name):
+                check_real(name, v)
         # NaN passes the comparisons below; NaN or inf would reach the data
         for name in ("group1_share", "intercept_a0", "intercept_a1",
                      "noise_sd", "mean_shift", "coef"):

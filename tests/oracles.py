@@ -1,23 +1,27 @@
-"""Reference implementations: the stratified holdout split one row at a
-time, the two samplers the sweep families drew with before they shared
-one draw primitive, logistic-regression fitting one sample at a time, per-row kNN and
-tree scoring, a decision tree fitted as a nested dict, the exact zero-one
-decomposition one point at a time, and brute-force group metrics (one
-model and one group at a time) and decompositions.
+"""Reference implementations: the CSV loader that holds the whole table
+as strings, the stratified holdout split one row at a time, the two
+samplers the sweep families drew with before they shared one draw
+primitive, logistic-regression fitting one sample at a time, per-row kNN
+and tree scoring, a decision tree fitted as a nested dict, the exact
+zero-one decomposition one point at a time, and brute-force group metrics
+(one model and one group at a time) and decompositions.
 
 These are the straightforward loops the library's array code must match
-exactly: one stratum key per row, one gradient-descent loop per training
-sample, one stable argsort per query row, one dict per tree node and one
-walk of it per query row, one ``Fraction`` per evaluation point.  Tests compare against them with
+exactly: one list of cells per CSV row, one stratum key per row, one
+gradient-descent loop per training sample, one stable argsort per query
+row, one dict per tree node and one walk of it per query row, one
+``Fraction`` per evaluation point.  Tests compare against them with
 ``np.array_equal`` and ``==`` on ``Fraction``s, and can monkeypatch them
 in for an end-to-end byte comparison.
 """
 
+import csv
 from fractions import Fraction
 
 import numpy as np
 
-from fairsample.dataset import CLASSIFICATION, SamplingPlan
+from fairsample.dataset import (CLASSIFICATION, NUMERIC, Dataset,
+                                SamplingPlan, _parse_float)
 from fairsample.decomposition import (_COST_AFFINE, _CONDITIONING, SQUARED,
                                       ZERO_ONE, DecompositionReport,
                                       SdBoundsReport, _majority_labels,
@@ -27,6 +31,121 @@ from fairsample.group_metrics import ALL_METRICS, GroupCostReport
 from fairsample.learners import _best_split
 
 _ORACLE_N_CAP = 500
+
+
+def load_csv(path, schema):
+    """Load and encode a CSV file per the schema.
+
+    Categorical features are one-hot encoded with one indicator per level;
+    numeric features are standardized over the full file.  Target and
+    sensitive columns are mapped to {0,1}.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file")
+        rows = [r for r in reader if r]
+
+    col = {name: i for i, name in enumerate(header)}
+    needed = [schema.target, schema.sensitive] + [n for n, _ in schema.features]
+    for name in needed:
+        if name not in col:
+            raise DataError(f"missing column {name!r}")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    need = max(col[name] for name in needed) + 1
+    if min(map(len, rows)) < need:
+        r = next(r for r, row in enumerate(rows) if len(row) < need)
+        raise DataError(f"row {r + 1} has {len(rows[r])} fields, the "
+                        f"schema's columns need {need}")
+
+    def column(name):
+        i = col[name]
+        vals = [row[i].strip() for row in rows]
+        if "" in vals:
+            raise DataError(f"missing value in column {name!r}, row "
+                            f"{vals.index('') + 1}")
+        return vals
+
+    def numeric(name):
+        # float() strips the whitespace str.strip() does, so the raw cells
+        # give column()'s values; a column that fails is walked cell by
+        # cell to name its first bad row
+        i = col[name]
+        try:
+            x = np.array([float(row[i]) for row in rows])
+        except ValueError:
+            x = None
+        if x is None or not np.isfinite(x).all():
+            x = np.array([_parse_float(v, name, r)
+                          for r, v in enumerate(column(name))])
+        return x
+
+    # sensitive -> group vector
+    svals = column(schema.sensitive)
+    levels = sorted(set(svals))
+    if len(levels) != 2:
+        raise DataError(
+            f"sensitive not binary: column {schema.sensitive!r} has "
+            f"{len(levels)} distinct values {levels[:5]}")
+    if schema.privileged_value not in levels:
+        raise DataError(
+            f"privileged value {schema.privileged_value!r} not present in "
+            f"column {schema.sensitive!r}")
+    a = (np.array(svals, dtype=object)
+         != schema.privileged_value).astype(int)
+
+    # target
+    if schema.task == CLASSIFICATION:
+        tvals = column(schema.target)
+        tlevels = sorted(set(tvals))
+        if len(tlevels) != 2:
+            raise DataError(
+                f"target not binary: {len(tlevels)} distinct values")
+        if schema.positive_label not in tlevels:
+            raise DataError(
+                f"positive label {schema.positive_label!r} not present in "
+                f"column {schema.target!r}")
+        y = (np.array(tvals, dtype=object)
+             == schema.positive_label).astype(float)
+    else:
+        y = numeric(schema.target)
+
+    # features
+    blocks = []
+    names = []
+    for name, kind in schema.features:
+        if kind == NUMERIC:
+            x = numeric(name)
+            mu = x.mean()
+            sd = x.std(ddof=1) if len(x) > 1 else 0.0
+            if sd > 0:
+                x = (x - mu) / sd
+            else:
+                x = np.zeros_like(x)
+            blocks.append(x[:, None])
+            names.append(name)
+        else:
+            vals = column(name)
+            flevels = sorted(set(vals))
+            idx = {lv: j for j, lv in enumerate(flevels)}
+            onehot = np.zeros((len(vals), len(flevels)))
+            for r, v in enumerate(vals):
+                onehot[r, idx[v]] = 1.0
+            blocks.append(onehot)
+            names.extend(f"{name}={lv}" for lv in flevels)
+
+    if not blocks:
+        raise DataError("schema declares no feature columns")
+    X = np.hstack(blocks)
+
+    for group in (0, 1):
+        if not np.any(a == group):
+            raise DataError(f"empty group: no rows with group a{group}")
+
+    return Dataset(X, y, a, np.arange(len(rows)), tuple(names), schema.task)
 
 
 def holdout_split(ds, test_fraction, seed):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -234,6 +235,48 @@ def test_nan_noise_sd_exit_2(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+SSB = {"family": "ssb_size", "grid": [20, 50], "replicates": 3}
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("metrics", {"dataset": {"synth": {**REG_SYNTH["synth"],
+                                       "noise_sd": "high"}},
+                 "learner": {"kind": "linear_regression"}, "metrics": None},
+     "noise_sd must be a real number, got 'high'"),
+    ("metrics", {"learner": {"kind": "logistic_regression", "l2": "x"}},
+     "l2 must be a real number, got 'x'"),
+    ("metrics", {"learner": {**TREE, "threshold": "x"}},
+     "threshold must be a real number, got 'x'"),
+    ("metrics", {"test_fraction": "x"},
+     "test_fraction must be a real number, got 'x'"),
+    ("sweep", {"sweep": {**SSB, "test_fraction": "x"}},
+     "test_fraction must be a real number, got 'x'"),
+    ("sweep", {"sweep": {**SSB, "pool_portion": "x"}},
+     "pool_portion must be a real number, got 'x'"),
+    ("sweep", {"sweep": {**SSB, "grid": 5}}, "grid must be a list, got 5"),
+    ("sweep", {"sweep": SSB, "metrics": "SD"},
+     "metrics must be a list, got 'SD'"),
+    ("metrics", {"metrics": 5}, "metrics must be a list, got 5"),
+    ("metrics", {"dataset": {"synth": {"n": 400, "d": 2}}},
+     "dataset.synth requires ['group1_share']"),
+    ("metrics", {"dataset": {"synth": {**SYNTH["synth"],
+                                       "mean_shift": 1}}},
+     "mean_shift must be a list, got 1"),
+    ("metrics", {"dataset": {"synth": {**SYNTH["synth"],
+                                       "coef": ["a", "b"]}}},
+     "coef must be a real number, got 'a'"),
+])
+def test_wrong_type_or_missing_value_exit_2(tmp_path, capsys, command, change,
+                                            message):
+    # each would otherwise stop with a TypeError or ValueError traceback
+    # (exit 1)
+    cfg = write_config(tmp_path, {
+        "dataset": SYNTH, "learner": TREE, "metrics": ["SD"], **change})
+    assert main([command, "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_negative_collect_grid_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],
@@ -263,6 +306,24 @@ def test_synth_roundtrip_through_sweep(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert {r["grid_value"] for r in rows} == {"20", "50"}
+
+
+def test_manifest_hashes_the_csv_bytes(tmp_path):
+    # a CSV larger than one 1 MiB read of the hash loop
+    gen_cfg = write_config(tmp_path, {"dataset": {"synth": {
+        "n": 15000, "d": 4, "group1_share": 0.3, "seed": 3}}}, "gen.json")
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--config", gen_cfg, "--out", str(data_dir)]) == 0
+    data = (data_dir / "data.csv").read_bytes()
+    assert len(data) > 1 << 20
+    run_cfg = write_config(tmp_path, {
+        "dataset": {"csv": str(data_dir / "data.csv"),
+                    "schema": str(data_dir / "schema.json")},
+        "learner": TREE, "metrics": ["SD"]}, "run.json")
+    out = tmp_path / "run_out"
+    assert main(["metrics", "--config", run_cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["dataset_sha256"] == hashlib.sha256(data).hexdigest()
 
 
 def test_threads_flag_does_not_change_output(tmp_path):

@@ -102,7 +102,7 @@ def test_regression_target_non_finite_names_row(tmp_path):
 
 def test_padded_numeric_cells_load_as_stripped(tmp_path):
     # float() strips the whitespace str.strip() does, except ASCII
-    # separators such as \x1c, whose column takes the per-cell path
+    # separators such as \x1c, whose block takes the per-cell path
     schema = Schema(target="label", sensitive="sex", privileged_value="m",
                     features=(("age", "numeric"), ("job", "categorical")),
                     task="regression")

@@ -1,25 +1,30 @@
-"""The array implementations of the holdout split, the sweep draws,
-logistic-regression fitting, kNN scoring, tree fitting and scoring, the
-group metrics and the exact zero-one decomposition against the
-per-sample / per-row / per-model / per-point loops and the per-family
-samplers in oracles.py."""
+"""The block-wise CSV loader and the array implementations of the holdout
+split, the sweep draws, logistic-regression fitting, kNN scoring, tree
+fitting and scoring, the group metrics and the exact zero-one
+decomposition against the whole-table loader, the per-sample / per-row /
+per-model / per-point loops and the per-family samplers in oracles.py."""
 
+import csv
+import io
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fairsample import (DataError, Dataset, Learner, PredictionEnsemble,
-                        SweepSpec, SynthSpec, decompose_cost,
-                        decompose_points, fit, generate, holdout_split,
-                        run_collect_sim, run_decomposition_sweep,
-                        run_ssb_sweep, run_urb_sweep, sd_bounds)
-from fairsample import (bias_estimators, decomposition, experiments,
-                        group_metrics, learners)
+from fairsample import (DataError, Dataset, FairsampleError, Learner,
+                        PredictionEnsemble, Schema, SweepSpec, SynthSpec,
+                        decompose_cost, decompose_points, fit, generate,
+                        holdout_split, run_collect_sim,
+                        run_decomposition_sweep, run_ssb_sweep,
+                        run_urb_sweep, sd_bounds)
+from fairsample import (bias_estimators, dataset, decomposition,
+                        experiments, group_metrics, learners)
+from fairsample.synth import write_csv as write_synth_csv
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,6 +334,139 @@ def test_knn_filter_decides_almost_every_standard_normal_row(monkeypatch):
     scores = learners._score_knn(params, Xq)
     assert np.array_equal(scores, oracles.score_knn(params, Xq))
     assert sum(len(c) for c in calls) < 0.01 * len(Xq)
+
+
+def _load_outcome(load, path, schema):
+    """The loaded Dataset's fields as bytes, or the error's type and text."""
+    try:
+        ds = load(path, schema)
+    except FairsampleError as exc:
+        return type(exc), str(exc)
+    return ([(arr.dtype, arr.shape, arr.tobytes())
+             for arr in (ds.X, ds.y, ds.a, ds.row_ids)], ds.feature_names)
+
+
+# valid numeric cells, padded as float() or only str.strip() accepts them
+_NUMBERS = st.tuples(
+    st.sampled_from(["", " ", "\t", "\x1c", "\u2002"]),
+    st.one_of(st.floats(-1e6, 1e6).map(repr),
+              st.integers(-50, 50).map(str),
+              st.sampled_from(["1_0", "+.5", "-0", "1e-400",
+                               "\u0661\u0662"])),
+    st.sampled_from(["", " ", "\x1c"])).map("".join)
+_WORDS = st.sampled_from(["a", "b", " a", "b\t", "c,d", "line\nbreak", '"q"'])
+_FAULTS = ["", " ", "oops", "inf", "-nan", "1e400", "\x1c", "z", "short"]
+
+
+@st.composite
+def csv_files(draw):
+    """(block rows, CSV text, schema): numeric and categorical features,
+    padded and quoted cells, runs of blank lines, and up to four faults
+    (an empty, unparsable, non-finite or third-level cell, or a short
+    row) at drawn rows and columns."""
+    block = draw(st.integers(1, 4))
+    task = draw(st.sampled_from(["classification", "regression"]))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]),
+                          min_size=1, max_size=3))
+    features = tuple((f"f{j}", kind) for j, kind in enumerate(kinds))
+    header = draw(st.permutations(
+        ["label", "sex", "spare"] + [name for name, _ in features]))
+    cells = {"sex": st.sampled_from(["m", "f", " m", "f\t"]),
+             "label": (st.sampled_from(["yes", "no", "yes "])
+                       if task == "classification" else _NUMBERS),
+             "spare": st.sampled_from(["", "x", "1,2"])}
+    for name, kind in features:
+        cells[name] = _NUMBERS if kind == "numeric" else _WORDS
+    n = draw(st.integers(2, 4 * block + 2))
+    rows = [[draw(cells[h]) for h in header] for _ in range(n)]
+    # both groups and both labels appear, at drawn rows
+    for name, levels in (("sex", ("m", "f")), ("label", ("yes", "no"))):
+        if name == "sex" or task == "classification":
+            first = draw(st.integers(0, n - 1))
+            second = draw(st.integers(0, n - 2))
+            rows[first][header.index(name)] = levels[0]
+            rows[second + (second >= first)][header.index(name)] = levels[1]
+    need = 1 + max(i for i, h in enumerate(header) if h != "spare")
+    for _ in range(draw(st.integers(0, 4))):
+        fault = draw(st.sampled_from(_FAULTS))
+        r = draw(st.integers(0, n - 1))
+        if fault == "short":
+            rows[r] = rows[r][:draw(st.integers(1, need - 1))]
+        else:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = fault
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    blanks = dict(draw(st.lists(st.tuples(st.integers(0, n),
+                                          st.integers(1, 2 * block + 1)),
+                                max_size=3)))
+    for r, row in enumerate(rows + [None]):
+        out.write("\n" * blanks.get(r, 0))
+        if row is not None:
+            writer.writerow(row)
+    schema = Schema(target="label", sensitive="sex", privileged_value="m",
+                    features=features, task=task,
+                    positive_label="yes" if task == "classification" else "")
+    return block, out.getvalue(), schema
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_files())
+# an empty cell in a later block outranks an unparsable one
+@example(case=(2, "label,sex,f0\nyes,m,oops\nno,f,1\nyes,f,2\nno,m, \n",
+               Schema(target="label", sensitive="sex", privileged_value="m",
+                      features=(("f0", "numeric"),), positive_label="yes")))
+def test_load_csv_in_blocks_matches_whole_table_oracle(tmp_path, case):
+    block, text, schema = case
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(dataset, "_BLOCK_ROWS", block):
+        got = _load_outcome(dataset.load_csv, path, schema)
+    assert got == _load_outcome(oracles.load_csv, path, schema)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "label,sex,f0\n",
+    "label,sex,f0\n" + "\n" * 5,
+    "label,sex,f0\nyes,m,1\n\n\n\n\nno,m,2\n",
+    "label,sex\nyes,m\nno,f\n",
+])
+def test_load_csv_edge_files_match_oracle(tmp_path, text):
+    # empty, header only, blank lines only (more than a block), one group
+    # only, and a missing column
+    schema = Schema(target="label", sensitive="sex", privileged_value="m",
+                    features=(("f0", "numeric"),), positive_label="yes")
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(dataset, "_BLOCK_ROWS", 2):
+        got = _load_outcome(dataset.load_csv, path, schema)
+    assert got == _load_outcome(oracles.load_csv, path, schema)
+    assert got[0] is DataError
+
+
+def test_load_csv_at_default_block_size_matches_oracle(tmp_path):
+    # a synthetic CSV several blocks long, with blank lines and one
+    # unparsable cell past the first block
+    ds = generate(SynthSpec(n=3 * dataset._BLOCK_ROWS + 100, d=3,
+                            group1_share=0.3, seed=8))
+    csv_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.json"
+    write_synth_csv(ds, csv_path, schema_path)
+    schema = Schema.from_json(schema_path)
+    expected = _load_outcome(oracles.load_csv, csv_path, schema)
+    assert _load_outcome(dataset.load_csv, csv_path, schema) == expected
+    lines = csv_path.read_text(encoding="utf-8").split("\n")
+    row = 2 * dataset._BLOCK_ROWS + 7
+    fields = lines[row].split(",")
+    fields[2] = "oops"
+    lines[row] = ",".join(fields)
+    lines[5:5] = [""] * (dataset._BLOCK_ROWS + 1)
+    csv_path.write_text("\n".join(lines), encoding="utf-8")
+    expected = _load_outcome(oracles.load_csv, csv_path, schema)
+    assert expected == (DataError, f"unparsable numeric cell 'oops' in "
+                                   f"column 'x0', row {row}")
+    assert _load_outcome(dataset.load_csv, csv_path, schema) == expected
 
 
 @settings(max_examples=200, deadline=None)
