@@ -247,14 +247,20 @@ def test_knn_predict_mixes_fast_path_and_tie_fill_rows(d, n_train, k, seed):
     # c .. c+k-1 are k copies of one row and row c+k a copy off by a few
     # ulps, so a query on them has exactly k rows at or below its k-th
     # distance, but the filter cannot tell the near copy apart; a few
-    # other rows are duplicated
+    # other rows are duplicated; the last k + 1 rows lie far from the
+    # rest, so a query on one of them has k distinct nearest rows that the
+    # filter decides even when the copies leave too few distinct rows
+    # elsewhere (in one dimension, with few rows, every other query's k
+    # nearest can cut a block of copies)
     X = rng.standard_normal((n_train, d))
     X[1:k + 2] = X[0]
     c = k + 2
     X[c + 1:c + k] = X[c]
     X[c + k] = X[c] * (1 + 2.0 ** -40)
     rest = c + k + 1
-    X[rng.integers(rest, n_train, 3)] = X[rng.integers(rest, n_train, 3)]
+    far = n_train - (k + 1)
+    X[rng.integers(rest, far, 3)] = X[rng.integers(rest, far, 3)]
+    X[far:] += 100.0
     y = rng.integers(0, 2, n_train).astype(float)
     y[:2] = (0.0, 1.0)
     model = fit(Learner("knn", k=k),
@@ -265,7 +271,7 @@ def test_knn_predict_mixes_fast_path_and_tie_fill_rows(d, n_train, k, seed):
     Xq = rng.standard_normal((n_query, d))
     on_train = rng.choice(n_query, n_query // 4, replace=False)
     Xq[on_train] = X[rng.integers(0, n_train, len(on_train))]
-    Xq[rng.choice(rows_per_chunk, 2, replace=False)] = X[0], X[c]
+    Xq[rng.choice(rows_per_chunk, 3, replace=False)] = X[0], X[c], X[far]
     # the first chunk holds rows of both kinds
     d2 = np.sum((X - Xq[:rows_per_chunk, None]) ** 2, axis=2)
     kth = np.sort(d2, axis=1)[:, k - 1:k]
