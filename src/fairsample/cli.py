@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -20,8 +19,9 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .dataset import Schema, holdout_split, load_csv, population_ratio
-from .errors import (ConfigError, DataError, FairsampleError,
-                     check_integer, check_real)
+from .errors import (ConfigError, DataError, FairsampleError, build,
+                     check_finite, check_integer, check_keys, check_type,
+                     read_json)
 from .experiments import (SweepSpec, run_collect_sim, run_decomposition_sweep,
                           run_ssb_sweep, run_urb_sweep)
 from .group_metrics import disc_vector, task_metrics
@@ -29,76 +29,33 @@ from .learners import Learner, fit
 from .synth import SynthSpec, generate, write_csv
 
 
-def _take(raw, allowed, context):
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-    return raw
-
-
-def _load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-
-
 _TOP_KEYS = ("dataset", "learner", "metrics", "sweep", "seed", "threads",
              "output_dir", "test_fraction")
 
 
-def _as_tuple(raw, key):
-    """raw[key], a JSON list, as a tuple."""
-    if not isinstance(raw[key], list):
-        raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
-    return tuple(raw[key])
-
-
 def _metrics(config):
     """The config's metrics as a tuple; absent or null means none."""
-    if config.get("metrics") is None:
+    metrics = config.get("metrics")
+    if metrics is None:
         return ()
-    return _as_tuple(config, "metrics")
-
-
-def _build_learner(raw):
-    raw = dict(raw or {})
-    fields = {f.name for f in dataclasses.fields(Learner)}
-    _take(raw, fields, "learner")
-    return Learner(**raw)
+    check_type("metrics", metrics, list, "a list")
+    return tuple(metrics)
 
 
 def _build_dataset(raw, seed):
     """Returns (dataset, sha256 of the source)."""
-    if raw is None:
-        raise ConfigError("config requires a 'dataset' section")
-    _take(raw, ("csv", "schema", "synth"), "dataset")
+    check_keys(raw, ("csv", "schema", "synth"), "dataset")
     if "synth" in raw:
         if "csv" in raw or "schema" in raw:
             raise ConfigError("dataset: give either csv+schema or synth")
-        sraw = dict(raw["synth"])
-        fields = dataclasses.fields(SynthSpec)
-        _take(sraw, {f.name for f in fields}, "dataset.synth")
-        for key in ("mean_shift", "coef"):
-            if key in sraw:
-                sraw[key] = _as_tuple(sraw, key)
-        sraw.setdefault("seed", seed)
-        missing = [f.name for f in fields if f.name not in sraw
-                   and f.default is dataclasses.MISSING]
-        if missing:
-            raise ConfigError(f"dataset.synth requires {missing}")
-        ds = generate(SynthSpec(**sraw))
+        ds = generate(build(SynthSpec, raw["synth"], "dataset.synth",
+                            {"seed": seed}))
         return ds, ds.fingerprint()
     if "csv" not in raw or "schema" not in raw:
         raise ConfigError("dataset requires both 'csv' and 'schema' paths")
-    try:
-        schema = Schema.from_json(raw["schema"])
-    except OSError as exc:
-        raise ConfigError(f"cannot read schema {raw['schema']}: {exc}") \
-            from exc
+    for key in ("csv", "schema"):
+        check_type(f"dataset.{key}", raw[key], str, "a string")
+    schema = Schema.from_json(raw["schema"])
     if not os.path.exists(raw["csv"]):
         raise DataError(f"dataset file not found: {raw['csv']}")
     ds = load_csv(raw["csv"], schema)
@@ -107,20 +64,6 @@ def _build_dataset(raw, seed):
         while chunk := fh.read(1 << 20):
             sha.update(chunk)
     return ds, sha.hexdigest()
-
-
-def _build_sweep_spec(raw, learner, metrics, seed, family=None):
-    raw = dict(raw or {})
-    fields = {f.name for f in dataclasses.fields(SweepSpec)}
-    _take(raw, fields - {"learner", "metrics", "threads"}, "sweep")
-    if family is not None:
-        raw["family"] = family
-    if "family" not in raw:
-        raise ConfigError("sweep config requires 'family'")
-    if "grid" in raw:
-        raw["grid"] = _as_tuple(raw, "grid")
-    raw.setdefault("seed", seed)
-    return SweepSpec(learner=learner, metrics=metrics, **raw)
 
 
 def _write_manifest(path, config, seed, dataset_sha, pop_ratio,
@@ -142,12 +85,13 @@ def _write_manifest(path, config, seed, dataset_sha, pop_ratio,
 
 
 def _prepare(args):
-    config = _load_config(args.config)
-    _take(config, _TOP_KEYS, "config")
+    config = check_keys(read_json(args.config, "config"), _TOP_KEYS,
+                        "config")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     check_integer("seed", seed)
     if seed < 0:
         raise ConfigError("seed must be non-negative")
+    check_type("output_dir", config.get("output_dir", "."), str, "a string")
     out_dir = args.out or config.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     return config, seed, out_dir
@@ -164,11 +108,11 @@ _RUNNERS = {
 def cmd_metrics(args):
     config, seed, out_dir = _prepare(args)
     ds, sha = _build_dataset(config.get("dataset"), seed)
-    learner = _build_learner(config.get("learner"))
+    learner = build(Learner, config.get("learner"), "learner")
     learner.check_task(ds.task)
     metrics = task_metrics(ds.task, _metrics(config))
     test_fraction = config.get("test_fraction", 0.3)
-    check_real("test_fraction", test_fraction)
+    check_finite("test_fraction", test_fraction)
     pool, test = holdout_split(ds, test_fraction, seed)
     model = fit(learner, pool)
     scores, labels = model.predict(test.X)
@@ -186,13 +130,15 @@ def cmd_metrics(args):
     return 0
 
 
-def _run_sweep_family(args, family=None):
+def _run_sweep_family(args, **defaults):
     config, seed, out_dir = _prepare(args)
     ds, sha = _build_dataset(config.get("dataset"), seed)
-    learner = _build_learner(config.get("learner"))
-    spec = _build_sweep_spec(config.get("sweep"), learner, _metrics(config),
-                             seed, family)
-    result = _RUNNERS[spec.family](ds, spec)
+    learner = build(Learner, config.get("learner"), "learner")
+    # learner, metrics and threads are top-level config entries
+    spec = build(SweepSpec, config.get("sweep"), "sweep",
+                 {"seed": seed, **defaults}, learner=learner,
+                 metrics=_metrics(config), threads=1)
+    result = _RUNNERS[defaults.get("family", spec.family)](ds, spec)
     rows = result.write_csv(os.path.join(out_dir, "sweep.csv"))
     if result.bias_rows:
         result.write_bias_csv(os.path.join(out_dir, "bias_estimates.csv"))
@@ -212,8 +158,7 @@ def cmd_decompose(args):
 
 def cmd_synth(args):
     config, seed, out_dir = _prepare(args)
-    raw = config.get("dataset") or {}
-    _take(raw, ("synth",), "dataset")
+    raw = check_keys(config.get("dataset") or {}, ("synth",), "dataset")
     if "synth" not in raw:
         raise ConfigError("synth command requires dataset.synth")
     ds, sha = _build_dataset(raw, seed)

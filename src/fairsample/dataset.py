@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import (ConfigError, DataError, build, check_fields, check_keys,
+                     check_type, read_json)
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
+
+
+def _feature(raw):
+    """A schema file's {"name": ..., "kind": ...} feature as a pair."""
+    raw = check_keys(raw, ("name", "kind"), "schema feature")
+    return raw.get("name"), raw.get("kind")
 
 
 @dataclass(frozen=True)
@@ -35,43 +41,34 @@ class Schema:
     task: str = CLASSIFICATION
 
     def __post_init__(self):
+        check_fields(self)
+        for name, kind in self.features:
+            check_type("feature name", name, str, "a string")
+            if kind not in (NUMERIC, CATEGORICAL):
+                raise ConfigError(f"feature {name!r} has unknown kind {kind!r}")
+            if name in (self.target, self.sensitive):
+                raise ConfigError(f"column {name!r} cannot also be a feature")
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise ConfigError(f"unknown task {self.task!r}")
         if self.target == self.sensitive:
             raise ConfigError("target and sensitive columns must be distinct")
-        names = [n for n, _ in self.features]
-        if len(set(names)) != len(names):
+        if len({n for n, _ in self.features}) != len(self.features):
             raise ConfigError("duplicate feature column")
-        for col in (self.target, self.sensitive):
-            if col in names:
-                raise ConfigError(f"column {col!r} cannot also be a feature")
-        for name, kind in self.features:
-            if kind not in (NUMERIC, CATEGORICAL):
-                raise ConfigError(f"feature {name!r} has unknown kind {kind!r}")
         if self.task == CLASSIFICATION and not self.positive_label:
             raise ConfigError("classification schema requires positive_label")
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        allowed = {"target", "positive_label", "sensitive", "privileged_value",
-                   "features", "task"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigError(f"unknown schema keys: {sorted(unknown)}")
-        try:
-            features = tuple((f["name"], f["kind"]) for f in raw["features"])
-            return cls(
-                target=raw["target"],
-                sensitive=raw["sensitive"],
-                privileged_value=str(raw["privileged_value"]),
-                features=features,
-                positive_label=str(raw.get("positive_label", "")),
-                task=raw.get("task", CLASSIFICATION),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed schema: {exc}") from exc
+        """The schema in a JSON file; features are name/kind objects."""
+        raw = read_json(path, "schema")
+        if isinstance(raw, dict):
+            if isinstance(raw.get("features"), list):
+                raw["features"] = [_feature(f) for f in raw["features"]]
+            # CSV cells are text, so a JSON number names a value too
+            for key in ("privileged_value", "positive_label"):
+                if isinstance(raw.get(key), (int, float)):
+                    raw[key] = str(raw[key])
+        return build(cls, raw, "schema")
 
 
 @dataclass(frozen=True)
@@ -128,6 +125,7 @@ class SamplingPlan:
     with_replacement: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         if self.m0 < 0 or self.m1 < 0:
             raise ConfigError("negative group count in sampling plan")
         if self.replicates < 1:

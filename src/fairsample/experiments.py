@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,7 +32,8 @@ from .dataset import (CLASSIFICATION, REGRESSION, draw_from_pools,
                       holdout_split, population_ratio)
 from .decomposition import (_CONDITIONING, SQUARED, ZERO_ONE,
                             PredictionEnsemble, decompose_bias_gap)
-from .errors import ConfigError, DataError, check_integer, check_real
+from .errors import (ConfigError, DataError, check_fields, check_finite,
+                     check_integer)
 from .group_metrics import (ALL_METRICS, disc_vector, model_costs,
                             task_metrics)
 from .learners import Learner, fit_many
@@ -63,27 +65,23 @@ class SweepSpec:
     threads: int = 1              # accepted for compatibility; no effect
 
     def __post_init__(self):
+        # before check_fields, whose finite message would pre-empt this one
+        if isinstance(self.pool_portion, numbers.Real) and \
+                not 0.0 < self.pool_portion < math.inf:
+            raise ConfigError("pool_portion must be positive and finite")
+        check_fields(self)
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
         if self.decomp_kind not in ("ssb", "urb"):
             raise ConfigError(f"unknown decomp_kind {self.decomp_kind!r}")
-        for name in ("replicates", "seed", "total_m", "fixed_majority",
-                     "cv_folds"):
-            check_integer(name, getattr(self, name))
-        for name in ("test_fraction", "pool_portion"):
-            check_real(name, getattr(self, name))
         ratios = self.family == "urb_ratio" or (
             self.family == "decomposition" and self.decomp_kind == "urb")
         for p in self.grid:
-            if not ratios:
+            if ratios:
+                check_finite("ratio grid point", p)
+            else:
                 check_integer("grid point", p)
-                continue
-            check_real("ratio grid point", p)
-            if not math.isfinite(p):
-                raise ConfigError(f"ratio grid point must be finite, "
-                                  f"got {p!r}")
-        g = list(self.grid)
-        if any(b <= a for a, b in zip(g, g[1:])):
+        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("grid must be strictly increasing")
         if self.replicates < 2:
             raise ConfigError("replicates must be >= 2 for dispersion "
@@ -94,8 +92,6 @@ class SweepSpec:
             raise ConfigError(f"unknown collect variant {self.variant!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
-        if not 0.0 < self.pool_portion < np.inf:
-            raise ConfigError("pool_portion must be positive and finite")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be >= 2")
         if self.seed < 0:

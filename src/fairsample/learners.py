@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASSIFICATION, REGRESSION
-from .errors import ConfigError, DataError, check_integer, check_real
+from .errors import ConfigError, DataError, check_fields
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,11 @@ class Learner:
     ridge_jitter: float = 1e-8
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in _FITTERS:
             raise ConfigError(f"unknown learner kind {self.kind!r}")
-        for name in ("max_iter", "max_depth", "min_leaf", "k"):
-            check_integer(name, getattr(self, name))
-        for name in ("threshold", "l2", "learning_rate", "grad_tol",
-                     "ridge_jitter"):
-            check_real(name, getattr(self, name))
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be in (0, 1)")
-        # an infinite learning rate never finds a step; NaN fits nothing
-        for name in ("l2", "learning_rate", "grad_tol", "ridge_jitter"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
         if self.l2 < 0 or self.learning_rate <= 0 or self.max_iter < 1:
             raise ConfigError("invalid logistic regression hyperparameters")
         if self.ridge_jitter <= 0:

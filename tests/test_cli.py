@@ -236,6 +236,8 @@ def test_nan_noise_sd_exit_2(tmp_path, capsys):
 
 
 SSB = {"family": "ssb_size", "grid": [20, 50], "replicates": 3}
+COLLECT = {"family": "collect", "grid": [4, 8], "replicates": 3,
+           "fixed_majority": 30}
 
 
 @pytest.mark.parametrize("command, change, message", [
@@ -265,6 +267,27 @@ SSB = {"family": "ssb_size", "grid": [20, 50], "replicates": 3}
     ("metrics", {"dataset": {"synth": {**SYNTH["synth"],
                                        "coef": ["a", "b"]}}},
      "coef must be a real number, got 'a'"),
+    ("metrics", {"learner": {"kind": ["knn"]}},
+     "kind must be a string, got ['knn']"),
+    ("metrics", {"learner": "knn"},
+     "learner must be a JSON object, got 'knn'"),
+    ("metrics", {"dataset": {"synth": 5}},
+     "dataset.synth must be a JSON object, got 5"),
+    ("sweep", {"sweep": "x"}, "sweep must be a JSON object, got 'x'"),
+    # the rest of these used to exit 0: output_dir under --out went
+    # unread, "false" and 1 ran CV, "no" and 0 read as with/without
+    # replacement, and decompose ignored the family the sweep named
+    ("metrics", {"output_dir": 5}, "output_dir must be a string, got 5"),
+    ("sweep", {"sweep": {**COLLECT, "use_cv": "false"}},
+     "use_cv must be true or false, got 'false'"),
+    ("sweep", {"sweep": {**COLLECT, "use_cv": 1}},
+     "use_cv must be true or false, got 1"),
+    ("sweep", {"sweep": {**COLLECT, "with_replacement": "no"}},
+     "with_replacement must be true or false, got 'no'"),
+    ("sweep", {"sweep": {**COLLECT, "with_replacement": 0}},
+     "with_replacement must be true or false, got 0"),
+    ("decompose", {"sweep": SSB, "metrics": ["ZOL"]},
+     "spec.family must be decomposition"),
 ])
 def test_wrong_type_or_missing_value_exit_2(tmp_path, capsys, command, change,
                                             message):
@@ -273,6 +296,33 @@ def test_wrong_type_or_missing_value_exit_2(tmp_path, capsys, command, change,
     cfg = write_config(tmp_path, {
         "dataset": SYNTH, "learner": TREE, "metrics": ["SD"], **change})
     assert main([command, "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, schema, message", [
+    ("5", None, "config must be a JSON object, got 5"),
+    ("null", None, "config must be a JSON object, got None"),
+    ('{"dataset": {"csv": ["a"], "schema": "SCHEMA"}}', None,
+     "dataset.csv must be a string, got ['a']"),
+    ('{"dataset": {"csv": "data.csv", "schema": "SCHEMA"}}', "{not json",
+     "schema.json is not valid JSON"),
+    ('{"dataset": {"csv": "data.csv", "schema": "SCHEMA"}}',
+     '[{"target": "outcome"}]',
+     "schema must be a JSON object, got [{'target': 'outcome'}]"),
+], ids=["config-5", "config-null", "csv-list", "schema-not-json",
+        "schema-list"])
+def test_config_or_schema_file_of_the_wrong_shape_exit_2(
+        tmp_path, capsys, config, schema, message):
+    # each stopped with a TypeError or JSONDecodeError traceback (exit 1)
+    if schema is None:
+        schema_path = write_schema(tmp_path)
+    else:
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(schema)
+    path = tmp_path / "config.json"
+    path.write_text(config.replace("SCHEMA", str(schema_path)))
+    assert main(["metrics", "--config", str(path), "--out",
                  str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
 
