@@ -2,9 +2,9 @@
 
 Each run is driven by a single JSON config file; --seed and --out
 override the corresponding config entries.  --threads and the config key
-threads are accepted for compatibility and have no effect.  Exit codes:
-0 success, 2 configuration error, 3 data error, 4 internal invariant
-violation.
+threads (an integer) are accepted for compatibility and have no effect.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ def _prepare(args):
     check_integer("seed", seed)
     if seed < 0:
         raise ConfigError("seed must be non-negative")
+    check_integer("threads", config.get("threads", 1))
     check_type("output_dir", config.get("output_dir", "."), str, "a string")
     out_dir = args.out or config.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)

@@ -5,8 +5,11 @@ estimation-error bounds.
 The optimal prediction is identified with the observed outcome, so the
 noise term of the decomposition is zero and no report carries it.
 
-Zero-one and absolute-loss terms are exact rationals built from label
-counts; squared-loss terms are float64 with fixed-order summation.
+Zero-one terms are exact rationals: a point's mean loss over the models
+is its bias plus its net variance (Domingos, ICML 2000), so a group's bias
+is the main prediction's loss rate and its net variance the models' mean
+loss rate less it, both read from one group_metrics confusion_counts
+table.  Squared-loss terms are float64 with fixed-order summation.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .group_metrics import _RATE_CELLS, _check_binary, confusion_counts
 
 SQUARED = "squared"
 ZERO_ONE = "zero_one"
@@ -27,6 +31,8 @@ ABSOLUTE = "absolute"
 _CONDITIONING = {"MSE": "all", "ZOL": "all", "FPR": "y==0", "EO": "y==1"}
 # cost = offset + sign * (mean conditioned loss)
 _COST_AFFINE = {"MSE": (0, 1), "ZOL": (0, 1), "FPR": (0, 1), "EO": (1, -1)}
+# the group_metrics rate that counts each zero-one metric's conditioned loss
+_LOSS_RATE = {"ZOL": "ZOL", "FPR": "FPR", "EO": "FNR"}
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,9 @@ class PredictionEnsemble:
             raise ConfigError("evaluation vectors misaligned with predictions")
         if self.loss_kind not in (SQUARED, ZERO_ONE, ABSOLUTE):
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
+        _check_binary(eval_a=self.eval_a)
+        if self.loss_kind != SQUARED:
+            _check_binary(eval_y=self.eval_y, labels=self.labels)
 
     @property
     def k(self):
@@ -69,8 +78,6 @@ class PointDecomposition:
     arrays; for zero-one and absolute loss they are tuples of Fractions."""
 
     loss_kind: str
-    main_scores: np.ndarray
-    main_labels: np.ndarray
     bias: tuple
     variance: tuple
     net_factor: tuple     # c(x): +1 / -1 for 0-1 loss, (1-2B) for absolute
@@ -98,30 +105,26 @@ def _majority_labels(ens, mean_scores):
     return labels
 
 
-def _zero_one_counts(ens):
-    """Integer per-point counts behind every exact zero-one term.
-
-    Returns (mean_scores, main, biased, n_diff_main, n_diff_y): the main
-    prediction, whether it misses eval_y (the point's 0/1 bias), and how
-    many of the K models disagree with the main prediction and with eval_y.
-    """
-    mean_scores = ens.scores.mean(axis=0)
-    main = _majority_labels(ens, mean_scores)
-    biased = main != ens.eval_y
-    n_diff_main = (ens.labels != main).sum(axis=0)
-    n_diff_y = (ens.labels != ens.eval_y).sum(axis=0)
-    return mean_scores, main, biased, n_diff_main, n_diff_y
-
-
-def _zero_one_means(biased, n_diff_main, k, sel):
-    """Exact mean bias and net variance over the points in the boolean
-    mask sel: a point's net variance is +variance when unbiased and
-    -variance when biased, and its variance is n_diff_main / k."""
-    n = int(sel.sum())
-    bias = Fraction(int(biased[sel].sum()), n)
-    net = (int(n_diff_main[sel & ~biased].sum())
-           - int(n_diff_main[sel & biased].sum()))
-    return bias, Fraction(net, k * n)
+def _zero_one_terms(ens, rate):
+    """[(bias, net_variance)] per group: the exact mean terms of the
+    zero-one loss that rate counts, over the points its denominator counts,
+    or (None, None) for a group with none.  One confusion_counts table
+    stacks the main prediction (row 0) over the K models."""
+    _, main = main_prediction(ens)
+    counts = confusion_counts(ens.eval_y, np.vstack([main, ens.labels]),
+                              ens.eval_a)
+    num, den = (counts[..., list(c)].sum(axis=-1).tolist()
+                for c in _RATE_CELLS[rate])
+    terms = []
+    for group in (0, 1):
+        n = den[0][group]
+        if n == 0:
+            terms.append((None, None))
+            continue
+        bias = Fraction(num[0][group], n)
+        models = sum(row[group] for row in num[1:])
+        terms.append((bias, Fraction(models, ens.k * n) - bias))
+    return terms
 
 
 def decompose_points(ens):
@@ -132,14 +135,16 @@ def decompose_points(ens):
         bias = (mean_scores - ens.eval_y) ** 2
         variance = ((ens.scores - mean_scores) ** 2).mean(axis=0)
         mean_loss = ((ens.scores - ens.eval_y) ** 2).mean(axis=0)
-        ones = np.ones(ens.n)
-        return PointDecomposition(SQUARED, mean_scores, mean_scores, bias,
-                                  variance, ones, mean_loss)
-    mean_scores, main, biased, n_diff_main, n_diff_y = _zero_one_counts(ens)
+        return PointDecomposition(SQUARED, bias, variance, np.ones(ens.n),
+                                  mean_loss)
+    _, main = main_prediction(ens)
+    biased = main != ens.eval_y
+    n_diff_main = (ens.labels != main).sum(axis=0)
+    n_diff_y = (ens.labels != ens.eval_y).sum(axis=0)
     k = ens.k
     zero, one = Fraction(0), Fraction(1)
     return PointDecomposition(
-        ZERO_ONE, mean_scores, main,
+        ZERO_ONE,
         tuple(one if b else zero for b in biased),
         tuple(Fraction(int(v), k) for v in n_diff_main),
         tuple(-1 if b else 1 for b in biased),
@@ -189,15 +194,6 @@ class DecompositionReport:
         return _diff(self.cost(1), self.cost(0))
 
 
-def _subset_mask(metric, y):
-    cond = _CONDITIONING[metric]
-    if cond == "all":
-        return np.ones(len(y), dtype=bool), cond
-    if cond == "y==0":
-        return y == 0, cond
-    return y == 1, cond
-
-
 def decompose_cost(ens, metric):
     """Per-group decomposition of one cost metric over its conditioning
     subset (MSE/ZOL: all points; FPR: y=0; EO: y=1)."""
@@ -208,23 +204,16 @@ def decompose_cost(ens, metric):
         raise ConfigError(
             f"metric {metric} needs {loss_kind} loss, ensemble carries "
             f"{ens.loss_kind}")
-    mask, cond = _subset_mask(metric, ens.eval_y)
     offset, sign = _COST_AFFINE[metric]
-    if loss_kind == SQUARED:
+    if loss_kind == ZERO_ONE:
+        terms = _zero_one_terms(ens, _LOSS_RATE[metric])
+    else:  # MSE conditions on all points
         points = decompose_points(ens)
-    else:
-        _, _, biased, n_diff_main, _ = _zero_one_counts(ens)
-    terms = {}
-    for group in (0, 1):
-        sel = mask & (ens.eval_a == group)
-        if not sel.any():
-            terms[group] = (None, None)
-        elif loss_kind == SQUARED:
-            terms[group] = (float(np.mean(points.bias[sel])),
-                            float(np.mean(points.variance[sel])))
-        else:
-            terms[group] = _zero_one_means(biased, n_diff_main, ens.k, sel)
-    return DecompositionReport(metric, cond, offset, sign,
+        terms = [(float(np.mean(points.bias[sel])),
+                  float(np.mean(points.variance[sel]))) if sel.any()
+                 else (None, None)
+                 for sel in (ens.eval_a == g for g in (0, 1))]
+    return DecompositionReport(metric, _CONDITIONING[metric], offset, sign,
                                *terms[0], *terms[1])
 
 
@@ -232,9 +221,11 @@ def decompose_cost(ens, metric):
 class BiasGapReport:
     """Term-wise deltas between a target and a reference decomposition.
 
-    total = cost_sign * (bias_delta_diff + net_variance_delta_diff), which
-    for squared loss equals the discrimination gap between the two
-    ensembles under the mean-over-models estimator.
+    total = cost_sign * (bias_delta_diff + net_variance_delta_diff) equals
+    the discrimination gap between the two ensembles under the
+    mean-over-models estimator; for zero-one loss, exactly, and
+    cost_sign * bias_delta_diff is the gap under the main-prediction
+    estimator.
     """
 
     metric: str
@@ -320,15 +311,13 @@ def sd_bounds(ens):
     for group in (0, 1):
         if not np.any(ens.eval_a == group):
             raise DataError(f"empty group a{group} in evaluation set")
-    _, _, biased, n_diff_main, _ = _zero_one_counts(ens)
+    terms = _zero_one_terms(ens, "ZOL")
     k = ens.k
-    terms = {}
     sd_hat = {}
     sd_true = {}
     for group in (0, 1):
         sel = ens.eval_a == group
         n = int(sel.sum())
-        terms[group] = _zero_one_means(biased, n_diff_main, k, sel)
         sd_hat[group] = Fraction(int(ens.labels[:, sel].sum()), k * n)
         sd_true[group] = Fraction(int(ens.eval_y[sel].sum()), n)
     db = terms[1][0] - terms[0][0]

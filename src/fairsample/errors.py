@@ -35,9 +35,12 @@ def check_type(name, value, types, what):
 
 def check_integer(name, value):
     """Raise a ConfigError naming value unless it is an integer (a Python
-    or numpy int, not a bool)."""
+    or numpy int, not a bool) in the int64 range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not -2**63 <= value < 2**63:
+        raise ConfigError(
+            f"{name} must be within the int64 range, got {value!r}")
 
 
 def check_finite(name, value):
@@ -45,7 +48,11 @@ def check_finite(name, value):
     (a Python or numpy int or float, not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 

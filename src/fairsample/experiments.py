@@ -480,10 +480,10 @@ def _reduce_bias(result, plan, spec, ref, ensembles):
 def _reduce_decomposition(result, plan, spec, ref, ensembles):
     """Per-group bias/net-variance deltas against the reference.
 
-    Row means are the ensemble-level SSB/URB totals (average-over-models
-    discrimination gap, whatever spec.estimator says); for squared loss
-    they equal bias_delta + netvar_delta exactly.  stderr is over the
-    per-replicate single-model gaps.
+    Row means are the ensemble-level totals bias_delta + netvar_delta:
+    the mean-over-models SSB/URB, whatever spec.estimator says (exactly,
+    for zero-one loss, where bias_delta is the main-prediction SSB/URB).
+    stderr is over the per-replicate single-model gaps.
     """
     ref_ens, ref_costs = ref
     ref_disc = {metric: _float(be.mean_over_models(ref_costs[metric])[0])

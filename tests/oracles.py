@@ -25,7 +25,7 @@ from fairsample.dataset import (CLASSIFICATION, NUMERIC, Dataset,
 from fairsample.decomposition import (_COST_AFFINE, _CONDITIONING, SQUARED,
                                       ZERO_ONE, DecompositionReport,
                                       SdBoundsReport, _majority_labels,
-                                      _subset_mask, decompose_points)
+                                      decompose_points)
 from fairsample.errors import ConfigError, DataError
 from fairsample.group_metrics import ALL_METRICS, GroupCostReport
 from fairsample.learners import _best_split
@@ -376,6 +376,15 @@ def zero_one_points(ens):
         net_factor.append(c)
         mean_loss.append(Fraction(int(n_diff_y[i]), k))
     return tuple(bias), tuple(variance), tuple(net_factor), tuple(mean_loss)
+
+
+def _subset_mask(metric, y):
+    cond = _CONDITIONING[metric]
+    if cond == "all":
+        return np.ones(len(y), dtype=bool), cond
+    if cond == "y==0":
+        return y == 0, cond
+    return y == 1, cond
 
 
 def decompose_cost(ens, metric):

@@ -236,6 +236,7 @@ def test_nan_noise_sd_exit_2(tmp_path, capsys):
 
 
 SSB = {"family": "ssb_size", "grid": [20, 50], "replicates": 3}
+HUGE = 10**400  # a JSON integer beyond the float range
 COLLECT = {"family": "collect", "grid": [4, 8], "replicates": 3,
            "fixed_majority": 30}
 
@@ -274,10 +275,24 @@ COLLECT = {"family": "collect", "grid": [4, 8], "replicates": 3,
     ("metrics", {"dataset": {"synth": 5}},
      "dataset.synth must be a JSON object, got 5"),
     ("sweep", {"sweep": "x"}, "sweep must be a JSON object, got 'x'"),
+    # integers beyond the float or int64 range stopped with OverflowError
+    ("metrics", {"learner": {"kind": "logistic_regression", "l2": HUGE}},
+     "l2 must be finite"),
+    ("sweep", {"sweep": {**SSB, "grid": [20, HUGE]}},
+     "grid point must be within the int64 range"),
+    ("sweep", {"sweep": {"family": "urb_ratio", "grid": [0.2, 0.5],
+                         "replicates": 3, "total_m": HUGE}},
+     "total_m must be within the int64 range"),
+    ("sweep", {"sweep": {"family": "urb_ratio", "grid": [0.2, HUGE],
+                         "replicates": 3, "total_m": 60}},
+     "ratio grid point must be finite"),
     # the rest of these used to exit 0: output_dir under --out went
     # unread, "false" and 1 ran CV, "no" and 0 read as with/without
-    # replacement, and decompose ignored the family the sweep named
+    # replacement, decompose ignored the family the sweep named, threads
+    # went unread and a seed beyond int64 seeded the run
     ("metrics", {"output_dir": 5}, "output_dir must be a string, got 5"),
+    ("metrics", {"threads": "x"}, "threads must be an integer, got 'x'"),
+    ("metrics", {"seed": 2**64}, "seed must be within the int64 range"),
     ("sweep", {"sweep": {**COLLECT, "use_cv": "false"}},
      "use_cv must be true or false, got 'false'"),
     ("sweep", {"sweep": {**COLLECT, "use_cv": 1}},

@@ -81,6 +81,28 @@ def test_absolute_loss_rejected():
         decompose_points(ens)
 
 
+@pytest.mark.parametrize("field, loss, values", [
+    ("eval_a", "zero_one", {"a": [0, 1, 2, 1]}),
+    ("eval_a", "squared", {"a": [0, 1, 2, 1]}),
+    ("eval_y", "zero_one", {"y": [0, 2, 1, 1]}),
+    ("labels", "zero_one", {"labels": [[0, 1, 1, 0], [1, 2, 0, 0]]}),
+], ids=["group-2", "group-2-squared", "outcome-2", "label-2"])
+@pytest.mark.parametrize("run", [
+    decompose_points,
+    lambda ens: decompose_cost(
+        ens, "MSE" if ens.loss_kind == "squared" else "ZOL"),
+    sd_bounds,
+], ids=["points", "cost", "sd_bounds"])
+def test_values_outside_zero_one_are_config_errors(field, loss, values, run):
+    # each used to give a report that dropped the group-2 row or counted a
+    # 2 as a miss
+    scores = [[0.1, 0.9, 0.9, 0.1], [0.9, 0.9, 0.1, 0.1]]
+    spec = {"y": [0, 1, 1, 0], "a": [0, 1, 0, 1], **values}
+    with pytest.raises(ConfigError, match=f"{field} must be 0 or 1"):
+        run(make_ens(scores, spec.get("labels"), spec["y"], spec["a"],
+                     loss))
+
+
 def test_points_match_oracle():
     rng = np.random.default_rng(3)
     for loss in ("squared", "zero_one"):

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import oracles
 from fairsample import (DataError, Dataset, FairsampleError, Learner,
                         PredictionEnsemble, Schema, SweepSpec, SynthSpec,
-                        decompose_cost, decompose_points, fit, generate,
-                        holdout_split, run_collect_sim,
+                        decompose_bias_gap, decompose_cost,
+                        decompose_points, fit, generate, holdout_split,
+                        run_collect_sim,
                         run_decomposition_sweep, run_ssb_sweep,
                         run_urb_sweep, sd_bounds)
 from fairsample import (bias_estimators, dataset, decomposition,
@@ -592,6 +593,26 @@ def test_zero_one_decomposition_matches_per_point_oracle(ens):
     else:
         with pytest.raises(DataError, match="empty group"):
             sd_bounds(ens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=zero_one_ensembles(), other=zero_one_ensembles())
+def test_zero_one_gap_terms_are_the_estimators_gaps(target, other):
+    # the reference reuses other's models on the target's evaluation set
+    cols = np.arange(target.n) % other.n
+    ref = PredictionEnsemble(other.scores[:, cols], other.labels[:, cols],
+                             target.eval_y, target.eval_a, "zero_one")
+    for metric in ("ZOL", "FPR", "EO"):
+        gap = decompose_bias_gap(target, ref, metric)
+        main_t, mean_t = (bias_estimators.ensemble_disc(target, metric, e)[0]
+                          for e in ("main_prediction", "mean_over_models"))
+        main_r, mean_r = (bias_estimators.ensemble_disc(ref, metric, e)[0]
+                          for e in ("main_prediction", "mean_over_models"))
+        if gap.bias_delta_diff is None:  # a group's conditioning set is empty
+            assert gap.total is main_t is main_r is mean_t is mean_r is None
+            continue
+        assert gap.target.cost_sign * gap.bias_delta_diff == main_t - main_r
+        assert gap.total == mean_t - mean_r
 
 
 def test_empty_conditioning_subset_gives_none():
