@@ -275,6 +275,20 @@ COLLECT = {"family": "collect", "grid": [4, 8], "replicates": 3,
     ("metrics", {"dataset": {"synth": 5}},
      "dataset.synth must be a JSON object, got 5"),
     ("sweep", {"sweep": "x"}, "sweep must be a JSON object, got 'x'"),
+    # these used to exit 0: output_dir under --out went unread, "false"
+    # and 1 ran CV, "no" and 0 read as with/without replacement, and
+    # decompose ignored the family the sweep named
+    ("metrics", {"output_dir": 5}, "output_dir must be a string, got 5"),
+    ("sweep", {"sweep": {**COLLECT, "use_cv": "false"}},
+     "use_cv must be true or false, got 'false'"),
+    ("sweep", {"sweep": {**COLLECT, "use_cv": 1}},
+     "use_cv must be true or false, got 1"),
+    ("sweep", {"sweep": {**COLLECT, "with_replacement": "no"}},
+     "with_replacement must be true or false, got 'no'"),
+    ("sweep", {"sweep": {**COLLECT, "with_replacement": 0}},
+     "with_replacement must be true or false, got 0"),
+    ("decompose", {"sweep": SSB, "metrics": ["ZOL"]},
+     "spec.family must be decomposition"),
     # integers beyond the float or int64 range stopped with OverflowError
     ("metrics", {"learner": {"kind": "logistic_regression", "l2": HUGE}},
      "l2 must be finite"),
@@ -286,23 +300,10 @@ COLLECT = {"family": "collect", "grid": [4, 8], "replicates": 3,
     ("sweep", {"sweep": {"family": "urb_ratio", "grid": [0.2, HUGE],
                          "replicates": 3, "total_m": 60}},
      "ratio grid point must be finite"),
-    # the rest of these used to exit 0: output_dir under --out went
-    # unread, "false" and 1 ran CV, "no" and 0 read as with/without
-    # replacement, decompose ignored the family the sweep named, threads
-    # went unread and a seed beyond int64 seeded the run
-    ("metrics", {"output_dir": 5}, "output_dir must be a string, got 5"),
+    # these used to exit 0 too: threads went unread and a seed beyond
+    # int64 seeded the run
     ("metrics", {"threads": "x"}, "threads must be an integer, got 'x'"),
     ("metrics", {"seed": 2**64}, "seed must be within the int64 range"),
-    ("sweep", {"sweep": {**COLLECT, "use_cv": "false"}},
-     "use_cv must be true or false, got 'false'"),
-    ("sweep", {"sweep": {**COLLECT, "use_cv": 1}},
-     "use_cv must be true or false, got 1"),
-    ("sweep", {"sweep": {**COLLECT, "with_replacement": "no"}},
-     "with_replacement must be true or false, got 'no'"),
-    ("sweep", {"sweep": {**COLLECT, "with_replacement": 0}},
-     "with_replacement must be true or false, got 0"),
-    ("decompose", {"sweep": SSB, "metrics": ["ZOL"]},
-     "spec.family must be decomposition"),
 ])
 def test_wrong_type_or_missing_value_exit_2(tmp_path, capsys, command, change,
                                             message):
