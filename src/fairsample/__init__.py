@@ -8,8 +8,8 @@ from .dataset import (Dataset, SamplingPlan, Schema, draw_sample,
 from .learners import FittedModel, Learner, fit
 from .group_metrics import GroupCostReport, disc_vector, group_cost
 from .decomposition import (PredictionEnsemble, decompose_bias_gap,
-                            decompose_cost, decompose_points,
-                            main_prediction, sd_bounds)
+                            decompose_cost, decompose_costs,
+                            decompose_points, main_prediction, sd_bounds)
 from .bias_estimators import BiasEstimate, ssb, ssb_single, urb, urb_single
 from .experiments import (SweepResult, SweepSpec, run_collect_sim,
                           run_decomposition_sweep, run_ssb_sweep,

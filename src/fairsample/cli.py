@@ -66,14 +66,14 @@ def _build_dataset(raw, seed):
     return ds, sha.hexdigest()
 
 
-def _write_manifest(path, config, seed, dataset_sha, pop_ratio,
+def _write_manifest(path, config, seed, started_at, dataset_sha, pop_ratio,
                     rows_written, grid_dropped=None):
     manifest = {
         "config": config,
         "seed": seed,
         "dataset_sha256": dataset_sha,
         "version": __version__,
-        "started_at": datetime.now(timezone.utc).isoformat(),
+        "started_at": started_at,
         "population_ratio": pop_ratio,
         "rows_written": rows_written,
     }
@@ -85,6 +85,9 @@ def _write_manifest(path, config, seed, dataset_sha, pop_ratio,
 
 
 def _prepare(args):
+    """(config, seed, output directory, start time): the start time is
+    taken before the dataset loads, as an ISO 8601 UTC string."""
+    started_at = datetime.now(timezone.utc).isoformat()
     config = check_keys(read_json(args.config, "config"), _TOP_KEYS,
                         "config")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
@@ -95,7 +98,7 @@ def _prepare(args):
     check_type("output_dir", config.get("output_dir", "."), str, "a string")
     out_dir = args.out or config.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    return config, seed, out_dir
+    return config, seed, out_dir, started_at
 
 
 _RUNNERS = {
@@ -107,7 +110,7 @@ _RUNNERS = {
 
 
 def cmd_metrics(args):
-    config, seed, out_dir = _prepare(args)
+    config, seed, out_dir, started_at = _prepare(args)
     ds, sha = _build_dataset(config.get("dataset"), seed)
     learner = build(Learner, config.get("learner"), "learner")
     learner.check_task(ds.task)
@@ -127,12 +130,12 @@ def cmd_metrics(args):
             fmt = lambda v: "" if v is None else repr(v)
             w.writerow([rep.metric, fmt(v0), fmt(v1), fmt(d)])
     _write_manifest(os.path.join(out_dir, "manifest.json"), config, seed,
-                    sha, population_ratio(ds), len(reports))
+                    started_at, sha, population_ratio(ds), len(reports))
     return 0
 
 
 def _run_sweep_family(args, **defaults):
-    config, seed, out_dir = _prepare(args)
+    config, seed, out_dir, started_at = _prepare(args)
     ds, sha = _build_dataset(config.get("dataset"), seed)
     learner = build(Learner, config.get("learner"), "learner")
     # learner, metrics and threads are top-level config entries
@@ -144,7 +147,7 @@ def _run_sweep_family(args, **defaults):
     if result.bias_rows:
         result.write_bias_csv(os.path.join(out_dir, "bias_estimates.csv"))
     _write_manifest(os.path.join(out_dir, "manifest.json"), config, seed,
-                    sha, result.population_ratio, rows,
+                    started_at, sha, result.population_ratio, rows,
                     result.grid_dropped)
     return 0
 
@@ -158,7 +161,7 @@ def cmd_decompose(args):
 
 
 def cmd_synth(args):
-    config, seed, out_dir = _prepare(args)
+    config, seed, out_dir, started_at = _prepare(args)
     raw = check_keys(config.get("dataset") or {}, ("synth",), "dataset")
     if "synth" not in raw:
         raise ConfigError("synth command requires dataset.synth")
@@ -167,7 +170,7 @@ def cmd_synth(args):
     schema_path = os.path.join(out_dir, "schema.json")
     write_csv(ds, csv_path, schema_path)
     _write_manifest(os.path.join(out_dir, "manifest.json"), config, seed,
-                    sha, population_ratio(ds), ds.n)
+                    started_at, sha, population_ratio(ds), ds.n)
     return 0
 
 

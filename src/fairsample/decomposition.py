@@ -8,8 +8,10 @@ noise term of the decomposition is zero and no report carries it.
 Zero-one terms are exact rationals: a point's mean loss over the models
 is its bias plus its net variance (Domingos, ICML 2000), so a group's bias
 is the main prediction's loss rate and its net variance the models' mean
-loss rate less it, both read from one group_metrics confusion_counts
-table.  Squared-loss terms are float64 with fixed-order summation.
+loss rate less it.  One group_metrics confusion_counts table per ensemble,
+the main prediction stacked over the K models, serves every zero-one
+metric of decompose_costs and sd_bounds.  Squared-loss terms are float64
+with fixed-order summation.
 """
 
 from __future__ import annotations
@@ -105,16 +107,21 @@ def _majority_labels(ens, mean_scores):
     return labels
 
 
-def _zero_one_terms(ens, rate):
+def _zero_one_table(ens):
+    """int (K + 1, 2, 4) confusion_counts of the main prediction (row 0)
+    stacked over the K models."""
+    _, main = main_prediction(ens)
+    return confusion_counts(ens.eval_y, np.vstack([main, ens.labels]),
+                            ens.eval_a)
+
+
+def _zero_one_terms(counts, rate):
     """[(bias, net_variance)] per group: the exact mean terms of the
     zero-one loss that rate counts, over the points its denominator counts,
-    or (None, None) for a group with none.  One confusion_counts table
-    stacks the main prediction (row 0) over the K models."""
-    _, main = main_prediction(ens)
-    counts = confusion_counts(ens.eval_y, np.vstack([main, ens.labels]),
-                              ens.eval_a)
+    or (None, None) for a group with none, from a _zero_one_table."""
     num, den = (counts[..., list(c)].sum(axis=-1).tolist()
                 for c in _RATE_CELLS[rate])
+    k = len(num) - 1
     terms = []
     for group in (0, 1):
         n = den[0][group]
@@ -123,7 +130,7 @@ def _zero_one_terms(ens, rate):
             continue
         bias = Fraction(num[0][group], n)
         models = sum(row[group] for row in num[1:])
-        terms.append((bias, Fraction(models, ens.k * n) - bias))
+        terms.append((bias, Fraction(models, k * n) - bias))
     return terms
 
 
@@ -194,27 +201,42 @@ class DecompositionReport:
         return _diff(self.cost(1), self.cost(0))
 
 
+def _squared_terms(ens):
+    """[(bias, net_variance)] per group: the mean squared-loss terms over
+    the group's points, or (None, None) for a group with none."""
+    points = decompose_points(ens)
+    return [(float(np.mean(points.bias[sel])),
+             float(np.mean(points.variance[sel]))) if sel.any()
+            else (None, None)
+            for sel in (ens.eval_a == g for g in (0, 1))]
+
+
+def decompose_costs(ens, metrics):
+    """{metric: DecompositionReport}: the per-group decomposition of each
+    cost metric over its conditioning subset (MSE/ZOL: all points; FPR:
+    y=0; EO: y=1).  Every zero-one metric reads one _zero_one_table."""
+    for metric in metrics:
+        if metric not in _CONDITIONING:
+            raise ConfigError(f"metric {metric!r} has no decomposition")
+        loss_kind = SQUARED if metric == "MSE" else ZERO_ONE
+        if loss_kind != ens.loss_kind:
+            raise ConfigError(
+                f"metric {metric} needs {loss_kind} loss, ensemble carries "
+                f"{ens.loss_kind}")
+    if ens.loss_kind == ZERO_ONE:
+        counts = _zero_one_table(ens)
+        terms = {m: _zero_one_terms(counts, _LOSS_RATE[m]) for m in metrics}
+    else:  # MSE conditions on all points
+        terms = {m: _squared_terms(ens) for m in metrics}
+    return {m: DecompositionReport(m, _CONDITIONING[m], *_COST_AFFINE[m],
+                                   *terms[m][0], *terms[m][1])
+            for m in metrics}
+
+
 def decompose_cost(ens, metric):
     """Per-group decomposition of one cost metric over its conditioning
     subset (MSE/ZOL: all points; FPR: y=0; EO: y=1)."""
-    if metric not in _CONDITIONING:
-        raise ConfigError(f"metric {metric!r} has no decomposition")
-    loss_kind = SQUARED if metric == "MSE" else ZERO_ONE
-    if loss_kind != ens.loss_kind:
-        raise ConfigError(
-            f"metric {metric} needs {loss_kind} loss, ensemble carries "
-            f"{ens.loss_kind}")
-    offset, sign = _COST_AFFINE[metric]
-    if loss_kind == ZERO_ONE:
-        terms = _zero_one_terms(ens, _LOSS_RATE[metric])
-    else:  # MSE conditions on all points
-        points = decompose_points(ens)
-        terms = [(float(np.mean(points.bias[sel])),
-                  float(np.mean(points.variance[sel]))) if sel.any()
-                 else (None, None)
-                 for sel in (ens.eval_a == g for g in (0, 1))]
-    return DecompositionReport(metric, _CONDITIONING[metric], offset, sign,
-                               *terms[0], *terms[1])
+    return decompose_costs(ens, (metric,))[metric]
 
 
 @dataclass(frozen=True)
@@ -253,21 +275,27 @@ class BiasGapReport:
         return self.target.cost_sign * (b + v)
 
 
+def bias_gap(target, reference):
+    """Term-wise deltas between a target's and a reference's
+    DecompositionReport of one metric on one evaluation set."""
+
+    def delta(term):
+        return [_diff(getattr(target, f"{term}_a{g}"),
+                      getattr(reference, f"{term}_a{g}")) for g in (0, 1)]
+
+    db = delta("bias")
+    dv = delta("net_variance")
+    return BiasGapReport(target.metric, target, reference, db[0], db[1],
+                         dv[0], dv[1])
+
+
 def decompose_bias_gap(ens_target, ens_reference, metric):
     """Term-wise decomposition of a discrimination gap into per-group
     bias and net-variance deltas against a reference ensemble."""
     if not ens_target.same_eval_set(ens_reference):
         raise ConfigError("ensembles evaluated on different evaluation sets")
-    rep_t = decompose_cost(ens_target, metric)
-    rep_r = decompose_cost(ens_reference, metric)
-
-    def delta(term):
-        return [_diff(getattr(rep_t, f"{term}_a{g}"),
-                      getattr(rep_r, f"{term}_a{g}")) for g in (0, 1)]
-
-    db = delta("bias")
-    dv = delta("net_variance")
-    return BiasGapReport(metric, rep_t, rep_r, db[0], db[1], dv[0], dv[1])
+    return bias_gap(decompose_cost(ens_target, metric),
+                    decompose_cost(ens_reference, metric))
 
 
 @dataclass(frozen=True)
@@ -308,18 +336,20 @@ def sd_bounds(ens):
     """
     if ens.loss_kind not in (ZERO_ONE, ABSOLUTE):
         raise ConfigError("sd_bounds requires a classification ensemble")
-    for group in (0, 1):
-        if not np.any(ens.eval_a == group):
-            raise DataError(f"empty group a{group} in evaluation set")
-    terms = _zero_one_terms(ens, "ZOL")
-    k = ens.k
+    counts = _zero_one_table(ens)
+    # per group: the main prediction's cells, whose y = 1 cells count the
+    # outcomes, and the K models' cells, whose label = 1 cells count labels
+    main, models = counts[0].tolist(), counts[1:].sum(axis=0).tolist()
     sd_hat = {}
     sd_true = {}
     for group in (0, 1):
-        sel = ens.eval_a == group
-        n = int(sel.sum())
-        sd_hat[group] = Fraction(int(ens.labels[:, sel].sum()), k * n)
-        sd_true[group] = Fraction(int(ens.eval_y[sel].sum()), n)
+        n = sum(main[group])
+        if n == 0:
+            raise DataError(f"empty group a{group} in evaluation set")
+        sd_hat[group] = Fraction(models[group][1] + models[group][3],
+                                 ens.k * n)
+        sd_true[group] = Fraction(main[group][2] + main[group][3], n)
+    terms = _zero_one_terms(counts, "ZOL")
     db = terms[1][0] - terms[0][0]
     dv = terms[1][1] - terms[0][1]
     upper = db + dv

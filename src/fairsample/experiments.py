@@ -31,7 +31,7 @@ from . import bias_estimators as be
 from .dataset import (CLASSIFICATION, REGRESSION, draw_from_pools,
                       holdout_split, population_ratio)
 from .decomposition import (_CONDITIONING, SQUARED, ZERO_ONE,
-                            PredictionEnsemble, decompose_bias_gap)
+                            PredictionEnsemble, bias_gap, decompose_costs)
 from .errors import (ConfigError, DataError, check_fields, check_finite,
                      check_integer)
 from .group_metrics import (ALL_METRICS, disc_vector, model_costs,
@@ -483,14 +483,22 @@ def _reduce_decomposition(result, plan, spec, ref, ensembles):
     Row means are the ensemble-level totals bias_delta + netvar_delta:
     the mean-over-models SSB/URB, whatever spec.estimator says (exactly,
     for zero-one loss, where bias_delta is the main-prediction SSB/URB).
-    stderr is over the per-replicate single-model gaps.
+    stderr is over the per-replicate single-model gaps.  Each distinct
+    ensemble is decomposed once, for every metric: grid points that share
+    a cell, or the reference's, share its ensemble object.
     """
     ref_ens, ref_costs = ref
     ref_disc = {metric: _float(be.mean_over_models(ref_costs[metric])[0])
                 for metric in plan.metrics}
+    ref_terms = decompose_costs(ref_ens, plan.metrics)
+    last, terms = ref_ens, ref_terms
     for g, ens, costs in ensembles:
+        if ens is not last:
+            terms = ref_terms if ens is ref_ens \
+                else decompose_costs(ens, plan.metrics)
+            last = ens
         for metric, reports in costs.items():
-            gap = decompose_bias_gap(ens, ref_ens, metric)
+            gap = bias_gap(terms[metric], ref_terms[metric])
             sign = gap.target.cost_sign
             # per-replicate single-model gaps drive the dispersion column
             rd = ref_disc[metric]

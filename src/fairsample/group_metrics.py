@@ -73,7 +73,10 @@ _RATE_CELLS = {"FPR": ((1,), (0, 1)), "FNR": ((2,), (2, 3)),
 def _check_binary(**named):
     """Reject any of the named arrays (None: unchecked) that is not 0/1."""
     for name, values in named.items():
-        if values is not None and not np.isin(values, (0, 1)).all():
+        if values is None:
+            continue
+        values = np.asarray(values)
+        if not ((values == 0) | (values == 1)).all():
             raise ConfigError(f"{name} must be 0 or 1")
 
 

@@ -489,9 +489,10 @@ def _score_tree(params, X):
 
 # query rows per chunk in _score_knn: _KNN_CHUNK_ELEMS // (n_train * d),
 # so a chunk's one-gemm filter array and each of the exact fallback's
-# per-feature terms stay ~512 KB as float64 at most; larger chunks cut
-# per-chunk overhead until they fall out of cache
-_KNN_CHUNK_ELEMS = 65536
+# per-feature terms stay ~1 MB as float64 at most; larger chunks cut
+# per-chunk overhead until they fall out of cache (four times this size
+# ran slower)
+_KNN_CHUNK_ELEMS = 131072
 
 
 def _fit_knn(learner, X, y):
@@ -565,7 +566,8 @@ def _score_knn(params, X):
     np.sum((Xt - q) ** 2, axis=1) computes them, ties at the k-th place
     to the lower training rows.  Query rows are scored in chunks of
     _KNN_CHUNK_ELEMS // (n_train * d) rows, and a filter settles almost
-    every row without the exact pass.
+    every row without the exact pass.  Scores do not depend on the chunk
+    size.
 
     The filter.  One gemm per chunk, [-2q, 1] @ [t, ||t||^2]', gives
     a = ||t||^2 - 2 q.t for every query row q and training row t: the

@@ -424,6 +424,12 @@ def decompose_cost(ens, metric):
                                terms[1][1], terms[1][2])
 
 
+def decompose_costs(ens, metrics):
+    """{metric: DecompositionReport} from decompose_cost, one metric at a
+    time."""
+    return {metric: decompose_cost(ens, metric) for metric in metrics}
+
+
 def sd_bounds(ens):
     """Statistical-disparity bounds, summing one term per evaluation
     point."""

@@ -1,10 +1,11 @@
 import csv
 import hashlib
 import json
+from datetime import datetime, timezone
 
 import pytest
 
-from fairsample import (Learner, SweepSpec, SynthSpec, fit, generate,
+from fairsample import (Learner, SweepSpec, SynthSpec, cli, fit, generate,
                         run_ssb_sweep)
 from fairsample.cli import main
 from fairsample.dataset import holdout_split
@@ -390,6 +391,26 @@ def test_manifest_hashes_the_csv_bytes(tmp_path):
     assert main(["metrics", "--config", run_cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["dataset_sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_manifest_started_at_precedes_the_sweep(tmp_path, monkeypatch):
+    called_at = []
+    runner = cli._RUNNERS["ssb_size"]
+
+    def record(ds, spec):
+        called_at.append(datetime.now(timezone.utc))
+        return runner(ds, spec)
+
+    monkeypatch.setitem(cli._RUNNERS, "ssb_size", record)
+    cfg = write_config(tmp_path, {
+        "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],
+        "sweep": {"family": "ssb_size", "grid": [20, 50], "replicates": 3},
+        "seed": 6})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(called_at) == 1
+    assert datetime.fromisoformat(manifest["started_at"]) <= called_at[0]
 
 
 def test_threads_flag_does_not_change_output(tmp_path):

@@ -19,7 +19,8 @@ import oracles
 from fairsample import (DataError, Dataset, FairsampleError, Learner,
                         PredictionEnsemble, Schema, SweepSpec, SynthSpec,
                         decompose_bias_gap, decompose_cost,
-                        decompose_points, fit, generate, holdout_split,
+                        decompose_costs, decompose_points, fit, generate,
+                        holdout_split,
                         run_collect_sim,
                         run_decomposition_sweep, run_ssb_sweep,
                         run_urb_sweep, sd_bounds)
@@ -330,6 +331,32 @@ def test_knn_filter_matches_per_row_oracle_at_extreme_scales(
     assert np.array_equal(scores, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2, 5]),
+       n_train=st.integers(5, 40),
+       k=st.sampled_from(["1", "3", "n_train"]),
+       n_query=st.integers(1, 150),
+       seed=st.integers(0, 2**32 - 1))
+def test_knn_scores_do_not_depend_on_chunk_size(d, n_train, k, n_query,
+                                                seed):
+    # integer-grid rows with repeats: many distances tie at the k-th place
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, (n_train, d)).astype(float)
+    X = X[rng.integers(0, n_train, n_train)]
+    Xq = rng.integers(-3, 4, (n_query, d)).astype(float)
+    k = n_train if k == "n_train" else int(k)
+    params = {"X": X, "y": rng.integers(0, 2, n_train).astype(float),
+              "k": k}
+    expected = oracles.score_knn(params, Xq)
+    # one element, one training set (both one row per chunk), seven
+    # training sets, the default and more rows than the queries
+    for elems in (1, X.size, 7 * X.size, learners._KNN_CHUNK_ELEMS,
+                  (n_query + 1) * X.size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learners, "_KNN_CHUNK_ELEMS", elems)
+            assert np.array_equal(learners._score_knn(params, Xq), expected)
+
+
 def test_knn_filter_decides_almost_every_standard_normal_row(monkeypatch):
     # the decomposition benchmark's shape: 100 training rows, 5 features,
     # k = 5
@@ -596,6 +623,17 @@ def test_zero_one_decomposition_matches_per_point_oracle(ens):
 
 
 @settings(max_examples=300, deadline=None)
+@given(ens=zero_one_ensembles())
+def test_decompose_costs_matches_per_metric_oracle(ens):
+    # one count table serves all three metrics, empty denominators too
+    metrics = ("ZOL", "FPR", "EO")
+    reports = decompose_costs(ens, metrics)
+    assert list(reports) == list(metrics)
+    for metric in metrics:
+        assert reports[metric] == oracles.decompose_cost(ens, metric)
+
+
+@settings(max_examples=300, deadline=None)
 @given(target=zero_one_ensembles(), other=zero_one_ensembles())
 def test_zero_one_gap_terms_are_the_estimators_gaps(target, other):
     # the reference reuses other's models on the target's evaluation set
@@ -731,9 +769,32 @@ def test_knn_urb_decomposition_sweep_matches_oracles_bytewise(
     path = tmp_path / "sweep.csv"
     before = _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path)
     monkeypatch.setitem(learners._SCORERS, "knn", oracles.score_knn)
-    monkeypatch.setattr(decomposition, "decompose_cost",
-                        oracles.decompose_cost)
+    monkeypatch.setattr(experiments, "decompose_costs",
+                        oracles.decompose_costs)
     assert _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path) == before
+
+
+def test_knn_urb_decomposition_builds_one_zero_one_table_per_ensemble(
+        monkeypatch):
+    # the decomposition benchmark's shape: four ratios plus the population
+    # split at total_m=100, kNN k=5, ZOL/FPR/EO, K=5; 0.2 and 0.201 draw
+    # the same counts, so they share one cell and one ensemble
+    ds = generate(SynthSpec(n=3000, d=5, group1_share=0.3, seed=1))
+    spec = SweepSpec(family="decomposition", decomp_kind="urb", total_m=100,
+                     grid=(0.05, 0.1, 0.2, 0.201, 0.5), replicates=5, seed=1,
+                     metrics=("ZOL", "FPR", "EO"),
+                     learner=Learner("knn", k=5))
+    tables = []
+    counts = decomposition.confusion_counts
+
+    def record(*args):
+        tables.append(counts(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(decomposition, "confusion_counts", record)
+    result = run_decomposition_sweep(ds, spec)
+    assert len(result.grid) == 6
+    assert len(tables) == 5
 
 
 def test_tree_collect_sweep_matches_oracle_bytewise(tmp_path, monkeypatch):
