@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,33 +114,14 @@ class Dataset:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Exact per-group sample counts for K seeded replicate draws."""
-
-    m0: int
-    m1: int
-    replicates: int
-    seed: int
-    with_replacement: bool = False
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.m0 < 0 or self.m1 < 0:
-            raise ConfigError("negative group count in sampling plan")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-
-
 # Rows decoded per block: a load holds one block of cells as text, and the
 # rest of the file only as encoded arrays.
 _BLOCK_ROWS = 512
 
 
 def load_csv(path, schema):
-    """Load and encode a CSV file per the schema.
+    """Load and encode a UTF-8 CSV file (a leading byte-order mark is
+    skipped) per the schema.
 
     Categorical features are one-hot encoded with one indicator per level;
     numeric features are standardized over the full file.  Target and
@@ -149,39 +130,11 @@ def load_csv(path, schema):
     column checks raise after the read in the order sensitive, target,
     features, each naming the column's first bad row.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file")
-        col = {name: i for i, name in enumerate(header)}
-        needed = ([schema.target, schema.sensitive]
-                  + [n for n, _ in schema.features])
-        for name in needed:
-            if name not in col:
-                raise DataError(f"missing column {name!r}")
-        need = max(col[name] for name in needed) + 1
-        numeric = {n for n, kind in schema.features if kind == NUMERIC}
-        if schema.task == REGRESSION:
-            numeric.add(schema.target)
-        columns = {name: _NumericColumn(name) if name in numeric
-                   else _TextColumn(name) for name in needed}
-        n = 0
-        # a block of blank lines is not the end of the file
-        while chunk := list(itertools.islice(reader, _BLOCK_ROWS)):
-            block = [r for r in chunk if r]
-            if not block:
-                continue
-            if min(map(len, block)) < need:
-                r, row = next((r, row) for r, row in enumerate(block)
-                              if len(row) < need)
-                raise DataError(f"row {n + r + 1} has {len(row)} fields, the "
-                                f"schema's columns need {need}")
-            cells = list(zip(*block))
-            for name, column in columns.items():
-                column.add(cells[col[name]], n)
-            n += len(block)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            columns, n = _read_columns(csv.reader(fh), path, schema)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     if not n:
         raise DataError(f"{path}: no data rows")
 
@@ -241,6 +194,45 @@ def load_csv(path, schema):
             raise DataError(f"empty group: no rows with group a{group}")
 
     return Dataset(X, y, a, np.arange(n), tuple(names), schema.task)
+
+
+def _read_columns(reader, path, schema):
+    """(columns, n): the schema's columns of the CSV rows reader yields,
+    each a _NumericColumn or _TextColumn by name, and the data row count."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file")
+    col = {name: i for i, name in enumerate(header)}
+    needed = ([schema.target, schema.sensitive]
+              + [n for n, _ in schema.features])
+    for name in needed:
+        if name not in col:
+            raise DataError(f"missing column {name!r}")
+        if header.count(name) > 1:
+            raise DataError(f"header names column {name!r} more than once")
+    need = max(col[name] for name in needed) + 1
+    numeric = {n for n, kind in schema.features if kind == NUMERIC}
+    if schema.task == REGRESSION:
+        numeric.add(schema.target)
+    columns = {name: _NumericColumn(name) if name in numeric
+               else _TextColumn(name) for name in needed}
+    n = 0
+    # a block of blank lines is not the end of the file
+    while chunk := list(itertools.islice(reader, _BLOCK_ROWS)):
+        block = [r for r in chunk if r]
+        if not block:
+            continue
+        if min(map(len, block)) < need:
+            r, row = next((r, row) for r, row in enumerate(block)
+                          if len(row) < need)
+            raise DataError(f"row {n + r + 1} has {len(row)} fields, the "
+                            f"schema's columns need {need}")
+        cells = list(zip(*block))
+        for name, column in columns.items():
+            column.add(cells[col[name]], n)
+        n += len(block)
+    return columns, n
 
 
 def _missing(name, row):
@@ -337,27 +329,6 @@ def _parse_float(v, name, row):
 def population_ratio(ds):
     """Protected-group share |G1| / n, the reference split for URB."""
     return float(np.count_nonzero(ds.a == 1)) / ds.n
-
-
-def draw_sample(ds, plan, replicate_index):
-    """Draw one replicate with exactly (m0, m1) rows per group.
-
-    Pure function of (ds, plan, replicate_index): the RNG stream is derived
-    from (plan.seed, replicate_index) only, so draws are reproducible and
-    independent of call order or parallel schedule.
-    """
-    if replicate_index >= plan.replicates:
-        raise ConfigError(
-            f"replicate_index {replicate_index} >= plan.replicates "
-            f"{plan.replicates}")
-    pools = (ds.group_indices(0), ds.group_indices(1))
-    for group, want in ((0, plan.m0), (1, plan.m1)):
-        if not plan.with_replacement and want > len(pools[group]):
-            raise DataError(
-                f"group pool exhausted: need {want} rows from group "
-                f"a{group}, pool has {len(pools[group])}")
-    return draw_from_pools(ds, pools, (plan.m0, plan.m1), plan.seed,
-                           replicate_index, plan.with_replacement)
 
 
 def draw_from_pools(ds, pools, counts, seed, replicate_index,

@@ -69,10 +69,6 @@ class PredictionEnsemble:
     def n(self):
         return self.scores.shape[1]
 
-    def same_eval_set(self, other):
-        return (np.array_equal(self.eval_y, other.eval_y)
-                and np.array_equal(self.eval_a, other.eval_a))
-
 
 @dataclass(frozen=True)
 class PointDecomposition:
@@ -233,12 +229,6 @@ def decompose_costs(ens, metrics):
             for m in metrics}
 
 
-def decompose_cost(ens, metric):
-    """Per-group decomposition of one cost metric over its conditioning
-    subset (MSE/ZOL: all points; FPR: y=0; EO: y=1)."""
-    return decompose_costs(ens, (metric,))[metric]
-
-
 @dataclass(frozen=True)
 class BiasGapReport:
     """Term-wise deltas between a target and a reference decomposition.
@@ -287,15 +277,6 @@ def bias_gap(target, reference):
     dv = delta("net_variance")
     return BiasGapReport(target.metric, target, reference, db[0], db[1],
                          dv[0], dv[1])
-
-
-def decompose_bias_gap(ens_target, ens_reference, metric):
-    """Term-wise decomposition of a discrimination gap into per-group
-    bias and net-variance deltas against a reference ensemble."""
-    if not ens_target.same_eval_set(ens_reference):
-        raise ConfigError("ensembles evaluated on different evaluation sets")
-    return bias_gap(decompose_cost(ens_target, metric),
-                    decompose_cost(ens_reference, metric))
 
 
 @dataclass(frozen=True)

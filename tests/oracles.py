@@ -1,7 +1,10 @@
 """Reference implementations: the CSV loader that holds the whole table
 as strings, the stratified holdout split one row at a time, the two
 samplers the sweep families drew with before they shared one draw
-primitive, logistic-regression fitting one sample at a time, per-row kNN
+primitive (the library keeps only that primitive,
+dataset.draw_from_pools; draw_sample here takes each group's count, the
+seed and the replacement flag as plain arguments and checks each group's
+pool itself), logistic-regression fitting one sample at a time, per-row kNN
 and tree scoring, a decision tree fitted as a nested dict, the exact
 zero-one decomposition one point at a time, and brute-force group metrics
 (one model and one group at a time) and decompositions.
@@ -20,8 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fairsample.dataset import (CLASSIFICATION, NUMERIC, Dataset,
-                                SamplingPlan, _parse_float)
+from fairsample.dataset import CLASSIFICATION, NUMERIC, Dataset, _parse_float
 from fairsample.decomposition import (_COST_AFFINE, _CONDITIONING, SQUARED,
                                       ZERO_ONE, DecompositionReport,
                                       SdBoundsReport, _majority_labels,
@@ -179,35 +181,29 @@ def holdout_split(ds, test_fraction, seed):
     return ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
 
 
-def draw_sample(ds, plan, replicate_index):
+def draw_sample(ds, m0, m1, seed, replicate_index, with_replacement):
     """Draw one replicate with exactly (m0, m1) rows per group; a group
     with a count of 0 is skipped without touching the stream."""
-    if replicate_index >= plan.replicates:
-        raise ConfigError(
-            f"replicate_index {replicate_index} >= plan.replicates "
-            f"{plan.replicates}")
     rng = np.random.default_rng(
-        np.random.SeedSequence((plan.seed, replicate_index)))
+        np.random.SeedSequence((seed, replicate_index)))
     picked = []
-    for group, want in ((0, plan.m0), (1, plan.m1)):
+    for group, want in ((0, m0), (1, m1)):
         pool = ds.group_indices(group)
         if want == 0:
             continue
-        if not plan.with_replacement and want > len(pool):
+        if not with_replacement and want > len(pool):
             raise DataError(
                 f"group pool exhausted: need {want} rows from group "
                 f"a{group}, pool has {len(pool)}")
-        picked.append(rng.choice(pool, size=want,
-                                 replace=plan.with_replacement))
+        picked.append(rng.choice(pool, size=want, replace=with_replacement))
     idx = np.sort(np.concatenate(picked)) if picked else np.array([], dtype=int)
     return ds.subset(idx)
 
 
 def _draw(pool, spec, cell, rep):
     """Replicate rep of a cell: exactly (m0, m1) rows per group."""
-    plan = SamplingPlan(m0=cell.m0, m1=cell.m1, replicates=spec.replicates,
-                        seed=cell.seed, with_replacement=spec.with_replacement)
-    return draw_sample(pool, plan, rep)
+    return draw_sample(pool, cell.m0, cell.m1, cell.seed, rep,
+                       spec.with_replacement)
 
 
 def _collect_sampler(pool, spec, max_n1):

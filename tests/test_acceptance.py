@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from fairsample import (Learner, PredictionEnsemble, SamplingPlan, SweepSpec,
-                        SynthSpec, decompose_cost, decompose_points,
-                        draw_sample, fit, generate, group_cost,
+from fairsample import (Learner, PredictionEnsemble, SweepSpec, SynthSpec,
+                        decompose_costs, decompose_points, draw_from_pools,
+                        fit, generate, group_cost,
                         holdout_split, run_decomposition_sweep,
                         run_ssb_sweep, run_urb_sweep, sd_bounds)
 from fairsample.bias_estimators import MAIN_PREDICTION, MEAN_OVER_MODELS
@@ -63,7 +63,7 @@ def test_c01_squared_loss_identity():
     start = time.perf_counter()
     for _ in range(100):
         ens = random_regression_ensemble(rng)
-        rep = decompose_cost(ens, "MSE")
+        rep = decompose_costs(ens, ("MSE",))["MSE"]
         for group in (0, 1):
             sel = ens.eval_a == group
             direct = float(np.mean((ens.scores[:, sel] -
@@ -174,8 +174,9 @@ def test_c07_null_disparity_convergence():
         ds = generate(SynthSpec(n=3600, d=2, group1_share=0.5,
                                 seed=7000 + rep))
         pool, test = holdout_split(ds, 0.3, seed=rep)
-        sample = draw_sample(pool, SamplingPlan(m0=1000, m1=1000,
-                                                replicates=1, seed=rep), 0)
+        sample = draw_from_pools(pool, (pool.group_indices(0),
+                                        pool.group_indices(1)),
+                                 (1000, 1000), rep, 0, False)
         model = fit(learner, sample)
         scores, labels = model.predict(test.X)
         for m in metrics:

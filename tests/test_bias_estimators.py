@@ -1,12 +1,11 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from fairsample import (ConfigError, PredictionEnsemble, ssb, ssb_single,
-                        urb, urb_single)
-from fairsample.bias_estimators import MAIN_PREDICTION, MEAN_OVER_MODELS
-from fairsample.decomposition import main_prediction
+from fairsample import PredictionEnsemble, ensemble_discs, estimate
+from fairsample.bias_estimators import (MAIN_PREDICTION, MEAN_OVER_MODELS,
+                                        SSB_ENSEMBLE, URB_ENSEMBLE)
+from fairsample.group_metrics import model_costs
 
 
 def make_ens(labels, y, a, scores=None):
@@ -17,6 +16,20 @@ def make_ens(labels, y, a, scores=None):
                               "zero_one")
 
 
+def estimate_bias(target, ref, metric, estimator=MEAN_OVER_MODELS,
+                  kind=SSB_ENSEMBLE, target_desc="target",
+                  ref_desc="reference"):
+    """The sweep engine's estimate of target against ref: each ensemble's
+    ensemble_discs over its model_costs, then their difference."""
+    discs = [ensemble_discs(ens, model_costs(ens.eval_y, ens.labels,
+                                             ens.scores, ens.eval_a,
+                                             (metric,)),
+                            (metric,), estimator)[metric]
+             for ens in (target, ref)]
+    return estimate(kind, metric, estimator, target_desc, ref_desc,
+                    *discs[0], *discs[1], target.k)
+
+
 Y = [1, 0, 1, 0, 1, 0]
 A = [0, 0, 0, 1, 1, 1]
 
@@ -24,15 +37,15 @@ A = [0, 0, 0, 1, 1, 1]
 def test_ssb_zero_when_target_is_reference():
     ens = make_ens([[1, 0, 0, 1, 1, 0], [1, 1, 0, 0, 1, 0]], Y, A)
     for estimator in (MAIN_PREDICTION, MEAN_OVER_MODELS):
-        est = ssb(ens, ens, "EO", estimator)
+        est = estimate_bias(ens, ens, "EO", estimator)
         assert est.value == 0
 
 
 def test_single_model_estimators_coincide():
     t = make_ens([[1, 0, 0, 1, 1, 0]], Y, A)
     r = make_ens([[1, 1, 0, 0, 1, 1]], Y, A)
-    v1 = ssb(t, r, "EO", MAIN_PREDICTION).value
-    v2 = ssb(t, r, "EO", MEAN_OVER_MODELS).value
+    v1 = estimate_bias(t, r, "EO", MAIN_PREDICTION).value
+    v2 = estimate_bias(t, r, "EO", MEAN_OVER_MODELS).value
     assert v1 == v2
 
 
@@ -48,12 +61,12 @@ def test_ssb_toy_enumeration():
     # m2: a0 TPR=1, a1 TPR=1 -> 0
     # m3: a0 TPR=1/2, a1 TPR=0 -> -1/2
     # mean = 0; reference models both: a0 TPR=1, a1 TPR=1 -> 0
-    est = ssb(t, r, "EO", MEAN_OVER_MODELS)
+    est = estimate_bias(t, r, "EO", MEAN_OVER_MODELS)
     assert est.value == 0
     # FPR: m1: a0 (pts 1)=0, a1 (pts 3,5)=1/2 -> +1/2
     # m2: a0=1, a1=0 -> -1; m3: a0=0, a1=1/2 -> +1/2; mean = 0
     # ref both: a0=0, a1=1/2 -> +1/2
-    est = ssb(t, r, "FPR", MEAN_OVER_MODELS)
+    est = estimate_bias(t, r, "FPR", MEAN_OVER_MODELS)
     assert est.value == Fraction(0) - Fraction(1, 2)
 
 
@@ -64,8 +77,8 @@ def test_antisymmetry():
     t = make_ens(rng.integers(0, 2, (3, 12)), y, a)
     r = make_ens(rng.integers(0, 2, (4, 12)), y, a)
     for metric in ("EO", "FPR", "ZOL", "SD"):
-        fwd = ssb(t, r, metric, MEAN_OVER_MODELS).value
-        bwd = ssb(r, t, metric, MEAN_OVER_MODELS).value
+        fwd = estimate_bias(t, r, metric, MEAN_OVER_MODELS).value
+        bwd = estimate_bias(r, t, metric, MEAN_OVER_MODELS).value
         if fwd is None:
             assert bwd is None
         else:
@@ -78,8 +91,10 @@ def test_model_order_invariance():
     a = rng.integers(0, 2, 10)
     labels = rng.integers(0, 2, (4, 10))
     r = make_ens(rng.integers(0, 2, (2, 10)), y, a)
-    v1 = ssb(make_ens(labels, y, a), r, "ZOL", MEAN_OVER_MODELS).value
-    v2 = ssb(make_ens(labels[::-1], y, a), r, "ZOL", MEAN_OVER_MODELS).value
+    v1 = estimate_bias(make_ens(labels, y, a), r, "ZOL",
+                       MEAN_OVER_MODELS).value
+    v2 = estimate_bias(make_ens(labels[::-1], y, a), r, "ZOL",
+                       MEAN_OVER_MODELS).value
     assert v1 == v2
 
 
@@ -88,38 +103,16 @@ def test_undefined_propagates_with_cause():
     y = [1, 0, 1, 1]
     a = [0, 0, 1, 1]
     t = make_ens([[1, 0, 1, 0]], y, a)
-    est = ssb(t, t, "FPR", MEAN_OVER_MODELS)
+    est = estimate_bias(t, t, "FPR", MEAN_OVER_MODELS)
     assert est.value is None
     assert "undefined" in est.cause
-
-
-def test_eval_set_mismatch_rejected():
-    t = make_ens([[1, 0]], [1, 0], [0, 1])
-    r = make_ens([[1, 0]], [0, 0], [0, 1])
-    with pytest.raises(ConfigError, match="evaluation set"):
-        ssb(t, r, "EO")
-
-
-def test_ssb_single_zero_when_model_is_reference_main():
-    r = make_ens([[1, 0, 0, 1, 1, 0],
-                  [1, 0, 0, 1, 1, 0],
-                  [1, 0, 1, 0, 1, 0]], Y, A)
-    scores, labels = main_prediction(r)
-    est = ssb_single(scores, labels, r, "EO")
-    assert est.value == 0
-
-
-def test_ssb_single_perfect_vs_perfect():
-    y = np.array(Y, dtype=float)
-    r = make_ens(np.tile(y, (3, 1)), Y, A)
-    est = ssb_single(y, y, r, "EO")
-    assert est.value == 0
 
 
 def test_urb_zero_at_population_split():
     ens = make_ens([[1, 0, 0, 1, 1, 0], [0, 0, 1, 1, 0, 0]], Y, A)
     for estimator in (MAIN_PREDICTION, MEAN_OVER_MODELS):
-        assert urb(ens, ens, "SD", estimator).value == 0
+        assert estimate_bias(ens, ens, "SD", estimator,
+                             URB_ENSEMBLE).value == 0
 
 
 def test_urb_toy_enumeration():
@@ -127,28 +120,20 @@ def test_urb_toy_enumeration():
     r = make_ens([[1, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1, 0]], Y, A)
     # SD target: m1 a0=2/3, a1=2/3 -> 0; m2 a0=0, a1=2/3 -> 2/3; mean 1/3
     # SD ref: both a0=2/3, a1=1/3 -> -1/3
-    est = urb(t, r, "SD", MEAN_OVER_MODELS)
+    est = estimate_bias(t, r, "SD", MEAN_OVER_MODELS, URB_ENSEMBLE)
     assert est.value == Fraction(1, 3) - Fraction(-1, 3)
-
-
-def test_urb_single_matches_manual():
-    r = make_ens([[1, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1, 0]], Y, A)
-    single = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
-    est = urb_single(single, single, r, "SD")
-    # single SD: a0=2/3, a1=1/3 -> -1/3; ref main: a0=2/3, a1=1/3 -> -1/3
-    assert est.value == 0
 
 
 def test_csv_row_serialization():
     ens = make_ens([[1, 0, 0, 1, 1, 0]], Y, A)
-    est = ssb(ens, ens, "EO", MEAN_OVER_MODELS,
-              target_desc="m=10", ref_desc="M=100")
+    est = estimate_bias(ens, ens, "EO", MEAN_OVER_MODELS,
+                        target_desc="m=10", ref_desc="M=100")
     row = est.to_csv_row()
     assert row[0] == "SSB_M_ensemble"
     assert row[3] == "m=10" and row[4] == "M=100"
     assert row[5] == "0.0"
     y = [1, 0, 1, 1]
     a = [0, 0, 1, 1]
-    und = ssb(make_ens([[1, 0, 1, 0]], y, a),
-              make_ens([[1, 0, 1, 0]], y, a), "FPR")
+    und = estimate_bias(make_ens([[1, 0, 1, 0]], y, a),
+                        make_ens([[1, 0, 1, 0]], y, a), "FPR")
     assert und.to_csv_row()[5] == ""

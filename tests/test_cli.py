@@ -180,6 +180,20 @@ def test_short_row_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_utf8_csv_exit_3(tmp_path, capsys):
+    # a latin-1 cell used to stop with a UnicodeDecodeError (exit 1)
+    data = tmp_path / "data.csv"
+    data.write_bytes("outcome,group,x0\npos,a0,1.0\nneg,café,2.0\n"
+                     .encode("latin-1"))
+    cfg = write_config(tmp_path, {
+        "dataset": {"csv": str(data), "schema": write_schema(tmp_path)}})
+    assert main(["metrics", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 def test_mse_on_classification_exit_2(tmp_path):
     cfg = write_config(tmp_path, {
         "dataset": SYNTH, "learner": TREE, "metrics": ["MSE"],

@@ -7,14 +7,12 @@ import typing
 import numpy as np
 import pytest
 
-from fairsample import (ConfigError, Learner, SamplingPlan, Schema, SweepSpec,
-                        SynthSpec)
+from fairsample import ConfigError, Learner, Schema, SweepSpec, SynthSpec
 
 VALID = {
     SweepSpec: dict(family="ssb_size"),
     Learner: dict(),
     SynthSpec: dict(n=100, d=2, group1_share=0.5, seed=0),
-    SamplingPlan: dict(m0=1, m1=1, replicates=1, seed=0),
     Schema: dict(target="t", sensitive="s", privileged_value="p",
                  features=(("x", "numeric"),), positive_label="1"),
 }

@@ -3,9 +3,8 @@ import statistics
 import numpy as np
 import pytest
 
-from fairsample import (ConfigError, DataError, SamplingPlan, Schema,
-                        draw_sample, holdout_split, load_csv,
-                        population_ratio)
+from fairsample import (ConfigError, DataError, Schema, draw_from_pools,
+                        holdout_split, load_csv, population_ratio)
 
 
 def write_csv(path, header, rows):
@@ -130,6 +129,43 @@ def test_missing_value_rejected(tmp_path):
         load_csv(path, BASIC_SCHEMA)
 
 
+def test_utf8_byte_order_mark_is_skipped(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a BOM; it used to stick to
+    # the first header name, and the column was reported missing
+    plain = load_csv(basic_csv(tmp_path), BASIC_SCHEMA)
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff" + (tmp_path / "d.csv").read_text(),
+                    encoding="utf-8")
+    ds = load_csv(str(path), BASIC_SCHEMA)
+    assert ds.fingerprint() == plain.fingerprint()
+    assert ds.feature_names == plain.feature_names
+
+
+def test_non_utf8_file_is_a_data_error(tmp_path):
+    # a latin-1 cell used to stop with a UnicodeDecodeError
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("label,sex,age,job\nyes,m,1,café\nno,f,2,x\n"
+                     .encode("latin-1"))
+    with pytest.raises(DataError, match=r"latin1\.csv: not UTF-8 text$"):
+        load_csv(str(path), BASIC_SCHEMA)
+
+
+def test_schema_column_named_twice_rejected(tmp_path):
+    # the last copy used to win without a word
+    path = write_csv(tmp_path / "d.csv", ["label", "sex", "age", "job", "age"],
+                     [["yes", "m", "1", "x", "999"],
+                      ["no", "f", "2", "y", "999"]])
+    with pytest.raises(DataError,
+                       match=r"^header names column 'age' more than once$"):
+        load_csv(path, BASIC_SCHEMA)
+    # a column the schema does not use may repeat
+    path = write_csv(tmp_path / "d.csv",
+                     ["label", "sex", "age", "job", "note", "note"],
+                     [["yes", "m", "1", "x", "", ""],
+                      ["no", "f", "2", "y", "", ""]])
+    assert load_csv(path, BASIC_SCHEMA).n == 2
+
+
 def test_encoding_idempotence(tmp_path):
     path = basic_csv(tmp_path)
     a = load_csv(path, BASIC_SCHEMA)
@@ -167,40 +203,39 @@ def pool_ds(tmp_path):
     return load_csv(basic_csv(tmp_path, rows), BASIC_SCHEMA)
 
 
+def draw(ds, counts, seed, rep, with_replacement=False):
+    """Replicate rep of counts[g] rows from each group g's pool."""
+    return draw_from_pools(ds, (ds.group_indices(0), ds.group_indices(1)),
+                           counts, seed, rep, with_replacement)
+
+
 def test_draw_sample_exact_counts(pool_ds):
-    plan = SamplingPlan(m0=12, m1=5, replicates=4, seed=11)
     for rep in range(4):
-        s = draw_sample(pool_ds, plan, rep)
+        s = draw(pool_ds, (12, 5), 11, rep)
         assert int((s.a == 0).sum()) == 12
         assert int((s.a == 1).sum()) == 5
 
 
 def test_draw_sample_deterministic(pool_ds):
-    plan = SamplingPlan(m0=10, m1=4, replicates=2, seed=3)
-    s1 = draw_sample(pool_ds, plan, 1)
-    s2 = draw_sample(pool_ds, plan, 1)
+    s1 = draw(pool_ds, (10, 4), 3, 1)
+    s2 = draw(pool_ds, (10, 4), 3, 1)
     assert np.array_equal(s1.row_ids, s2.row_ids)
     # different replicates differ
-    s0 = draw_sample(pool_ds, plan, 0)
+    s0 = draw(pool_ds, (10, 4), 3, 0)
     assert not np.array_equal(s0.row_ids, s1.row_ids)
 
 
 def test_draw_sample_exhaustive_is_permutation(pool_ds):
     n0 = int((pool_ds.a == 0).sum())
     n1 = int((pool_ds.a == 1).sum())
-    plan = SamplingPlan(m0=n0, m1=n1, replicates=1, seed=0)
-    s = draw_sample(pool_ds, plan, 0)
+    s = draw(pool_ds, (n0, n1), 0, 0)
     assert sorted(s.row_ids) == sorted(pool_ds.row_ids)
 
 
 def test_draw_sample_pool_exhausted(pool_ds):
-    plan = SamplingPlan(m0=0, m1=1000, replicates=1, seed=0)
-    with pytest.raises(DataError, match="pool exhausted"):
-        draw_sample(pool_ds, plan, 0)
-    # with replacement the same plan succeeds
-    plan = SamplingPlan(m0=0, m1=1000, replicates=1, seed=0,
-                        with_replacement=True)
-    s = draw_sample(pool_ds, plan, 0)
+    # with replacement a count past the group's pool draws; without, a
+    # sweep rejects it before drawing (test_experiments)
+    s = draw(pool_ds, (0, 1000), 0, 0, with_replacement=True)
     assert s.n == 1000
 
 

@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 import oracles
 from fairsample import (DataError, Dataset, FairsampleError, Learner,
                         PredictionEnsemble, Schema, SweepSpec, SynthSpec,
-                        decompose_bias_gap, decompose_cost,
-                        decompose_costs, decompose_points, fit, generate,
-                        holdout_split,
+                        bias_gap, decompose_costs, decompose_points,
+                        ensemble_discs, fit, generate, holdout_split,
                         run_collect_sim,
                         run_decomposition_sweep, run_ssb_sweep,
                         run_urb_sweep, sd_bounds)
-from fairsample import (bias_estimators, dataset, decomposition,
-                        experiments, group_metrics, learners)
+from fairsample import (dataset, decomposition, experiments, group_metrics,
+                        learners)
 from fairsample.synth import write_csv as write_synth_csv
 
 
@@ -610,7 +609,7 @@ def test_zero_one_decomposition_matches_per_point_oracle(ens):
         oracles.zero_one_points(ens)
     terms = ("bias_a0", "net_variance_a0", "bias_a1", "net_variance_a1")
     for metric in ("ZOL", "FPR", "EO"):
-        rep = decompose_cost(ens, metric)
+        rep = decompose_costs(ens, (metric,))[metric]
         assert rep == oracles.decompose_cost(ens, metric)
         assert _is_exact(rep, terms)
     if all(np.any(ens.eval_a == g) for g in (0, 1)):
@@ -640,11 +639,18 @@ def test_zero_one_gap_terms_are_the_estimators_gaps(target, other):
     cols = np.arange(target.n) % other.n
     ref = PredictionEnsemble(other.scores[:, cols], other.labels[:, cols],
                              target.eval_y, target.eval_a, "zero_one")
+
+    def disc(ens, metric, estimator):
+        costs = group_metrics.model_costs(ens.eval_y, ens.labels, ens.scores,
+                                          ens.eval_a, (metric,))
+        return ensemble_discs(ens, costs, (metric,), estimator)[metric][0]
+
     for metric in ("ZOL", "FPR", "EO"):
-        gap = decompose_bias_gap(target, ref, metric)
-        main_t, mean_t = (bias_estimators.ensemble_disc(target, metric, e)[0]
+        gap = bias_gap(*(decompose_costs(ens, (metric,))[metric]
+                         for ens in (target, ref)))
+        main_t, mean_t = (disc(target, metric, e)
                           for e in ("main_prediction", "mean_over_models"))
-        main_r, mean_r = (bias_estimators.ensemble_disc(ref, metric, e)[0]
+        main_r, mean_r = (disc(ref, metric, e)
                           for e in ("main_prediction", "mean_over_models"))
         if gap.bias_delta_diff is None:  # a group's conditioning set is empty
             assert gap.total is main_t is main_r is mean_t is mean_r is None
@@ -656,10 +662,10 @@ def test_zero_one_gap_terms_are_the_estimators_gaps(target, other):
 def test_empty_conditioning_subset_gives_none():
     ens = PredictionEnsemble(np.full((2, 3), 0.9), np.ones((2, 3)),
                              np.zeros(3), np.array([0, 1, 1]), "zero_one")
-    rep = decompose_cost(ens, "EO")
+    rep = decompose_costs(ens, ("EO",))["EO"]
     assert rep == oracles.decompose_cost(ens, "EO")
     assert rep.bias_a0 is None and rep.net_variance_a1 is None
-    assert decompose_cost(ens, "FPR").bias_a1 == 1
+    assert decompose_costs(ens, ("FPR",))["FPR"].bias_a1 == 1
 
 
 @pytest.mark.parametrize("with_replacement", [False, True])
@@ -829,7 +835,7 @@ def test_logreg_collect_sweep_matches_oracle_bytewise(tmp_path, monkeypatch,
 def _swap_in_metric_oracles(monkeypatch):
     """Every per-model metric value from oracle_metrics, one model and one
     group at a time (holdouts stay under its 500-row cap)."""
-    for module in (group_metrics, bias_estimators):
+    for module in (group_metrics, experiments):
         monkeypatch.setattr(module, "model_costs", oracles.oracle_model_costs)
 
 

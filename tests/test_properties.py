@@ -7,13 +7,33 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairsample import (PredictionEnsemble, decompose_bias_gap,
-                        decompose_cost, decompose_points, group_cost, ssb,
-                        urb)
-from fairsample.bias_estimators import ESTIMATORS, MEAN_OVER_MODELS
+from fairsample import (PredictionEnsemble, bias_gap, decompose_costs,
+                        decompose_points, ensemble_discs, estimate,
+                        group_cost)
+from fairsample.bias_estimators import (ESTIMATORS, MEAN_OVER_MODELS,
+                                        SSB_ENSEMBLE, URB_ENSEMBLE)
+from fairsample.group_metrics import model_costs
 
 CLASSIFICATION = ("FPR", "FNR", "EO", "ZOL", "SD", "AUC")
 ZERO_ONE_DECOMPOSABLE = ("ZOL", "FPR", "EO")
+
+
+def estimate_bias(target, ref, metric, estimator, kind=SSB_ENSEMBLE):
+    """The sweep engine's estimate of target against ref: each ensemble's
+    ensemble_discs over its model_costs, then their difference."""
+    discs = [ensemble_discs(ens, model_costs(ens.eval_y, ens.labels,
+                                             ens.scores, ens.eval_a,
+                                             (metric,)),
+                            (metric,), estimator)[metric]
+             for ens in (target, ref)]
+    return estimate(kind, metric, estimator, "target", "reference",
+                    *discs[0], *discs[1], target.k)
+
+
+def decompose_gap(target, ref, metric):
+    """bias_gap of the two ensembles' decompose_costs reports."""
+    return bias_gap(*(decompose_costs(ens, (metric,))[metric]
+                      for ens in (target, ref)))
 
 
 @st.composite
@@ -71,13 +91,13 @@ def squared_ensemble_pairs(draw):
 def test_estimates_are_antisymmetric_and_zero_at_the_reference(
         pair, metric, estimator):
     t, r = pair
-    for estimate in (ssb, urb):
-        fwd = estimate(t, r, metric, estimator).value
-        bwd = estimate(r, t, metric, estimator).value
+    for kind in (SSB_ENSEMBLE, URB_ENSEMBLE):
+        fwd = estimate_bias(t, r, metric, estimator, kind).value
+        bwd = estimate_bias(r, t, metric, estimator, kind).value
         assert (fwd is None) == (bwd is None)
         if fwd is not None:
             assert fwd == -bwd
-        at_ref = estimate(r, r, metric, estimator).value
+        at_ref = estimate_bias(r, r, metric, estimator, kind).value
         assert at_ref is None or at_ref == 0
 
 
@@ -86,12 +106,12 @@ def test_estimates_are_antisymmetric_and_zero_at_the_reference(
 def test_mse_estimates_are_antisymmetric_and_zero_at_the_reference(
         pair, estimator):
     t, r = pair
-    fwd = ssb(t, r, "MSE", estimator).value
-    bwd = ssb(r, t, "MSE", estimator).value
+    fwd = estimate_bias(t, r, "MSE", estimator).value
+    bwd = estimate_bias(r, t, "MSE", estimator).value
     assert (fwd is None) == (bwd is None)
     if fwd is not None:
         assert fwd == -bwd
-    at_ref = ssb(r, r, "MSE", estimator).value
+    at_ref = estimate_bias(r, r, "MSE", estimator).value
     assert at_ref is None or at_ref == 0.0
 
 
@@ -105,7 +125,7 @@ def test_zero_one_decomposition_identities(pair):
                 == points.mean_loss[i])
     for metric in ZERO_ONE_DECOMPOSABLE:
         # each group's cost is the mean over models of its metric value
-        rep = decompose_cost(t, metric)
+        rep = decompose_costs(t, (metric,))[metric]
         for group in (0, 1):
             values = [getattr(group_cost(metric, t.eval_y, t.labels[k],
                                          t.scores[k], t.eval_a),
@@ -115,15 +135,15 @@ def test_zero_one_decomposition_identities(pair):
             else:
                 assert rep.cost(group) == sum(values) / t.k
         # the gap's terms add up to the mean-over-models estimate
-        gap = decompose_bias_gap(t, r, metric)
-        assert gap.total == ssb(t, r, metric, MEAN_OVER_MODELS).value
+        gap = decompose_gap(t, r, metric)
+        assert gap.total == estimate_bias(t, r, metric, MEAN_OVER_MODELS).value
 
 
 @settings(max_examples=100, deadline=None)
 @given(pair=squared_ensemble_pairs())
 def test_squared_decomposition_identities(pair):
     t, r = pair
-    rep = decompose_cost(t, "MSE")
+    rep = decompose_costs(t, ("MSE",))["MSE"]
     for group in (0, 1):
         sel = t.eval_a == group
         if not sel.any():
@@ -131,8 +151,8 @@ def test_squared_decomposition_identities(pair):
             continue
         direct = float(np.mean((t.scores[:, sel] - t.eval_y[sel]) ** 2))
         assert abs(rep.cost(group) - direct) <= 1e-9 * (1 + direct)
-    gap = decompose_bias_gap(t, r, "MSE")
-    value = ssb(t, r, "MSE", MEAN_OVER_MODELS).value
+    gap = decompose_gap(t, r, "MSE")
+    value = estimate_bias(t, r, "MSE", MEAN_OVER_MODELS).value
     if value is None:
         assert gap.total is None
     else:
