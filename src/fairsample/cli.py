@@ -1,8 +1,11 @@
 """Command-line frontend: metrics, sweep, decompose, and synth subcommands.
 
 Each run is driven by a single JSON config file; --seed and --out
-override the corresponding config entries.  --threads and the config key
-threads (an integer) are accepted for compatibility and have no effect.
+override the corresponding config entries.  seed, test_fraction, learner,
+metrics and threads are top-level run settings; a sweep section may not
+name them.
+--threads and the config key threads (an integer) are accepted for
+compatibility and have no effect.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 invariant violation.
 """
@@ -40,6 +43,13 @@ def _metrics(config):
         return ()
     check_type("metrics", metrics, list, "a list")
     return tuple(metrics)
+
+
+def _test_fraction(config):
+    """The config's holdout share, SweepSpec's default when absent."""
+    test_fraction = config.get("test_fraction", SweepSpec.test_fraction)
+    check_finite("test_fraction", test_fraction)
+    return test_fraction
 
 
 def _build_dataset(raw, seed):
@@ -115,9 +125,7 @@ def cmd_metrics(args):
     learner = build(Learner, config.get("learner"), "learner")
     learner.check_task(ds.task)
     metrics = task_metrics(ds.task, _metrics(config))
-    test_fraction = config.get("test_fraction", 0.3)
-    check_finite("test_fraction", test_fraction)
-    pool, test = holdout_split(ds, test_fraction, seed)
+    pool, test = holdout_split(ds, _test_fraction(config), seed)
     model = fit(learner, pool)
     scores, labels = model.predict(test.X)
     reports = disc_vector(test.y, labels, scores, test.a, metrics)
@@ -138,10 +146,10 @@ def _run_sweep_family(args, **defaults):
     config, seed, out_dir, started_at = _prepare(args)
     ds, sha = _build_dataset(config.get("dataset"), seed)
     learner = build(Learner, config.get("learner"), "learner")
-    # learner, metrics and threads are top-level config entries
-    spec = build(SweepSpec, config.get("sweep"), "sweep",
-                 {"seed": seed, **defaults}, learner=learner,
-                 metrics=_metrics(config), threads=1)
+    # the run settings are top-level config entries
+    spec = build(SweepSpec, config.get("sweep"), "sweep", defaults,
+                 learner=learner, metrics=_metrics(config), threads=1,
+                 seed=seed, test_fraction=_test_fraction(config))
     result = _RUNNERS[defaults.get("family", spec.family)](ds, spec)
     rows = result.write_csv(os.path.join(out_dir, "sweep.csv"))
     if result.bias_rows:

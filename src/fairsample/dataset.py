@@ -331,12 +331,22 @@ def population_ratio(ds):
     return float(np.count_nonzero(ds.a == 1)) / ds.n
 
 
+def can_draw(pool, want, with_replacement):
+    """Whether the row-index array pool can give want rows: it holds that
+    many, or it is drawn with replacement and is not empty."""
+    return want <= len(pool) or (with_replacement and len(pool) > 0)
+
+
 def draw_from_pools(ds, pools, counts, seed, replicate_index,
                     with_replacement):
     """One replicate: counts[i] rows of pools[i] (row-index arrays), drawn
     pool by pool from the stream SeedSequence((seed, replicate_index)),
     as a subset sorted by row.  A count of 0 draws nothing and consumes no
-    randomness."""
+    randomness; a count a pool cannot give (can_draw) is a DataError."""
+    for i, (pool, want) in enumerate(zip(pools, counts)):
+        if not can_draw(pool, want, with_replacement):
+            raise DataError(f"pool {i} has {len(pool)} rows, cannot give "
+                            f"{want}")
     rng = np.random.default_rng(
         np.random.SeedSequence((seed, replicate_index)))
     picked = [rng.choice(pool, size=want, replace=with_replacement)

@@ -26,7 +26,6 @@ from .group_metrics import _RATE_CELLS, _check_binary, confusion_counts
 
 SQUARED = "squared"
 ZERO_ONE = "zero_one"
-ABSOLUTE = "absolute"
 
 # conditioning subset per decomposable metric, in a decomposition sweep's
 # default order
@@ -55,7 +54,7 @@ class PredictionEnsemble:
             raise ConfigError("labels shape must match scores")
         if len(self.eval_y) != n or len(self.eval_a) != n:
             raise ConfigError("evaluation vectors misaligned with predictions")
-        if self.loss_kind not in (SQUARED, ZERO_ONE, ABSOLUTE):
+        if self.loss_kind not in (SQUARED, ZERO_ONE):
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
         _check_binary(eval_a=self.eval_a)
         if self.loss_kind != SQUARED:
@@ -73,12 +72,12 @@ class PredictionEnsemble:
 @dataclass(frozen=True)
 class PointDecomposition:
     """Per evaluation point terms.  For squared loss the entries are float
-    arrays; for zero-one and absolute loss they are tuples of Fractions."""
+    arrays; for zero-one loss they are tuples of Fractions."""
 
     loss_kind: str
     bias: tuple
     variance: tuple
-    net_factor: tuple     # c(x): +1 / -1 for 0-1 loss, (1-2B) for absolute
+    net_factor: tuple     # c(x): +1 / -1 for 0-1 loss, 1 for squared
     mean_loss: tuple
 
 
@@ -131,8 +130,6 @@ def _zero_one_terms(counts, rate):
 
 
 def decompose_points(ens):
-    if ens.loss_kind == ABSOLUTE:
-        raise ConfigError("absolute loss has no exact decomposition")
     if ens.loss_kind == SQUARED:
         mean_scores = ens.scores.mean(axis=0)
         bias = (mean_scores - ens.eval_y) ** 2
@@ -315,7 +312,7 @@ def sd_bounds(ens):
     observed is |Disc^SD of the ensemble's expected labels - Disc^SD of the
     true outcomes|.  All quantities are exact rationals.
     """
-    if ens.loss_kind not in (ZERO_ONE, ABSOLUTE):
+    if ens.loss_kind != ZERO_ONE:
         raise ConfigError("sd_bounds requires a classification ensemble")
     counts = _zero_one_table(ens)
     # per group: the main prediction's cells, whose y = 1 cells count the

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import bias_estimators as be
-from .dataset import (CLASSIFICATION, REGRESSION, draw_from_pools,
-                      holdout_split, population_ratio)
+from .dataset import (CLASSIFICATION, REGRESSION, can_draw,
+                      draw_from_pools, holdout_split, population_ratio)
 from .decomposition import (_CONDITIONING, SQUARED, ZERO_ONE,
                             PredictionEnsemble, bias_gap, decompose_costs)
 from .errors import (ConfigError, DataError, check_fields, check_finite,
@@ -238,9 +238,8 @@ def _cell_problems(pools, counts, spec):
     """(bad-count, pool-exhausted) messages for the grid points whose
     counts (one per named pool) cannot be drawn: a negative count, no rows
     at all, a 1-row draw that collect's k-fold CV leaves with an empty
-    training fold, an empty group where the family needs both, or more
-    rows than a pool holds (with replacement, only an empty pool is
-    short)."""
+    training fold, an empty group where the family needs both, or a count
+    a pool cannot give (dataset.can_draw)."""
     cv = spec.family == "collect" and spec.use_cv
     allow_empty = spec.family in ("ssb_size", "collect")
     bad, short = [], []
@@ -257,7 +256,7 @@ def _cell_problems(pools, counts, spec):
         elif not (allow_empty or all(c)):
             bad.append(f"{g!r} gives an empty group ({drawn})")
         for (name, rows), want in zip(pools.items(), c):
-            if want > len(rows) and not (spec.with_replacement and len(rows)):
+            if not can_draw(rows, want, spec.with_replacement):
                 short.append(f"{g!r} needs {want} rows from {name}, pool "
                              f"has {len(rows)}")
     return bad, short
@@ -316,7 +315,10 @@ _SEED_KEYS = {
 
 def _resolve(ds, spec):
     """Holdout split, pools, grid, metrics, reference and one Cell per
-    grid point; an infeasible grid fails here, before any fit."""
+    grid point; an infeasible grid fails here, before any fit.  A size
+    grid's reference is its largest size; a ratio grid's, in urb_ratio and
+    URB decomposition alike, its first point that splits total_m as the
+    population does, added when no point does."""
     family = spec.family
     if family == "collect" and ds.task != CLASSIFICATION:
         raise ConfigError("collect simulation requires a classification task")
@@ -351,23 +353,19 @@ def _resolve(ds, spec):
         if family == "urb_ratio" and 0 in pop:
             raise DataError("population split degenerates to an empty group")
         grid = tuple(spec.grid) if spec.grid else default_urb_grid(ratio)
-        # the population split must be a grid point (the URB reference)
+        # the reference is a point that splits as the population does:
+        # round(ratio, 6), or ratio itself where rounding moves the split
         if not any(_split_counts(r, spec.total_m) == pop for r in grid):
-            grid = tuple(sorted(set(grid) | {round(ratio, 6)}))
+            point = round(ratio, 6)
+            if _split_counts(point, spec.total_m) != pop:
+                point = ratio
+            grid = tuple(sorted(set(grid) | {point}))
         counts = {r: _split_counts(r, spec.total_m) for r in grid}
         if not spec.grid:
             dropped = tuple(r for r in grid if counts[r] != pop and any(
                 _cell_problems(pools, {r: counts[r]}, spec)))
             grid = tuple(r for r in grid if r not in dropped)
-        # URB's reference matches the population split's counts exactly;
-        # a decomposition's is the ratio nearest the population's
-        if family == "urb_ratio":
-            ref = next((r for r in grid if counts[r] == pop), None)
-            if ref is None:
-                raise ConfigError("ratio grid must include the population "
-                                  "ratio")
-        else:
-            ref = min(grid, key=lambda r: abs(r - ratio))
+        ref = next(r for r in grid if counts[r] == pop)
     _check_cells(pools, {g: counts[g] for g in grid}, spec)
     key = _SEED_KEYS[family]
     cells = {g: Cell(counts[g], task_seed(spec.seed, family,
@@ -478,7 +476,8 @@ def _reduce_bias(result, plan, spec, ref, ensembles):
 
 
 def _reduce_decomposition(result, plan, spec, ref, ensembles):
-    """Per-group bias/net-variance deltas against the reference.
+    """Per-group bias/net-variance deltas against the reference: the
+    largest size, or the population split's grid point.
 
     Row means are the ensemble-level totals bias_delta + netvar_delta:
     the mean-over-models SSB/URB, whatever spec.estimator says (exactly,
@@ -558,7 +557,7 @@ def run_urb_sweep(ds, spec):
 
 def run_decomposition_sweep(ds, spec):
     """Per-group bias/net-variance deltas along a size or ratio grid,
-    against the largest size or the ratio nearest the population's."""
+    against the largest size or the population split."""
     return _run(ds, spec, "decomposition")
 
 

@@ -36,13 +36,15 @@ _ORACLE_N_CAP = 500
 
 
 def load_csv(path, schema):
-    """Load and encode a CSV file per the schema.
+    """Load and encode a UTF-8 CSV file (a leading byte-order mark is
+    skipped) per the schema.
 
     Categorical features are one-hot encoded with one indicator per level;
     numeric features are standardized over the full file.  Target and
-    sensitive columns are mapped to {0,1}.
+    sensitive columns are mapped to {0,1}.  A schema column the header
+    names twice is an error.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -55,6 +57,8 @@ def load_csv(path, schema):
     for name in needed:
         if name not in col:
             raise DataError(f"missing column {name!r}")
+        if header.count(name) > 1:
+            raise DataError(f"header names column {name!r} more than once")
     if not rows:
         raise DataError(f"{path}: no data rows")
     need = max(col[name] for name in needed) + 1
@@ -429,7 +433,7 @@ def decompose_costs(ens, metrics):
 def sd_bounds(ens):
     """Statistical-disparity bounds, summing one term per evaluation
     point."""
-    if ens.loss_kind not in (ZERO_ONE, "absolute"):
+    if ens.loss_kind != ZERO_ONE:
         raise ConfigError("sd_bounds requires a classification ensemble")
     for group in (0, 1):
         if not np.any(ens.eval_a == group):

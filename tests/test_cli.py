@@ -51,6 +51,19 @@ def test_metrics_matches_library_call(tmp_path):
     assert 0 < manifest["population_ratio"] < 1
 
 
+def _library_sweep_csv(tmp_path, **given):
+    """The sweep.csv bytes of a library SD size sweep of the SYNTH data with
+    a TREE learner, with the fields given set."""
+    ds = generate(SynthSpec(n=400, d=2, group1_share=0.4, seed=21))
+    spec = SweepSpec(family="ssb_size", grid=(20, 50), replicates=3,
+                     learner=Learner("decision_tree", max_depth=3,
+                                     min_leaf=5),
+                     metrics=("SD",), **given)
+    path = tmp_path / "expected.csv"
+    run_ssb_sweep(ds, spec).write_csv(path)
+    return path.read_bytes()
+
+
 def test_sweep_matches_library_call(tmp_path):
     cfg = write_config(tmp_path, {
         "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],
@@ -58,16 +71,8 @@ def test_sweep_matches_library_call(tmp_path):
         "seed": 6})
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-
-    ds = generate(SynthSpec(n=400, d=2, group1_share=0.4, seed=21))
-    spec = SweepSpec(family="ssb_size", grid=(20, 50), replicates=3, seed=6,
-                     learner=Learner("decision_tree", max_depth=3,
-                                     min_leaf=5),
-                     metrics=("SD",))
-    expected = run_ssb_sweep(ds, spec)
-    expected.write_csv(tmp_path / "expected.csv")
     assert (out / "sweep.csv").read_bytes() == \
-        (tmp_path / "expected.csv").read_bytes()
+        _library_sweep_csv(tmp_path, seed=6)
     assert (out / "bias_estimates.csv").exists()
 
 
@@ -81,9 +86,39 @@ def test_seed_override_beats_config(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["sweep", "--config", cfg, "--out", str(out2),
                  "--seed", "7"]) == 0
+    assert (out2 / "sweep.csv").read_bytes() == \
+        _library_sweep_csv(tmp_path, seed=7)
     assert (out1 / "sweep.csv").read_bytes() != \
         (out2 / "sweep.csv").read_bytes()
     assert json.loads((out2 / "manifest.json").read_text())["seed"] == 7
+
+
+def test_top_level_test_fraction_reaches_the_sweep(tmp_path):
+    # a sweep used to ignore it and hold out 0.3
+    cfg = write_config(tmp_path, {
+        "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],
+        "sweep": {"family": "ssb_size", "grid": [20, 50], "replicates": 3},
+        "seed": 6, "test_fraction": 0.5})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    expected = _library_sweep_csv(tmp_path, seed=6, test_fraction=0.5)
+    assert (out / "sweep.csv").read_bytes() == expected
+    assert expected != _library_sweep_csv(tmp_path, seed=6)
+
+
+@pytest.mark.parametrize("key, value", [("seed", 1), ("test_fraction", 0.5)])
+def test_run_setting_in_sweep_section_exit_2(tmp_path, capsys, key, value):
+    # a sweep-section seed used to override the top-level one and --seed,
+    # and a sweep-section test_fraction was the only one a sweep read
+    cfg = write_config(tmp_path, {
+        "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],
+        "sweep": {"family": "ssb_size", "grid": [20, 50], "replicates": 3,
+                  key: value},
+        "seed": 6})
+    for command in ("sweep", "decompose"):
+        assert main([command, "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--seed", "7"]) == 2
+        assert f"unknown sweep keys: ['{key}']" in capsys.readouterr().err
 
 
 def test_missing_config_exit_2(tmp_path, capsys):
@@ -267,7 +302,7 @@ COLLECT = {"family": "collect", "grid": [4, 8], "replicates": 3,
      "threshold must be a real number, got 'x'"),
     ("metrics", {"test_fraction": "x"},
      "test_fraction must be a real number, got 'x'"),
-    ("sweep", {"sweep": {**SSB, "test_fraction": "x"}},
+    ("sweep", {"sweep": SSB, "test_fraction": "x"},
      "test_fraction must be a real number, got 'x'"),
     ("sweep", {"sweep": {**SSB, "pool_portion": "x"}},
      "pool_portion must be a real number, got 'x'"),

@@ -3,8 +3,10 @@ import statistics
 import numpy as np
 import pytest
 
-from fairsample import (ConfigError, DataError, Schema, draw_from_pools,
-                        holdout_split, load_csv, population_ratio)
+from fairsample import (ConfigError, DataError, Schema, SynthSpec,
+                        draw_from_pools, generate, holdout_split, load_csv,
+                        population_ratio)
+from fairsample.dataset import can_draw
 
 
 def write_csv(path, header, rows):
@@ -237,6 +239,23 @@ def test_draw_sample_pool_exhausted(pool_ds):
     # sweep rejects it before drawing (test_experiments)
     s = draw(pool_ds, (0, 1000), 0, 0, with_replacement=True)
     assert s.n == 1000
+
+
+def test_draw_a_pool_cannot_give_is_a_data_error():
+    # these used to raise numpy's ValueError
+    ds = generate(SynthSpec(n=100, d=2, group1_share=0.3, seed=1))
+    n1 = len(ds.group_indices(1))
+    with pytest.raises(DataError, match=f"pool 1 has {n1} rows, cannot "
+                                        f"give 1000"):
+        draw(ds, (0, 1000), 0, 0)
+    empty = np.array([], dtype=np.int64)
+    with pytest.raises(DataError, match="pool 0 has 0 rows, cannot give 5"):
+        draw_from_pools(ds, (empty,), (5,), 0, 0, True)
+    # the rule _check_cells applies to a sweep's grid before any draw
+    assert can_draw(empty, 0, False) and can_draw(empty, 0, True)
+    assert not can_draw(empty, 5, True)
+    assert can_draw(ds.group_indices(1), 1000, True)
+    assert not can_draw(ds.group_indices(1), n1 + 1, False)
 
 
 def test_holdout_split_disjoint_and_sized(pool_ds):

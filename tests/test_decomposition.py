@@ -82,9 +82,10 @@ def test_identical_models_zero_variance():
 
 
 def test_absolute_loss_rejected():
-    ens = make_ens([[1.0]], loss="absolute")
-    with pytest.raises(ConfigError, match="absolute loss has no exact"):
-        decompose_points(ens)
+    # sd_bounds reads absolute-loss terms from a zero-one ensemble; no
+    # ensemble carries absolute loss itself
+    with pytest.raises(ConfigError, match="unknown loss kind 'absolute'"):
+        make_ens([[1.0]], loss="absolute")
 
 
 @pytest.mark.parametrize("field, loss, values", [

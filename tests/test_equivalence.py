@@ -396,7 +396,8 @@ def csv_files(draw):
     """(block rows, CSV text, schema): numeric and categorical features,
     padded and quoted cells, runs of blank lines, and up to four faults
     (an empty, unparsable, non-finite or third-level cell, or a short
-    row) at drawn rows and columns."""
+    row) at drawn rows and columns; the text may start with a byte-order
+    mark, and the spare column may repeat a schema column's name."""
     block = draw(st.integers(1, 4))
     task = draw(st.sampled_from(["classification", "regression"]))
     kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]),
@@ -404,6 +405,9 @@ def csv_files(draw):
     features = tuple((f"f{j}", kind) for j, kind in enumerate(kinds))
     header = draw(st.permutations(
         ["label", "sex", "spare"] + [name for name, _ in features]))
+    if draw(st.integers(0, 3)) == 0:
+        header[header.index("spare")] = draw(st.sampled_from(
+            [h for h in header if h != "spare"]))
     cells = {"sex": st.sampled_from(["m", "f", " m", "f\t"]),
              "label": (st.sampled_from(["yes", "no", "yes "])
                        if task == "classification" else _NUMBERS),
@@ -428,6 +432,7 @@ def csv_files(draw):
         else:
             rows[r][draw(st.integers(0, len(rows[r]) - 1))] = fault
     out = io.StringIO()
+    out.write(draw(st.sampled_from(["", "\ufeff"])))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     blanks = dict(draw(st.lists(st.tuples(st.integers(0, n),

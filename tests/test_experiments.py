@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairsample import (ConfigError, DataError, Learner, SweepSpec,
+from fairsample import (ConfigError, DataError, Dataset, Learner, SweepSpec,
                         SynthSpec, generate, run_collect_sim,
                         run_decomposition_sweep, run_ssb_sweep,
                         run_urb_sweep)
@@ -334,10 +334,68 @@ def test_decomposition_sweep_urb_kind(clf_ds):
                      metrics=("ZOL",), decomp_kind="urb", total_m=60)
     res = run_decomposition_sweep(clf_ds, spec)
     assert res.grid_param == "ratio"
-    # the reference is the grid point closest to the population ratio
-    ref = min(res.grid, key=lambda r: abs(r - res.population_ratio))
+    # the reference is the grid point that splits as the population does
+    pop = _split_counts(res.population_ratio, 60)
+    ref = next(r for r in res.grid if _split_counts(r, 60) == pop)
     row = [r for r in res.rows if r.grid_value == ref][0]
     assert row.mean == 0.0
+
+
+@pytest.fixture(scope="module")
+def split_ds():
+    """10003 rows, 3351 in group a1: at total_m=100 the population splits
+    (67, 33), but its ratio rounded to 6 places, 0.335, splits (66, 34)."""
+    rng = np.random.default_rng(5)
+    n = 10003
+    a = np.zeros(n, dtype=int)
+    a[rng.permutation(n)[:3351]] = 1
+    X = rng.normal(size=(n, 2))
+    y = (X[:, 0] + 0.5 * a + rng.normal(size=n) > 0).astype(float)
+    return Dataset(X, y, a, np.arange(n))
+
+
+def test_ratio_reference_is_the_population_split(split_ds):
+    ratio = population_ratio(split_ds)
+    assert _split_counts(ratio, 100) == (67, 33)
+    assert _split_counts(round(ratio, 6), 100) == (66, 34)
+    for family, kw in (("urb_ratio", {}),
+                       ("decomposition", {"decomp_kind": "urb"})):
+        spec = SweepSpec(family=family, replicates=2, seed=1,
+                         learner=FAST_TREE, metrics=("ZOL",), total_m=100,
+                         **kw)
+        plan = experiments._resolve(split_ds, spec)
+        assert plan.cells[plan.ref].counts == (67, 33)
+        assert plan.ref == next(g for g in plan.grid
+                                if plan.cells[g].counts == (67, 33))
+    # a default urb_ratio used to exit 2: "ratio grid must include the
+    # population ratio"
+    res = run_urb_sweep(split_ds, replace(spec, family="urb_ratio"))
+    at_ref = [b for b in res.bias_rows if b.target == b.reference]
+    assert [b.target for b in at_ref] == ["split=33/67"]
+    assert at_ref[0].value == 0
+    # a decomposition used to take (66, 34), the ratio nearest the
+    # population's, as its zero row
+    res = run_decomposition_sweep(split_ds, spec)
+    zero = [r for r in res.rows if r.bias_delta == r.netvar_delta == 0.0]
+    assert [_split_counts(r.grid_value, 100) for r in zero] == [(67, 33)]
+    assert zero[0].mean == 0.0
+
+
+def test_decomposition_reference_is_not_the_nearest_ratio(split_ds):
+    # 0.335 is the point nearest the population ratio but splits (66, 34);
+    # 0.3349 splits (67, 33)
+    grid = (0.2, 0.3349, 0.335, 0.5)
+    spec = SweepSpec(family="decomposition", decomp_kind="urb", grid=grid,
+                     replicates=2, seed=1, learner=FAST_TREE,
+                     metrics=("ZOL",), total_m=100)
+    ratio = population_ratio(split_ds)
+    assert min(grid, key=lambda r: abs(r - ratio)) == 0.335
+    res = run_decomposition_sweep(split_ds, spec)
+    assert res.grid == grid
+    rows = {r.grid_value: r for r in res.rows}
+    assert rows[0.3349].mean == 0.0
+    assert rows[0.3349].bias_delta == rows[0.3349].netvar_delta == 0.0
+    assert rows[0.335].mean != 0.0
 
 
 def test_decomposition_rows_are_mean_over_models_for_any_estimator(clf_ds):
