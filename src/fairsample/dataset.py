@@ -342,9 +342,10 @@ def draw_from_pools(ds, pools, counts, seed, replicate_index,
     """One replicate: counts[i] rows of pools[i] (row-index arrays), drawn
     pool by pool from the stream SeedSequence((seed, replicate_index)),
     as a subset sorted by row.  A count of 0 draws nothing and consumes no
-    randomness; a count a pool cannot give (can_draw) is a DataError."""
+    randomness; a negative count, or one a pool cannot give (can_draw), is
+    a DataError."""
     for i, (pool, want) in enumerate(zip(pools, counts)):
-        if not can_draw(pool, want, with_replacement):
+        if want < 0 or not can_draw(pool, want, with_replacement):
             raise DataError(f"pool {i} has {len(pool)} rows, cannot give "
                             f"{want}")
     rng = np.random.default_rng(

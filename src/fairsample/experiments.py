@@ -4,17 +4,17 @@ decomposition sweeps, and data-collection simulations.
 Every family runs on one engine.  A resolver maps (dataset, spec) to the
 holdout split, the training pool's named row-index pools, the grid, the
 metrics, the reference grid point and one Cell (a count per pool) per
-grid point.  The ensemble step draws each unique cell's K samples
-through one dataset primitive and fits consecutive cells together, one
+grid point.  The evaluation step draws each distinct cell's K samples
+through one dataset primitive, fits consecutive cells together, one
 ``fit_many`` call per batch, a batch stacking no more training rows than
-the sweep's largest cell; a cell is predicted on the holdout when the
-grid reaches it.  A small reducer per family turns the ensembles into
-per-model cells and appends their summary rows and bias estimates.
+the sweep's largest cell, and evaluates each cell once, keeping only what
+its family's evaluation returns.  A small reducer per family turns each
+grid point's value into summary rows and bias estimates.
 
 Every (cell, replicate) draw has its own RNG stream derived by hashing
-(seed, family, cell key, replicate index), and the reducers consume the
-ensembles in fixed grid order, so a sweep's output depends on the
-dataset and the spec only.
+(seed, family, cell key, replicate index), and the reducers read the
+values in fixed grid order, so a sweep's output depends on the dataset
+and the spec only.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from itertools import starmap
 
 import numpy as np
 
@@ -218,15 +219,12 @@ def default_ssb_grid(pool_n, portion=0.8):
     return tuple(grid)
 
 
-def default_urb_grid(pop_ratio):
-    """Every default share; the resolver drops those its pools cannot
-    draw."""
-    lo = np.arange(0.001, 0.0201, 0.002)
-    mid = np.arange(0.1, 0.901, 0.1)
-    hi = np.arange(0.981, 0.9991, 0.002)
-    vals = {round(float(v), 6) for v in np.concatenate([lo, mid, hi])}
-    vals.add(round(float(pop_ratio), 6))
-    return tuple(sorted(vals))
+# every default share of a ratio grid: 0.002 steps below 2 percent and
+# above 98 percent, 0.1 steps between; the resolver adds the population
+# split's point and drops the shares its pools cannot draw
+DEFAULT_URB_GRID = tuple(sorted({round(float(v), 6) for v in np.concatenate([
+    np.arange(0.001, 0.0201, 0.002), np.arange(0.1, 0.901, 0.1),
+    np.arange(0.981, 0.9991, 0.002)])}))
 
 
 def _split_counts(ratio, m):
@@ -350,9 +348,10 @@ def _resolve(ds, spec):
     else:
         grid_param = "ratio"
         pop = _split_counts(ratio, spec.total_m)
-        if family == "urb_ratio" and 0 in pop:
-            raise DataError("population split degenerates to an empty group")
-        grid = tuple(spec.grid) if spec.grid else default_urb_grid(ratio)
+        if min(pop) < 1:
+            raise ConfigError(f"total_m={spec.total_m} splits the population "
+                              f"{pop[1]}/{pop[0]} (a1/a0): a group is empty")
+        grid = tuple(spec.grid) if spec.grid else DEFAULT_URB_GRID
         # the reference is a point that splits as the population does:
         # round(ratio, 6), or ratio itself where rounding moves the split
         if not any(_split_counts(r, spec.total_m) == pop for r in grid):
@@ -385,7 +384,7 @@ def _draws(cell, spec, plan):
 
 def _fitted(cells, spec, draw):
     """(models, extra) of each cell, in order, where draw(cell) gives the
-    cell's training samples and extra, what its reducer needs with them.
+    cell's training samples and extra, what its evaluation needs with them.
 
     Consecutive cells share one fit_many call until the next cell would
     take the batch past the largest cell's rows (sum(cell.counts) per
@@ -427,34 +426,25 @@ def _predict(models, plan):
             model_costs(test.y, labels, scores, test.a, plan.metrics))
 
 
-def _ensembles(plan, spec):
-    """(reference, iterator of (grid value, ensemble, costs)), where the
-    reference is a _predict pair.
+def _evaluated(plan, spec, evaluate, draw=None):
+    """{grid value: evaluate(models, extra)}, each distinct cell drawn,
+    fitted and evaluated once.
 
-    The cells are fitted in _fitted's batches, in fit order: the reference
-    first, then each other cell where the grid reaches it, and a cell is
-    predicted when the grid reaches it.  Grid points that share a cell are
-    adjacent, so only the reference and the latest cell are held.
+    draw(cell) gives (training samples, extra); by default the cell's K
+    holdout draws and None.  The distinct cells are fitted in _fitted's
+    batches, the reference first, then the grid's in grid order; only
+    what evaluate returns is kept, never the models.
     """
-    ref_cell = plan.cells.get(plan.ref)
-    cells = [plan.cells[g] for g in plan.grid]
-    prev = [ref_cell] + cells[:-1]
-    fresh = [c for p, c in zip(prev, cells) if c != p and c != ref_cell]
-    fitted = _fitted(([ref_cell] if ref_cell else []) + fresh, spec,
-                     lambda cell: (_draws(cell, spec, plan), None))
-    ref = None if ref_cell is None else _predict(next(fitted)[0], plan)
-
-    def each():
-        current = ref
-        for g, p, c in zip(plan.grid, prev, cells):
-            if c != p:
-                current = ref if c == ref_cell else _predict(
-                    next(fitted)[0], plan)
-            yield (g, *current)
-    return ref, each()
+    if draw is None:
+        def draw(cell):
+            return _draws(cell, spec, plan), None
+    cells = list(dict.fromkeys(plan.cells[g] for g in (plan.ref, *plan.grid)
+                               if g is not None))
+    values = dict(zip(cells, starmap(evaluate, _fitted(cells, spec, draw))))
+    return {g: values[plan.cells[g]] for g in plan.grid}
 
 
-def _reduce_bias(result, plan, spec, ref, ensembles):
+def _reduce_bias(result, plan, spec):
     """ssb_size / urb_ratio: per-model cells, plus SSB against the largest
     size or URB against the population split, from the same reports."""
     if result.family == "ssb_size":
@@ -464,38 +454,39 @@ def _reduce_bias(result, plan, spec, ref, ensembles):
         def desc(g):
             return "split={0[1]}/{0[0]}".format(plan.cells[g].counts)
         kind, ref_desc = be.URB_ENSEMBLE, desc(plan.ref)
-    ref_disc = be.ensemble_discs(*ref, plan.metrics, spec.estimator)
-    for g, ens, costs in ensembles:
-        disc = be.ensemble_discs(ens, costs, plan.metrics, spec.estimator)
+
+    def evaluate(models, _):
+        ens, costs = _predict(models, plan)
+        return costs, be.ensemble_discs(ens, costs, plan.metrics,
+                                        spec.estimator)
+    per_point = _evaluated(plan, spec, evaluate)
+    ref_disc = per_point[plan.ref][1]
+    for g, (costs, disc) in per_point.items():
         for metric, reports in costs.items():
             _add_row(result, g, metric, [r.as_floats() for r in reports],
                      spec.estimator)
             result.bias_rows.append(be.estimate(
                 kind, metric, spec.estimator, desc(g), ref_desc,
-                *disc[metric], *ref_disc[metric], ens.k))
+                *disc[metric], *ref_disc[metric], spec.replicates))
 
 
-def _reduce_decomposition(result, plan, spec, ref, ensembles):
+def _reduce_decomposition(result, plan, spec):
     """Per-group bias/net-variance deltas against the reference: the
     largest size, or the population split's grid point.
 
     Row means are the ensemble-level totals bias_delta + netvar_delta:
     the mean-over-models SSB/URB, whatever spec.estimator says (exactly,
     for zero-one loss, where bias_delta is the main-prediction SSB/URB).
-    stderr is over the per-replicate single-model gaps.  Each distinct
-    ensemble is decomposed once, for every metric: grid points that share
-    a cell, or the reference's, share its ensemble object.
+    stderr is over the per-replicate single-model gaps.
     """
-    ref_ens, ref_costs = ref
+    def evaluate(models, _):
+        ens, costs = _predict(models, plan)
+        return costs, decompose_costs(ens, plan.metrics)
+    per_point = _evaluated(plan, spec, evaluate)
+    ref_costs, ref_terms = per_point[plan.ref]
     ref_disc = {metric: _float(be.mean_over_models(ref_costs[metric])[0])
                 for metric in plan.metrics}
-    ref_terms = decompose_costs(ref_ens, plan.metrics)
-    last, terms = ref_ens, ref_terms
-    for g, ens, costs in ensembles:
-        if ens is not last:
-            terms = ref_terms if ens is ref_ens \
-                else decompose_costs(ens, plan.metrics)
-            last = ens
+    for g, (costs, terms) in per_point.items():
         for metric, reports in costs.items():
             gap = bias_gap(terms[metric], ref_terms[metric])
             sign = gap.target.cost_sign
@@ -508,22 +499,23 @@ def _reduce_decomposition(result, plan, spec, ref, ensembles):
                      _float(gap.net_variance_delta_diff, sign))
 
 
-def _reduce_collect(result, plan, spec, ref, ensembles):
-    """Per-model group costs on the holdout, or with use_cv fold-mean
-    costs from k-fold CV on each draw (the ensembles are never fitted)."""
+def _reduce_collect(result, plan, spec):
+    """Per-model group costs on the holdout or, with use_cv, fold-mean
+    costs from k-fold CV on each draw: the folds are the cell's training
+    samples, fitted in the same pass, and the holdout is not used."""
     if spec.use_cv:
         label = f"cv{spec.cv_folds}"
-        fitted = _fitted([plan.cells[g] for g in plan.grid], spec,
-                         lambda cell: _cv_folds(cell, spec, plan))
-        per_point = ((g, _cv_cells(models, holds, spec.cv_folds,
-                                      plan.metrics))
-                     for g, (models, holds) in zip(plan.grid, fitted))
+        per_point = _evaluated(
+            plan, spec,
+            lambda models, holds: _cv_cells(models, holds, spec.cv_folds,
+                                            plan.metrics),
+            lambda cell: _cv_folds(cell, spec, plan))
     else:
         label = "holdout"
-        per_point = ((g, {m: [r.as_floats() for r in reports]
-                          for m, reports in costs.items()})
-                     for g, _, costs in ensembles)
-    for g, per_metric in per_point:
+        per_point = _evaluated(plan, spec, lambda models, _: {
+            m: [r.as_floats() for r in reports]
+            for m, reports in _predict(models, plan)[1].items()})
+    for g, per_metric in per_point.items():
         for metric, values in per_metric.items():
             _add_row(result, g, metric, values, label)
 
@@ -539,7 +531,7 @@ def _run(ds, spec, family):
     plan = _resolve(ds, spec)
     result = SweepResult(family, plan.grid_param, plan.grid, plan.metrics,
                          spec, plan.ratio, {}, grid_dropped=plan.dropped)
-    _REDUCERS[family](result, plan, spec, *_ensembles(plan, spec))
+    _REDUCERS[family](result, plan, spec)
     return result
 
 

@@ -193,6 +193,16 @@ def write_schema(tmp_path):
     return str(schema)
 
 
+def test_degenerate_population_split_exit_2(tmp_path, capsys):
+    # a 1-row population split leaves a group empty; it used to exit 3
+    cfg = write_config(tmp_path, {
+        "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],
+        "sweep": {"family": "urb_ratio", "total_m": 1, "replicates": 3}})
+    assert main(["sweep", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "total_m=1 splits the population" in capsys.readouterr().err
+
+
 def test_missing_data_file_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "dataset": {"csv": str(tmp_path / "missing.csv"),

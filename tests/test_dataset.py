@@ -3,9 +3,9 @@ import statistics
 import numpy as np
 import pytest
 
-from fairsample import (ConfigError, DataError, Schema, SynthSpec,
+from fairsample import (ConfigError, DataError, Schema, SweepSpec, SynthSpec,
                         draw_from_pools, generate, holdout_split, load_csv,
-                        population_ratio)
+                        population_ratio, run_collect_sim)
 from fairsample.dataset import can_draw
 
 
@@ -256,6 +256,23 @@ def test_draw_a_pool_cannot_give_is_a_data_error():
     assert not can_draw(empty, 5, True)
     assert can_draw(ds.group_indices(1), 1000, True)
     assert not can_draw(ds.group_indices(1), n1 + 1, False)
+
+
+def test_draw_a_negative_count_is_a_data_error():
+    # numpy used to raise "negative dimensions are not allowed"
+    ds = generate(SynthSpec(n=100, d=2, group1_share=0.3, seed=1))
+    n0 = len(ds.group_indices(0))
+    for replace in (False, True):
+        with pytest.raises(DataError, match=f"pool 0 has {n0} rows, cannot "
+                                            f"give -1"):
+            draw_from_pools(ds, (ds.group_indices(0),), (-1,), 0, 0, replace)
+    # a sweep names a negative grid point once, before any draw
+    spec = SweepSpec(family="collect", grid=(-4, 10), replicates=2,
+                     fixed_majority=20, metrics=("ZOL",))
+    with pytest.raises(ConfigError, match="infeasible grid points") as err:
+        run_collect_sim(ds, spec)
+    assert str(err.value).count("gives a negative group count") == 1
+    assert "needs -4" not in str(err.value)
 
 
 def test_holdout_split_disjoint_and_sized(pool_ds):

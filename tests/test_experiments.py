@@ -9,10 +9,11 @@ from fairsample import (ConfigError, DataError, Dataset, Learner, SweepSpec,
                         SynthSpec, generate, run_collect_sim,
                         run_decomposition_sweep, run_ssb_sweep,
                         run_urb_sweep)
+from fairsample import bias_estimators as be
 from fairsample import experiments, group_metrics
 from fairsample.dataset import holdout_split, population_ratio
-from fairsample.experiments import (_mean_stderr, _split_counts,
-                                    default_ssb_grid, default_urb_grid,
+from fairsample.experiments import (DEFAULT_URB_GRID, _mean_stderr,
+                                    _split_counts, default_ssb_grid,
                                     task_seed)
 
 FAST_TREE = Learner("decision_tree", max_depth=3, min_leaf=5)
@@ -62,15 +63,16 @@ def test_default_ssb_grid():
 
 
 def test_default_urb_grid():
-    grid = default_urb_grid(0.31)
+    grid = DEFAULT_URB_GRID
     # dense 0.002 steps below 2 percent and above 98 percent
     for v in (0.001, 0.003, 0.019, 0.981, 0.983, 0.999):
         assert v in grid
-    # coarse 0.1 steps in the middle, plus the population ratio itself
-    for v in (0.1, 0.5, 0.9, 0.31):
+    # coarse 0.1 steps in the middle; the resolver adds the population
+    # split's point
+    for v in (0.1, 0.5, 0.9):
         assert v in grid
     assert grid == tuple(sorted(grid))
-    assert len(grid) == 10 + 9 + 10 + 1
+    assert len(grid) == 10 + 9 + 10
 
 
 def test_spec_validation():
@@ -190,7 +192,7 @@ def test_infeasible_grid_rejected_before_any_fit(clf_ds, monkeypatch):
     ds = generate(SynthSpec(n=4000, d=5, group1_share=0.3, seed=1))
     pool, _ = holdout_split(ds, 0.3, 1)
     a1_rows = len(pool.group_indices(1))
-    grid = default_urb_grid(0.3)
+    grid = DEFAULT_URB_GRID
     short = [r for r in grid if _split_counts(r, 1000)[1] > a1_rows]
     assert 0 < len(short) < len(grid)
     for run, kw in ((run_urb_sweep, {"family": "urb_ratio"}),
@@ -294,6 +296,49 @@ def test_one_fit_many_per_unique_cell(clf_ds, monkeypatch):
     assert res.grid == grid
     at_ref = [b for b in res.bias_rows if b.target == b.reference]
     assert len(at_ref) == 2 and all(b.value == 0 for b in at_ref)
+
+
+def test_main_prediction_once_per_distinct_cell(clf_ds, monkeypatch):
+    # the shared-cell ratio grid above: five points, three distinct cells
+    calls = []
+    real = be.main_prediction
+    monkeypatch.setattr(be, "main_prediction",
+                        lambda ens: calls.append(ens.k) or real(ens))
+    pop = _split_counts(population_ratio(clf_ds), 60)
+    r_a, r_b = round(pop[1] / 60, 6), round((pop[1] + 0.3) / 60, 6)
+    spec = SweepSpec(family="urb_ratio", grid=(0.2, 0.205, r_a, r_b, 0.8),
+                     replicates=3, seed=3, learner=FAST_TREE,
+                     metrics=("SD",), total_m=60, estimator="main_prediction")
+    res = run_urb_sweep(clf_ds, spec)
+    # one main prediction per cell; once per grid point plus the
+    # reference's made 6
+    assert calls == [3, 3, 3]
+    assert len(res.bias_rows) == 5
+    assert {b.k for b in res.bias_rows} == {3}
+
+
+@pytest.mark.parametrize("total_m", [0, 1])
+def test_degenerate_population_split_rejected_before_any_fit(
+        clf_ds, monkeypatch, total_m):
+    # urb_ratio used to raise a DataError, URB decomposition a ConfigError
+    # listing every grid point
+    fits = _count_fit_many(monkeypatch)
+    pop = _split_counts(population_ratio(clf_ds), total_m)
+    assert min(pop) == 0
+    for run, kw in ((run_urb_sweep, {"family": "urb_ratio"}),
+                    (run_decomposition_sweep, {"family": "decomposition",
+                                               "decomp_kind": "urb"})):
+        for grid in ((0.2, 0.5), ()):
+            spec = SweepSpec(grid=grid, replicates=2, seed=1,
+                             learner=FAST_TREE, metrics=("ZOL",),
+                             total_m=total_m, **kw)
+            with pytest.raises(ConfigError) as err:
+                run(clf_ds, spec)
+            assert str(err.value).startswith(
+                f"total_m={total_m} splits the population "
+                f"{pop[1]}/{pop[0]} (a1/a0)")
+            assert "gives" not in str(err.value)
+    assert fits == []
 
 
 def test_size_sweep_packs_small_cells_into_one_fit_many(monkeypatch):
