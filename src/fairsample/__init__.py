@@ -6,9 +6,10 @@ __version__ = "0.1.0"
 from .dataset import (Dataset, Schema, draw_from_pools, holdout_split,
                       load_csv, population_ratio)
 from .learners import FittedModel, Learner, fit
-from .group_metrics import GroupCostReport, disc_vector, group_cost
+from .group_metrics import GroupCostReport, disc_vector
 from .decomposition import (PredictionEnsemble, bias_gap, decompose_costs,
-                            decompose_points, main_prediction, sd_bounds)
+                            decompose_points, ensemble_costs,
+                            main_prediction, sd_bounds)
 from .bias_estimators import BiasEstimate, ensemble_discs, estimate
 from .experiments import (SweepResult, SweepSpec, run_collect_sim,
                           run_decomposition_sweep, run_ssb_sweep,

@@ -5,20 +5,17 @@ sample size bias against the largest-size reference ensemble,
 underrepresentation bias against the population-split reference of the
 same total size; the arithmetic is the same.  ensemble_discs gives an
 ensemble's discrimination per metric under one of two estimator modes: the
-main prediction of the ensemble, or the average of per-model
-discriminations ("mean over models"), both from group_metrics.model_costs
-reports of all metrics (the main prediction is a one-row stack).  estimate
-takes the difference; undefined discrimination in either term propagates
-to an undefined estimate with the cause recorded.
+main prediction's, or the average of per-model discriminations ("mean
+over models"), read from the ensemble's (main report, model reports) per
+metric.  estimate takes the difference; undefined discrimination in either
+term propagates to an undefined estimate with the cause recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import main_prediction
 from .errors import ConfigError
-from .group_metrics import disc_vector
 
 MAIN_PREDICTION = "main_prediction"
 MEAN_OVER_MODELS = "mean_over_models"
@@ -61,15 +58,15 @@ def _defined(disc):
     return disc, "" if disc is not None else "undefined group value"
 
 
-def ensemble_discs(ens, costs, metrics, estimator):
-    """{metric: (disc, cause)} under the chosen estimator mode; mean over
-    models reads costs, the ensemble's model_costs reports."""
+def ensemble_discs(costs, estimator):
+    """{metric: (disc, cause)} under the chosen estimator mode, from costs,
+    an ensemble's {metric: (main report, model reports)}: the main
+    report's disc, or the mean over the model reports."""
     if estimator == MAIN_PREDICTION:
-        scores, labels = main_prediction(ens)
-        return {r.metric: _defined(r.disc) for r in disc_vector(
-            ens.eval_y, labels, scores, ens.eval_a, metrics)}
+        return {m: _defined(main.disc) for m, (main, _) in costs.items()}
     if estimator == MEAN_OVER_MODELS:
-        return {m: mean_over_models(costs[m]) for m in metrics}
+        return {m: mean_over_models(models)
+                for m, (_, models) in costs.items()}
     raise ConfigError(f"unknown estimator {estimator!r}")
 
 

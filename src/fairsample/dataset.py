@@ -342,16 +342,22 @@ def draw_from_pools(ds, pools, counts, seed, replicate_index,
     """One replicate: counts[i] rows of pools[i] (row-index arrays), drawn
     pool by pool from the stream SeedSequence((seed, replicate_index)),
     as a subset sorted by row.  A count of 0 draws nothing and consumes no
-    randomness; a negative count, or one a pool cannot give (can_draw), is
-    a DataError."""
-    for i, (pool, want) in enumerate(zip(pools, counts)):
-        if want < 0 or not can_draw(pool, want, with_replacement):
+    randomness; a pool without a count or a count without a pool, a count
+    that is not an integer (a bool included), a negative count, or one a
+    pool cannot give (can_draw), is a DataError."""
+    pairs = list(itertools.zip_longest(pools, counts))
+    for i, (pool, want) in enumerate(pairs):
+        if pool is None or want is None:
+            raise DataError(f"pool {i} has no count" if want is None
+                            else f"no pool {i} to give count {want}")
+        if isinstance(want, bool) or not isinstance(want, (int, np.integer)) \
+                or want < 0 or not can_draw(pool, want, with_replacement):
             raise DataError(f"pool {i} has {len(pool)} rows, cannot give "
                             f"{want}")
     rng = np.random.default_rng(
         np.random.SeedSequence((seed, replicate_index)))
     picked = [rng.choice(pool, size=want, replace=with_replacement)
-              for pool, want in zip(pools, counts)]
+              for pool, want in pairs]
     return ds.subset(np.sort(np.concatenate(picked)))
 
 

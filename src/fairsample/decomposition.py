@@ -5,13 +5,13 @@ estimation-error bounds.
 The optimal prediction is identified with the observed outcome, so the
 noise term of the decomposition is zero and no report carries it.
 
-Zero-one terms are exact rationals: a point's mean loss over the models
-is its bias plus its net variance (Domingos, ICML 2000), so a group's bias
-is the main prediction's loss rate and its net variance the models' mean
-loss rate less it.  One group_metrics confusion_counts table per ensemble,
-the main prediction stacked over the K models, serves every zero-one
-metric of decompose_costs and sd_bounds.  Squared-loss terms are float64
-with fixed-order summation.
+ensemble_costs evaluates an ensemble with one group_metrics.model_costs
+call: the main prediction stacked as row 0 over the K models.  Zero-one
+terms read those reports and are exact rationals: a point's mean loss
+over the models is its bias plus its net variance (Domingos, ICML 2000),
+so a group's bias is the main prediction's loss rate and its net variance
+the models' mean loss rate less it.  Squared-loss terms are float64 with
+fixed-order summation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .group_metrics import _RATE_CELLS, _check_binary, confusion_counts
+from . import group_metrics as gm
 
 SQUARED = "squared"
 ZERO_ONE = "zero_one"
@@ -32,8 +32,6 @@ ZERO_ONE = "zero_one"
 _CONDITIONING = {"MSE": "all", "ZOL": "all", "FPR": "y==0", "EO": "y==1"}
 # cost = offset + sign * (mean conditioned loss)
 _COST_AFFINE = {"MSE": (0, 1), "ZOL": (0, 1), "FPR": (0, 1), "EO": (1, -1)}
-# the group_metrics rate that counts each zero-one metric's conditioned loss
-_LOSS_RATE = {"ZOL": "ZOL", "FPR": "FPR", "EO": "FNR"}
 
 
 @dataclass(frozen=True)
@@ -56,9 +54,9 @@ class PredictionEnsemble:
             raise ConfigError("evaluation vectors misaligned with predictions")
         if self.loss_kind not in (SQUARED, ZERO_ONE):
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
-        _check_binary(eval_a=self.eval_a)
+        gm._check_binary(eval_a=self.eval_a)
         if self.loss_kind != SQUARED:
-            _check_binary(eval_y=self.eval_y, labels=self.labels)
+            gm._check_binary(eval_y=self.eval_y, labels=self.labels)
 
     @property
     def k(self):
@@ -102,30 +100,29 @@ def _majority_labels(ens, mean_scores):
     return labels
 
 
-def _zero_one_table(ens):
-    """int (K + 1, 2, 4) confusion_counts of the main prediction (row 0)
-    stacked over the K models."""
-    _, main = main_prediction(ens)
-    return confusion_counts(ens.eval_y, np.vstack([main, ens.labels]),
-                            ens.eval_a)
+def ensemble_costs(ens, metrics):
+    """{metric: (main report, K model reports)} on the ensemble's
+    evaluation set, from one group_metrics.model_costs call on the main
+    prediction stacked over the K models."""
+    scores, labels = main_prediction(ens)
+    costs = gm.model_costs(ens.eval_y, [labels, *ens.labels],
+                           [scores, *ens.scores], ens.eval_a, metrics)
+    return {m: (reports[0], reports[1:]) for m, reports in costs.items()}
 
 
-def _zero_one_terms(counts, rate):
-    """[(bias, net_variance)] per group: the exact mean terms of the
-    zero-one loss that rate counts, over the points its denominator counts,
-    or (None, None) for a group with none, from a _zero_one_table."""
-    num, den = (counts[..., list(c)].sum(axis=-1).tolist()
-                for c in _RATE_CELLS[rate])
-    k = len(num) - 1
+def _zero_one_terms(main, models, offset, sign):
+    """[(bias, net_variance)] per group of a zero-one metric's main and
+    model reports, cost = offset + sign * loss: the main prediction's
+    conditioned loss, and the models' mean loss less it, or (None, None)
+    for a group its conditioning set leaves empty."""
     terms = []
-    for group in (0, 1):
-        n = den[0][group]
-        if n == 0:
+    for g in (0, 1):
+        value = getattr(main, f"value_a{g}")
+        if value is None:
             terms.append((None, None))
             continue
-        bias = Fraction(num[0][group], n)
-        models = sum(row[group] for row in num[1:])
-        terms.append((bias, Fraction(models, k * n) - bias))
+        mean = sum(getattr(r, f"value_a{g}") for r in models) / len(models)
+        terms.append((sign * (value - offset), sign * (mean - value)))
     return terms
 
 
@@ -204,11 +201,12 @@ def _squared_terms(ens):
             for sel in (ens.eval_a == g for g in (0, 1))]
 
 
-def decompose_costs(ens, metrics):
-    """{metric: DecompositionReport}: the per-group decomposition of each
-    cost metric over its conditioning subset (MSE/ZOL: all points; FPR:
-    y=0; EO: y=1).  Every zero-one metric reads one _zero_one_table."""
-    for metric in metrics:
+def decompose_costs(ens, costs):
+    """{metric: DecompositionReport}: each metric of costs, ens's
+    ensemble_costs, decomposed per group over its conditioning subset
+    (MSE/ZOL: all points; FPR: y=0; EO: y=1)."""
+    reports = {}
+    for metric, (main, models) in costs.items():
         if metric not in _CONDITIONING:
             raise ConfigError(f"metric {metric!r} has no decomposition")
         loss_kind = SQUARED if metric == "MSE" else ZERO_ONE
@@ -216,14 +214,13 @@ def decompose_costs(ens, metrics):
             raise ConfigError(
                 f"metric {metric} needs {loss_kind} loss, ensemble carries "
                 f"{ens.loss_kind}")
-    if ens.loss_kind == ZERO_ONE:
-        counts = _zero_one_table(ens)
-        terms = {m: _zero_one_terms(counts, _LOSS_RATE[m]) for m in metrics}
-    else:  # MSE conditions on all points
-        terms = {m: _squared_terms(ens) for m in metrics}
-    return {m: DecompositionReport(m, _CONDITIONING[m], *_COST_AFFINE[m],
-                                   *terms[m][0], *terms[m][1])
-            for m in metrics}
+        affine = _COST_AFFINE[metric]
+        # MSE conditions on all points
+        terms = _squared_terms(ens) if loss_kind == SQUARED else \
+            _zero_one_terms(main, models, *affine)
+        reports[metric] = DecompositionReport(
+            metric, _CONDITIONING[metric], *affine, *terms[0], *terms[1])
+    return reports
 
 
 @dataclass(frozen=True)
@@ -314,25 +311,20 @@ def sd_bounds(ens):
     """
     if ens.loss_kind != ZERO_ONE:
         raise ConfigError("sd_bounds requires a classification ensemble")
-    counts = _zero_one_table(ens)
-    # per group: the main prediction's cells, whose y = 1 cells count the
-    # outcomes, and the K models' cells, whose label = 1 cells count labels
-    main, models = counts[0].tolist(), counts[1:].sum(axis=0).tolist()
-    sd_hat = {}
-    sd_true = {}
-    for group in (0, 1):
-        n = sum(main[group])
-        if n == 0:
-            raise DataError(f"empty group a{group} in evaluation set")
-        sd_hat[group] = Fraction(models[group][1] + models[group][3],
-                                 ens.k * n)
-        sd_true[group] = Fraction(main[group][2] + main[group][3], n)
-    terms = _zero_one_terms(counts, "ZOL")
+    costs = ensemble_costs(ens, ("ZOL", "SD"))
+    terms = _zero_one_terms(*costs["ZOL"], 0, 1)
+    for g, (bias, _) in enumerate(terms):
+        if bias is None:
+            raise DataError(f"empty group a{g} in evaluation set")
+    # SD of the K models' labels, and of the true outcomes
+    sd_hat = sum(r.disc for r in costs["SD"][1]) / ens.k
+    sd_true = gm.disc_vector(ens.eval_y, ens.eval_y, None, ens.eval_a,
+                             ("SD",))[0].disc
     db = terms[1][0] - terms[0][0]
     dv = terms[1][1] - terms[0][1]
     upper = db + dv
     lower = max(-db - dv, db - dv, dv - db)
-    observed = abs((sd_hat[1] - sd_hat[0]) - (sd_true[1] - sd_true[0]))
+    observed = abs(sd_hat - sd_true)
     within = lower <= observed <= upper
     return SdBoundsReport(observed, upper, lower, within, *terms[0],
                           *terms[1])

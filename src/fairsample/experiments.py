@@ -32,7 +32,8 @@ from . import bias_estimators as be
 from .dataset import (CLASSIFICATION, REGRESSION, can_draw,
                       draw_from_pools, holdout_split, population_ratio)
 from .decomposition import (_CONDITIONING, SQUARED, ZERO_ONE,
-                            PredictionEnsemble, bias_gap, decompose_costs)
+                            PredictionEnsemble, bias_gap, decompose_costs,
+                            ensemble_costs)
 from .errors import (ConfigError, DataError, check_fields, check_finite,
                      check_integer)
 from .group_metrics import (ALL_METRICS, disc_vector, model_costs,
@@ -415,15 +416,19 @@ def _fit_batch(batch, spec, draw):
             for samples, extra in drawn]
 
 
-def _predict(models, plan):
+def _predict(models, plan, main):
     """(ensemble, costs): the stacked holdout predictions of a cell's
-    models, and their per-model reports of the plan's metrics."""
+    models, and {metric: (main report, model reports)} from one
+    model_costs call; the main report is None unless main."""
     test = plan.test
     preds = [model.predict(test.X) for model in models]
     scores, labels = (np.stack(p) for p in zip(*preds))
     loss = SQUARED if test.task == REGRESSION else ZERO_ONE
-    return (PredictionEnsemble(scores, labels, test.y, test.a, loss),
-            model_costs(test.y, labels, scores, test.a, plan.metrics))
+    ens = PredictionEnsemble(scores, labels, test.y, test.a, loss)
+    if main:
+        return ens, ensemble_costs(ens, plan.metrics)
+    costs = model_costs(test.y, labels, scores, test.a, plan.metrics)
+    return ens, {m: (None, reports) for m, reports in costs.items()}
 
 
 def _evaluated(plan, spec, evaluate, draw=None):
@@ -455,14 +460,13 @@ def _reduce_bias(result, plan, spec):
             return "split={0[1]}/{0[0]}".format(plan.cells[g].counts)
         kind, ref_desc = be.URB_ENSEMBLE, desc(plan.ref)
 
-    def evaluate(models, _):
-        ens, costs = _predict(models, plan)
-        return costs, be.ensemble_discs(ens, costs, plan.metrics,
-                                        spec.estimator)
-    per_point = _evaluated(plan, spec, evaluate)
-    ref_disc = per_point[plan.ref][1]
-    for g, (costs, disc) in per_point.items():
-        for metric, reports in costs.items():
+    main = spec.estimator == be.MAIN_PREDICTION
+    per_point = _evaluated(plan, spec,
+                           lambda models, _: _predict(models, plan, main)[1])
+    ref_disc = be.ensemble_discs(per_point[plan.ref], spec.estimator)
+    for g, costs in per_point.items():
+        disc = be.ensemble_discs(costs, spec.estimator)
+        for metric, (_, reports) in costs.items():
             _add_row(result, g, metric, [r.as_floats() for r in reports],
                      spec.estimator)
             result.bias_rows.append(be.estimate(
@@ -480,14 +484,14 @@ def _reduce_decomposition(result, plan, spec):
     stderr is over the per-replicate single-model gaps.
     """
     def evaluate(models, _):
-        ens, costs = _predict(models, plan)
-        return costs, decompose_costs(ens, plan.metrics)
+        ens, costs = _predict(models, plan, True)
+        return costs, decompose_costs(ens, costs)
     per_point = _evaluated(plan, spec, evaluate)
     ref_costs, ref_terms = per_point[plan.ref]
-    ref_disc = {metric: _float(be.mean_over_models(ref_costs[metric])[0])
-                for metric in plan.metrics}
+    ref_disc = {metric: _float(be.mean_over_models(models)[0])
+                for metric, (_, models) in ref_costs.items()}
     for g, (costs, terms) in per_point.items():
-        for metric, reports in costs.items():
+        for metric, (_, reports) in costs.items():
             gap = bias_gap(terms[metric], ref_terms[metric])
             sign = gap.target.cost_sign
             # per-replicate single-model gaps drive the dispersion column
@@ -514,7 +518,7 @@ def _reduce_collect(result, plan, spec):
         label = "holdout"
         per_point = _evaluated(plan, spec, lambda models, _: {
             m: [r.as_floats() for r in reports]
-            for m, reports in _predict(models, plan)[1].items()})
+            for m, (_, reports) in _predict(models, plan, False)[1].items()})
     for g, per_metric in per_point.items():
         for metric, values in per_metric.items():
             _add_row(result, g, metric, values, label)

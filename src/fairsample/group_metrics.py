@@ -52,11 +52,6 @@ class GroupCostReport:
         return conv(self.value_a0), conv(self.value_a1), conv(self.disc)
 
 
-def group_cost(metric, y, labels, scores, a):
-    """One metric evaluated per group, with disc = a1 - a0."""
-    return disc_vector(y, labels, scores, a, (metric,))[0]
-
-
 def disc_vector(y, labels, scores, a, metrics):
     """One model's report per metric: the K = 1 row of model_costs."""
     costs = model_costs(y, [labels], None if scores is None else [scores], a,

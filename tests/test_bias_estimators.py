@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from fairsample import PredictionEnsemble, ensemble_discs, estimate
+from fairsample import (PredictionEnsemble, ensemble_costs, ensemble_discs,
+                        estimate)
 from fairsample.bias_estimators import (MAIN_PREDICTION, MEAN_OVER_MODELS,
                                         SSB_ENSEMBLE, URB_ENSEMBLE)
-from fairsample.group_metrics import model_costs
 
 
 def make_ens(labels, y, a, scores=None):
@@ -20,11 +20,9 @@ def estimate_bias(target, ref, metric, estimator=MEAN_OVER_MODELS,
                   kind=SSB_ENSEMBLE, target_desc="target",
                   ref_desc="reference"):
     """The sweep engine's estimate of target against ref: each ensemble's
-    ensemble_discs over its model_costs, then their difference."""
-    discs = [ensemble_discs(ens, model_costs(ens.eval_y, ens.labels,
-                                             ens.scores, ens.eval_a,
-                                             (metric,)),
-                            (metric,), estimator)[metric]
+    ensemble_discs over its ensemble_costs, then their difference."""
+    discs = [ensemble_discs(ensemble_costs(ens, (metric,)),
+                            estimator)[metric]
              for ens in (target, ref)]
     return estimate(kind, metric, estimator, target_desc, ref_desc,
                     *discs[0], *discs[1], target.k)

@@ -1,3 +1,4 @@
+import re
 import statistics
 
 import numpy as np
@@ -273,6 +274,21 @@ def test_draw_a_negative_count_is_a_data_error():
         run_collect_sim(ds, spec)
     assert str(err.value).count("gives a negative group count") == 1
     assert "needs -4" not in str(err.value)
+
+
+@pytest.mark.parametrize("groups, counts, message", [
+    ((0,), (3, 4), "no pool 1 to give count 4"),
+    ((0, 1), (3,), "pool 1 has no count"),
+    ((0,), (2.5,), "pool 0 has 68 rows, cannot give 2.5"),
+    ((0, 1), (3, True), "pool 1 has 32 rows, cannot give True"),
+], ids=["count-without-pool", "pool-without-count", "fraction", "bool"])
+def test_draw_counts_that_do_not_fit_the_pools_are_data_errors(
+        groups, counts, message):
+    # each used to draw 3 rows, or raise numpy's TypeError
+    ds = generate(SynthSpec(n=100, d=2, group1_share=0.3, seed=1))
+    pools = [ds.group_indices(g) for g in groups]
+    with pytest.raises(DataError, match=re.escape(message)):
+        draw_from_pools(ds, pools, counts, 0, 0, False)
 
 
 def test_holdout_split_disjoint_and_sized(pool_ds):

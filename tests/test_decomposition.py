@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fairsample import (ConfigError, PredictionEnsemble, bias_gap,
-                        decompose_costs, decompose_points, main_prediction,
-                        sd_bounds)
+                        decompose_costs, decompose_points, ensemble_costs,
+                        main_prediction, sd_bounds)
 from oracles import oracle_decomposition
 
 
@@ -20,8 +20,8 @@ def make_ens(scores, labels=None, y=None, a=None, loss="zero_one"):
 
 def decompose_gap(target, ref, metric):
     """bias_gap of the two ensembles' decompose_costs reports."""
-    return bias_gap(*(decompose_costs(ens, (metric,))[metric]
-                      for ens in (target, ref)))
+    return bias_gap(*(decompose_costs(ens, ensemble_costs(ens, (metric,)))
+                      [metric] for ens in (target, ref)))
 
 
 def test_main_prediction_mean_and_majority():
@@ -96,8 +96,8 @@ def test_absolute_loss_rejected():
 ], ids=["group-2", "group-2-squared", "outcome-2", "label-2"])
 @pytest.mark.parametrize("run", [
     decompose_points,
-    lambda ens: decompose_costs(
-        ens, ("MSE",) if ens.loss_kind == "squared" else ("ZOL",)),
+    lambda ens: decompose_costs(ens, ensemble_costs(
+        ens, ("MSE",) if ens.loss_kind == "squared" else ("ZOL",))),
     sd_bounds,
 ], ids=["points", "cost", "sd_bounds"])
 def test_values_outside_zero_one_are_config_errors(field, loss, values, run):
@@ -165,7 +165,7 @@ def test_decompose_cost_mse_identity():
     y = rng.standard_normal(40)
     a = rng.integers(0, 2, 40)
     ens = make_ens(scores, y=y, a=a, loss="squared")
-    rep = decompose_costs(ens, ("MSE",))["MSE"]
+    rep = decompose_costs(ens, ensemble_costs(ens, ("MSE",)))["MSE"]
     for group in (0, 1):
         g = a == group
         cost = float(np.mean((scores[:, g] - y[g]) ** 2))
@@ -178,7 +178,7 @@ def test_decompose_cost_perfect_ensemble():
     labels = np.tile(y, (3, 1))
     ens = make_ens(labels, labels, y=y, a=a)
     for metric in ("ZOL", "FPR", "EO"):
-        rep = decompose_costs(ens, (metric,))[metric]
+        rep = decompose_costs(ens, ensemble_costs(ens, (metric,)))[metric]
         assert rep.bias_diff == 0
         assert rep.net_variance_diff == 0
         assert rep.bias_a0 == 0 and rep.net_variance_a0 == 0
@@ -190,7 +190,7 @@ def test_decompose_cost_conditioning_subsets():
     a = np.array([1, 1, 0])
     labels = np.array([[1.0, 0.0, 1.0]])
     ens = make_ens(labels, labels, y=y, a=a)
-    rep = decompose_costs(ens, ("EO",))["EO"]
+    rep = decompose_costs(ens, ensemble_costs(ens, ("EO",)))["EO"]
     assert rep.bias_a1 is None
     assert rep.cost_disc is None
     assert rep.cost(0) == 1  # TPR of the single a0 positive
@@ -206,7 +206,7 @@ def test_decompose_cost_eo_fixture_enumeration():
         [0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
     ])
     ens = make_ens(labels, labels, y=y, a=a)
-    rep = decompose_costs(ens, ("EO",))["EO"]
+    rep = decompose_costs(ens, ensemble_costs(ens, ("EO",)))["EO"]
     # group a0 positives: points 0 (main 1, diff 1/3) and 1 (main 0 != y,
     # diff 1/3, c = -1); loss terms: B = (0+1)/2, Vnet = (1/3 - 1/3)/2
     assert rep.bias_a0 == Fraction(1, 2)
@@ -257,7 +257,7 @@ def test_bias_gap_perfect_reference():
     small = make_ens(np.array([[0.5, 0.5, 0.0, 1.0]]), y=y, a=a,
                      loss="squared")
     gap = decompose_gap(small, ref, "MSE")
-    own = decompose_costs(small, ("MSE",))["MSE"]
+    own = decompose_costs(small, ensemble_costs(small, ("MSE",)))["MSE"]
     assert gap.bias_delta_diff == own.bias_diff
     assert gap.net_variance_delta_diff == own.net_variance_diff
 

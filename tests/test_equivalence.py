@@ -19,12 +19,11 @@ import oracles
 from fairsample import (DataError, Dataset, FairsampleError, Learner,
                         PredictionEnsemble, Schema, SweepSpec, SynthSpec,
                         bias_gap, decompose_costs, decompose_points,
-                        ensemble_discs, fit, generate, holdout_split,
-                        run_collect_sim,
+                        ensemble_costs, ensemble_discs, fit, generate,
+                        holdout_split, run_collect_sim,
                         run_decomposition_sweep, run_ssb_sweep,
                         run_urb_sweep, sd_bounds)
-from fairsample import (dataset, decomposition, experiments, group_metrics,
-                        learners)
+from fairsample import dataset, experiments, group_metrics, learners
 from fairsample.synth import write_csv as write_synth_csv
 
 
@@ -614,7 +613,7 @@ def test_zero_one_decomposition_matches_per_point_oracle(ens):
         oracles.zero_one_points(ens)
     terms = ("bias_a0", "net_variance_a0", "bias_a1", "net_variance_a1")
     for metric in ("ZOL", "FPR", "EO"):
-        rep = decompose_costs(ens, (metric,))[metric]
+        rep = decompose_costs(ens, ensemble_costs(ens, (metric,)))[metric]
         assert rep == oracles.decompose_cost(ens, metric)
         assert _is_exact(rep, terms)
     if all(np.any(ens.eval_a == g) for g in (0, 1)):
@@ -631,7 +630,7 @@ def test_zero_one_decomposition_matches_per_point_oracle(ens):
 def test_decompose_costs_matches_per_metric_oracle(ens):
     # one count table serves all three metrics, empty denominators too
     metrics = ("ZOL", "FPR", "EO")
-    reports = decompose_costs(ens, metrics)
+    reports = decompose_costs(ens, ensemble_costs(ens, metrics))
     assert list(reports) == list(metrics)
     for metric in metrics:
         assert reports[metric] == oracles.decompose_cost(ens, metric)
@@ -646,13 +645,12 @@ def test_zero_one_gap_terms_are_the_estimators_gaps(target, other):
                              target.eval_y, target.eval_a, "zero_one")
 
     def disc(ens, metric, estimator):
-        costs = group_metrics.model_costs(ens.eval_y, ens.labels, ens.scores,
-                                          ens.eval_a, (metric,))
-        return ensemble_discs(ens, costs, (metric,), estimator)[metric][0]
+        costs = ensemble_costs(ens, (metric,))
+        return ensemble_discs(costs, estimator)[metric][0]
 
     for metric in ("ZOL", "FPR", "EO"):
-        gap = bias_gap(*(decompose_costs(ens, (metric,))[metric]
-                         for ens in (target, ref)))
+        gap = bias_gap(*(decompose_costs(ens, ensemble_costs(ens, (metric,)))
+                         [metric] for ens in (target, ref)))
         main_t, mean_t = (disc(target, metric, e)
                           for e in ("main_prediction", "mean_over_models"))
         main_r, mean_r = (disc(ref, metric, e)
@@ -667,10 +665,11 @@ def test_zero_one_gap_terms_are_the_estimators_gaps(target, other):
 def test_empty_conditioning_subset_gives_none():
     ens = PredictionEnsemble(np.full((2, 3), 0.9), np.ones((2, 3)),
                              np.zeros(3), np.array([0, 1, 1]), "zero_one")
-    rep = decompose_costs(ens, ("EO",))["EO"]
+    rep = decompose_costs(ens, ensemble_costs(ens, ("EO",)))["EO"]
     assert rep == oracles.decompose_cost(ens, "EO")
     assert rep.bias_a0 is None and rep.net_variance_a1 is None
-    assert decompose_costs(ens, ("FPR",))["FPR"].bias_a1 == 1
+    assert decompose_costs(ens, ensemble_costs(ens, ("FPR",)))[
+        "FPR"].bias_a1 == 1
 
 
 @pytest.mark.parametrize("with_replacement", [False, True])
@@ -785,27 +784,36 @@ def test_knn_urb_decomposition_sweep_matches_oracles_bytewise(
     assert _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path) == before
 
 
-def test_knn_urb_decomposition_builds_one_zero_one_table_per_ensemble(
-        monkeypatch):
+@pytest.mark.parametrize("family, estimator, main_row", [
+    ("decomposition", "mean_over_models", 1),
+    ("urb_ratio", "main_prediction", 1),
+    ("urb_ratio", "mean_over_models", 0),
+])
+def test_each_distinct_cell_builds_one_count_table(monkeypatch, family,
+                                                   estimator, main_row):
     # the decomposition benchmark's shape: four ratios plus the population
     # split at total_m=100, kNN k=5, ZOL/FPR/EO, K=5; 0.2 and 0.201 draw
-    # the same counts, so they share one cell and one ensemble
+    # the same counts, so they share one cell and one ensemble.  Each of
+    # the 5 cells is counted once, engine-wide: its K models, under the
+    # main prediction as row 0 where the family reads it
     ds = generate(SynthSpec(n=3000, d=5, group1_share=0.3, seed=1))
-    spec = SweepSpec(family="decomposition", decomp_kind="urb", total_m=100,
+    spec = SweepSpec(family=family, decomp_kind="urb", total_m=100,
                      grid=(0.05, 0.1, 0.2, 0.201, 0.5), replicates=5, seed=1,
-                     metrics=("ZOL", "FPR", "EO"),
+                     metrics=("ZOL", "FPR", "EO"), estimator=estimator,
                      learner=Learner("knn", k=5))
     tables = []
-    counts = decomposition.confusion_counts
+    counts = group_metrics.confusion_counts
 
     def record(*args):
         tables.append(counts(*args))
         return tables[-1]
 
-    monkeypatch.setattr(decomposition, "confusion_counts", record)
-    result = run_decomposition_sweep(ds, spec)
+    monkeypatch.setattr(group_metrics, "confusion_counts", record)
+    run = {"decomposition": run_decomposition_sweep,
+           "urb_ratio": run_urb_sweep}[family]
+    result = run(ds, spec)
     assert len(result.grid) == 6
-    assert len(tables) == 5
+    assert [len(t) for t in tables] == [spec.replicates + main_row] * 5
 
 
 def test_tree_collect_sweep_matches_oracle_bytewise(tmp_path, monkeypatch):

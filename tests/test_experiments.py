@@ -9,8 +9,7 @@ from fairsample import (ConfigError, DataError, Dataset, Learner, SweepSpec,
                         SynthSpec, generate, run_collect_sim,
                         run_decomposition_sweep, run_ssb_sweep,
                         run_urb_sweep)
-from fairsample import bias_estimators as be
-from fairsample import experiments, group_metrics
+from fairsample import decomposition, experiments, group_metrics
 from fairsample.dataset import holdout_split, population_ratio
 from fairsample.experiments import (DEFAULT_URB_GRID, _mean_stderr,
                                     _split_counts, default_ssb_grid,
@@ -301,8 +300,8 @@ def test_one_fit_many_per_unique_cell(clf_ds, monkeypatch):
 def test_main_prediction_once_per_distinct_cell(clf_ds, monkeypatch):
     # the shared-cell ratio grid above: five points, three distinct cells
     calls = []
-    real = be.main_prediction
-    monkeypatch.setattr(be, "main_prediction",
+    real = decomposition.main_prediction
+    monkeypatch.setattr(decomposition, "main_prediction",
                         lambda ens: calls.append(ens.k) or real(ens))
     pop = _split_counts(population_ratio(clf_ds), 60)
     r_a, r_b = round(pop[1] / 60, 6), round((pop[1] + 0.3) / 60, 6)

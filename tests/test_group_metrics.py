@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairsample import ConfigError, disc_vector, group_cost
+from fairsample import ConfigError, disc_vector
 from fairsample.group_metrics import (CLASSIFICATION_METRICS,
                                       confusion_counts, model_costs)
 from oracles import oracle_metrics, oracle_model_costs
@@ -16,11 +16,11 @@ def test_hand_fixture_fpr_eo():
     y = np.array([0, 0, 1, 0, 0, 1])
     labels = np.array([1, 0, 1, 0, 1, 0])
     a = np.array([1, 1, 1, 0, 0, 0])
-    fpr = group_cost("FPR", y, labels, None, a)
+    fpr = disc_vector(y, labels, None, a, ("FPR",))[0]
     assert fpr.value_a1 == Fraction(1, 2)
     assert fpr.value_a0 == Fraction(1, 2)
     assert fpr.disc == 0
-    eo = group_cost("EO", y, labels, None, a)
+    eo = disc_vector(y, labels, None, a, ("EO",))[0]
     assert eo.value_a1 == 1
     assert eo.value_a0 == 0
     assert eo.disc == 1
@@ -31,18 +31,18 @@ def test_auc_tie_handling():
     y = np.array([1, 1, 0, 0])
     scores = np.array([0.9, 0.7, 0.8, 0.1])
     a = np.zeros(4, dtype=int)
-    rep = group_cost("AUC", y, y, scores, a)
+    rep = disc_vector(y, y, scores, a, ("AUC",))[0]
     assert rep.value_a0 == Fraction(3, 4)
     # ties count one half
     scores = np.array([0.5, 0.7, 0.5, 0.1])
-    rep = group_cost("AUC", y, y, scores, a)
+    rep = disc_vector(y, y, scores, a, ("AUC",))[0]
     assert rep.value_a0 == Fraction(1, 2) * Fraction(1, 4) + Fraction(3, 4)
 
 
 def test_auc_requires_scores():
     y = np.array([0, 1])
     with pytest.raises(ConfigError, match="AUC requires scores"):
-        group_cost("AUC", y, y, None, np.array([0, 1]))
+        disc_vector(y, y, None, np.array([0, 1]), ("AUC",))[0]
 
 
 def test_identical_groups_zero_disc():
@@ -62,8 +62,8 @@ def test_eo_equals_negated_fnr_exactly():
         y = rng.integers(0, 2, n)
         labels = rng.integers(0, 2, n).astype(float)
         a = rng.integers(0, 2, n)
-        eo = group_cost("EO", y, labels, None, a).disc
-        fnr = group_cost("FNR", y, labels, None, a).disc
+        eo = disc_vector(y, labels, None, a, ("EO",))[0].disc
+        fnr = disc_vector(y, labels, None, a, ("FNR",))[0].disc
         if eo is None:
             assert fnr is None
         else:
@@ -74,7 +74,7 @@ def test_undefined_on_empty_conditioning_set():
     y = np.array([1, 1, 0, 1])  # group 1 has no negatives
     labels = np.array([1, 0, 0, 1])
     a = np.array([1, 1, 0, 0])
-    rep = group_cost("FPR", y, labels, None, a)
+    rep = disc_vector(y, labels, None, a, ("FPR",))[0]
     assert rep.value_a1 is None
     assert rep.value_a0 is not None
     assert rep.disc is None
@@ -89,8 +89,8 @@ def test_permutation_invariance():
     a = rng.integers(0, 2, n)
     perm = rng.permutation(n)
     for m in ["FPR", "FNR", "EO", "ZOL", "SD", "AUC"]:
-        r1 = group_cost(m, y, labels, scores, a)
-        r2 = group_cost(m, y[perm], labels[perm], scores[perm], a[perm])
+        r1 = disc_vector(y, labels, scores, a, (m,))[0]
+        r2 = disc_vector(y[perm], labels[perm], scores[perm], a[perm], (m,))[0]
         assert (r1.value_a0, r1.value_a1) == (r2.value_a0, r2.value_a1)
 
 
@@ -103,10 +103,10 @@ def test_values_in_range():
         scores = rng.random(n)
         a = rng.integers(0, 2, n)
         for m in ["FPR", "FNR", "EO", "ZOL", "SD", "AUC"]:
-            rep = group_cost(m, y, labels, scores, a)
+            rep = disc_vector(y, labels, scores, a, (m,))[0]
             for v in (rep.value_a0, rep.value_a1):
                 assert v is None or 0 <= v <= 1
-        mse = group_cost("MSE", y, labels, scores, a)
+        mse = disc_vector(y, labels, scores, a, ("MSE",))[0]
         for v in (mse.value_a0, mse.value_a1):
             assert v is None or v >= 0
 
@@ -119,7 +119,7 @@ def test_disc_vector_matches_individual_calls():
     metrics = ["EO", "FNR", "SD"]
     combined = disc_vector(y, labels, scores, a, metrics)
     for rep, m in zip(combined, metrics):
-        single = group_cost(m, y, labels, scores, a)
+        single = disc_vector(y, labels, scores, a, (m,))[0]
         assert (rep.value_a0, rep.value_a1) == (single.value_a0,
                                                 single.value_a1)
     assert disc_vector(y, labels, scores, a, []) == []
@@ -135,7 +135,7 @@ def test_matches_oracle_on_fixtures():
         a = rng.integers(0, 2, n)
         oracle = oracle_metrics(y, labels, scores, a)
         for rep in oracle:
-            mine = group_cost(rep.metric, y, labels, scores, a)
+            mine = disc_vector(y, labels, scores, a, (rep.metric,))[0]
             assert (mine.value_a0, mine.value_a1) == (rep.value_a0,
                                                       rep.value_a1)
 
@@ -146,27 +146,27 @@ def test_values_outside_zero_one_are_config_errors():
     a = np.array([1, 1, 1, 0, 0, 0])
     # a fractional label once truncated to 0 and counted as a negative
     with pytest.raises(ConfigError, match="labels must be 0 or 1"):
-        group_cost("FPR", y, [0.7, 0.7, 1, 0, 0, 1], None, a)
+        disc_vector(y, [0.7, 0.7, 1, 0, 0, 1], None, a, ("FPR",))[0]
     # a label of 2 once counted twice under SD
     with pytest.raises(ConfigError, match="labels must be 0 or 1"):
-        group_cost("SD", y, [2, 0, 1, 0, 0, 1], None, a)
+        disc_vector(y, [2, 0, 1, 0, 0, 1], None, a, ("SD",))[0]
     # rows of a third group once dropped out of both groups
     for metric in ("FPR", "AUC", "MSE"):
         with pytest.raises(ConfigError, match="groups must be 0 or 1"):
-            group_cost(metric, y, y, scores, [1, 1, 2, 0, 0, 0])
+            disc_vector(y, y, scores, [1, 1, 2, 0, 0, 0], (metric,))[0]
     for metric in ("EO", "ZOL", "AUC"):
         with pytest.raises(ConfigError, match="outcomes must be 0 or 1"):
-            group_cost(metric, [0, 0, 3, 0, 0, 1], y, scores, a)
+            disc_vector([0, 0, 3, 0, 0, 1], y, scores, a, (metric,))[0]
     # MSE takes real-valued outcomes and predictions
-    rep = group_cost("MSE", [0.5, 2.0, 1.0, 0.0, 0.25, 3.0], scores, scores,
-                     a)
+    rep = disc_vector([0.5, 2.0, 1.0, 0.0, 0.25, 3.0], scores, scores, a,
+                      ("MSE",))[0]
     assert rep.value_a0 is not None and rep.value_a1 is not None
 
 
 def test_mse_requires_scores():
     y = np.array([0.5, 1.5])
     with pytest.raises(ConfigError, match="MSE requires scores"):
-        group_cost("MSE", y, y, None, np.array([0, 1]))
+        disc_vector(y, y, None, np.array([0, 1]), ("MSE",))[0]
 
 
 def test_confusion_counts_one_bincount_layout():

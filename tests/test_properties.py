@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsample import (PredictionEnsemble, bias_gap, decompose_costs,
-                        decompose_points, ensemble_discs, estimate,
-                        group_cost)
+                        decompose_points, disc_vector, ensemble_costs,
+                        ensemble_discs, estimate)
 from fairsample.bias_estimators import (ESTIMATORS, MEAN_OVER_MODELS,
                                         SSB_ENSEMBLE, URB_ENSEMBLE)
-from fairsample.group_metrics import model_costs
 
 CLASSIFICATION = ("FPR", "FNR", "EO", "ZOL", "SD", "AUC")
 ZERO_ONE_DECOMPOSABLE = ("ZOL", "FPR", "EO")
@@ -20,11 +19,9 @@ ZERO_ONE_DECOMPOSABLE = ("ZOL", "FPR", "EO")
 
 def estimate_bias(target, ref, metric, estimator, kind=SSB_ENSEMBLE):
     """The sweep engine's estimate of target against ref: each ensemble's
-    ensemble_discs over its model_costs, then their difference."""
-    discs = [ensemble_discs(ens, model_costs(ens.eval_y, ens.labels,
-                                             ens.scores, ens.eval_a,
-                                             (metric,)),
-                            (metric,), estimator)[metric]
+    ensemble_discs over its ensemble_costs, then their difference."""
+    discs = [ensemble_discs(ensemble_costs(ens, (metric,)),
+                            estimator)[metric]
              for ens in (target, ref)]
     return estimate(kind, metric, estimator, "target", "reference",
                     *discs[0], *discs[1], target.k)
@@ -32,8 +29,8 @@ def estimate_bias(target, ref, metric, estimator, kind=SSB_ENSEMBLE):
 
 def decompose_gap(target, ref, metric):
     """bias_gap of the two ensembles' decompose_costs reports."""
-    return bias_gap(*(decompose_costs(ens, (metric,))[metric]
-                      for ens in (target, ref)))
+    return bias_gap(*(decompose_costs(ens, ensemble_costs(ens, (metric,)))
+                      [metric] for ens in (target, ref)))
 
 
 @st.composite
@@ -125,10 +122,11 @@ def test_zero_one_decomposition_identities(pair):
                 == points.mean_loss[i])
     for metric in ZERO_ONE_DECOMPOSABLE:
         # each group's cost is the mean over models of its metric value
-        rep = decompose_costs(t, (metric,))[metric]
+        rep = decompose_costs(t, ensemble_costs(t, (metric,)))[metric]
         for group in (0, 1):
-            values = [getattr(group_cost(metric, t.eval_y, t.labels[k],
-                                         t.scores[k], t.eval_a),
+            values = [getattr(disc_vector(t.eval_y, t.labels[k],
+                                          t.scores[k], t.eval_a,
+                                          (metric,))[0],
                               f"value_a{group}") for k in range(t.k)]
             if values[0] is None:
                 assert rep.cost(group) is None
@@ -143,7 +141,7 @@ def test_zero_one_decomposition_identities(pair):
 @given(pair=squared_ensemble_pairs())
 def test_squared_decomposition_identities(pair):
     t, r = pair
-    rep = decompose_costs(t, ("MSE",))["MSE"]
+    rep = decompose_costs(t, ensemble_costs(t, ("MSE",)))["MSE"]
     for group in (0, 1):
         sel = t.eval_a == group
         if not sel.any():
@@ -164,8 +162,8 @@ def test_squared_decomposition_identities(pair):
 def test_eo_is_negated_fnr(data, seed):
     y, a = data
     labels = np.random.default_rng(seed).integers(0, 2, len(y)).astype(float)
-    eo = group_cost("EO", y, labels, None, a).disc
-    fnr = group_cost("FNR", y, labels, None, a).disc
+    eo = disc_vector(y, labels, None, a, ("EO",))[0].disc
+    fnr = disc_vector(y, labels, None, a, ("FNR",))[0].disc
     assert (eo is None) == (fnr is None)
     if eo is not None:
         assert eo == -fnr
