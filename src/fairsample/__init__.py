@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .dataset import (Dataset, Schema, draw_from_pools, holdout_split,
                       load_csv, population_ratio)
 from .learners import FittedModel, Learner, fit
-from .group_metrics import GroupCostReport, disc_vector
+from .group_metrics import MetricCosts, model_costs
 from .decomposition import (PredictionEnsemble, bias_gap, decompose_costs,
                             decompose_points, ensemble_costs,
                             main_prediction, sd_bounds)

@@ -6,9 +6,9 @@ underrepresentation bias against the population-split reference of the
 same total size; the arithmetic is the same.  ensemble_discs gives an
 ensemble's discrimination per metric under one of two estimator modes: the
 main prediction's, or the average of per-model discriminations ("mean
-over models"), read from the ensemble's (main report, model reports) per
-metric.  estimate takes the difference; undefined discrimination in either
-term propagates to an undefined estimate with the cause recorded.
+over models"), the exact mean disc of the ensemble's main or model costs
+per metric.  estimate takes the difference; undefined discrimination in
+either term propagates to an undefined estimate with the cause recorded.
 """
 
 from __future__ import annotations
@@ -46,28 +46,16 @@ CSV_HEADER = ["kind", "metric", "estimator", "target", "reference",
               "value", "k"]
 
 
-def mean_over_models(reports):
-    """(disc, cause): the mean of the defined per-model discriminations."""
-    defined = [r.disc for r in reports if r.disc is not None]
-    if not defined:
-        return None, "all per-model discriminations undefined"
-    return sum(defined) / len(defined), ""
-
-
-def _defined(disc):
-    return disc, "" if disc is not None else "undefined group value"
-
-
 def ensemble_discs(costs, estimator):
     """{metric: (disc, cause)} under the chosen estimator mode, from costs,
-    an ensemble's {metric: (main report, model reports)}: the main
-    report's disc, or the mean over the model reports."""
-    if estimator == MAIN_PREDICTION:
-        return {m: _defined(main.disc) for m, (main, _) in costs.items()}
-    if estimator == MEAN_OVER_MODELS:
-        return {m: mean_over_models(models)
-                for m, (_, models) in costs.items()}
-    raise ConfigError(f"unknown estimator {estimator!r}")
+    an ensemble's {metric: (main costs, model costs)}: the main
+    prediction's disc, or the mean of the models' discs."""
+    if estimator not in ESTIMATORS:
+        raise ConfigError(f"unknown estimator {estimator!r}")
+    row = 0 if estimator == MAIN_PREDICTION else 1
+    discs = {m: pair[row].mean_disc() for m, pair in costs.items()}
+    return {m: (d, "" if d is not None else "undefined group value")
+            for m, d in discs.items()}
 
 
 def estimate(kind, metric, estimator, target_desc, ref_desc,

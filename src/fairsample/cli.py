@@ -27,7 +27,7 @@ from .errors import (ConfigError, DataError, FairsampleError, build,
                      read_json)
 from .experiments import (SweepSpec, run_collect_sim, run_decomposition_sweep,
                           run_ssb_sweep, run_urb_sweep)
-from .group_metrics import disc_vector, task_metrics
+from .group_metrics import model_costs, task_metrics
 from .learners import Learner, fit
 from .synth import SynthSpec, generate, write_csv
 
@@ -128,17 +128,16 @@ def cmd_metrics(args):
     pool, test = holdout_split(ds, _test_fraction(config), seed)
     model = fit(learner, pool)
     scores, labels = model.predict(test.X)
-    reports = disc_vector(test.y, labels, scores, test.a, metrics)
+    costs = model_costs(test.y, [labels], [scores], test.a, metrics)
     csv_path = os.path.join(out_dir, "metrics.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["metric", "value_a0", "value_a1", "disc"])
-        for rep in reports:
-            v0, v1, d = rep.as_floats()
-            fmt = lambda v: "" if v is None else repr(v)
-            w.writerow([rep.metric, fmt(v0), fmt(v1), fmt(d)])
+        for metric, c in costs.items():
+            w.writerow([metric, *("" if v is None else repr(v)
+                                  for v in c.floats()[0])])
     _write_manifest(os.path.join(out_dir, "manifest.json"), config, seed,
-                    started_at, sha, population_ratio(ds), len(reports))
+                    started_at, sha, population_ratio(ds), len(costs))
     return 0
 
 

@@ -6,11 +6,12 @@ The optimal prediction is identified with the observed outcome, so the
 noise term of the decomposition is zero and no report carries it.
 
 ensemble_costs evaluates an ensemble with one group_metrics.model_costs
-call: the main prediction stacked as row 0 over the K models.  Zero-one
-terms read those reports and are exact rationals: a point's mean loss
-over the models is its bias plus its net variance (Domingos, ICML 2000),
-so a group's bias is the main prediction's loss rate and its net variance
-the models' mean loss rate less it.  Squared-loss terms are float64 with
+call: the main prediction stacked as row 0 over the K models, split into
+the main prediction's MetricCosts and the models'.  Zero-one terms read
+their exact means over the shared denominators: a point's mean loss over
+the models is its bias plus its net variance (Domingos, ICML 2000), so a
+group's bias is the main prediction's loss rate and its net variance the
+models' mean loss rate less it.  Squared-loss terms are float64 with
 fixed-order summation.
 """
 
@@ -101,29 +102,24 @@ def _majority_labels(ens, mean_scores):
 
 
 def ensemble_costs(ens, metrics):
-    """{metric: (main report, K model reports)} on the ensemble's
-    evaluation set, from one group_metrics.model_costs call on the main
+    """{metric: (main costs, model costs)} on the ensemble's evaluation
+    set: rows 0 and 1..K of one group_metrics.model_costs call on the main
     prediction stacked over the K models."""
     scores, labels = main_prediction(ens)
     costs = gm.model_costs(ens.eval_y, [labels, *ens.labels],
                            [scores, *ens.scores], ens.eval_a, metrics)
-    return {m: (reports[0], reports[1:]) for m, reports in costs.items()}
+    return {m: (gm.MetricCosts(c.num[:1], c.den),
+                gm.MetricCosts(c.num[1:], c.den)) for m, c in costs.items()}
 
 
 def _zero_one_terms(main, models, offset, sign):
     """[(bias, net_variance)] per group of a zero-one metric's main and
-    model reports, cost = offset + sign * loss: the main prediction's
+    model costs, cost = offset + sign * loss: the main prediction's
     conditioned loss, and the models' mean loss less it, or (None, None)
     for a group its conditioning set leaves empty."""
-    terms = []
-    for g in (0, 1):
-        value = getattr(main, f"value_a{g}")
-        if value is None:
-            terms.append((None, None))
-            continue
-        mean = sum(getattr(r, f"value_a{g}") for r in models) / len(models)
-        terms.append((sign * (value - offset), sign * (mean - value)))
-    return terms
+    return [(None, None) if value is None else
+            (sign * (value - offset), sign * (mean - value))
+            for value, mean in zip(main.means(), models.means())]
 
 
 def decompose_points(ens):
@@ -317,9 +313,9 @@ def sd_bounds(ens):
         if bias is None:
             raise DataError(f"empty group a{g} in evaluation set")
     # SD of the K models' labels, and of the true outcomes
-    sd_hat = sum(r.disc for r in costs["SD"][1]) / ens.k
-    sd_true = gm.disc_vector(ens.eval_y, ens.eval_y, None, ens.eval_a,
-                             ("SD",))[0].disc
+    sd_hat = costs["SD"][1].mean_disc()
+    sd_true = gm.model_costs(ens.eval_y, [ens.eval_y], None, ens.eval_a,
+                             ("SD",))["SD"].mean_disc()
     db = terms[1][0] - terms[0][0]
     dv = terms[1][1] - terms[0][1]
     upper = db + dv

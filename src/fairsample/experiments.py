@@ -36,8 +36,7 @@ from .decomposition import (_CONDITIONING, SQUARED, ZERO_ONE,
                             ensemble_costs)
 from .errors import (ConfigError, DataError, check_fields, check_finite,
                      check_integer)
-from .group_metrics import (ALL_METRICS, disc_vector, model_costs,
-                            task_metrics)
+from .group_metrics import ALL_METRICS, model_costs, task_metrics
 from .learners import Learner, fit_many
 
 FAMILIES = ("ssb_size", "urb_ratio", "decomposition", "collect")
@@ -157,10 +156,17 @@ def _write_rows(path, header, rows):
 
 
 def task_seed(seed, family, grid_value, tag=0):
-    """Stable 63-bit stream seed for one (sweep, grid point) cell."""
-    text = f"{seed}|{family}|{grid_value!r}|{tag}"
+    """Stable 63-bit stream seed for one (sweep, grid point) cell; a numpy
+    scalar, inside a tuple too, hashes as the Python number it equals."""
+    text = f"{seed}|{family}|{_plain(grid_value)!r}|{tag}"
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _mean_stderr(values):
@@ -418,8 +424,8 @@ def _fit_batch(batch, spec, draw):
 
 def _predict(models, plan, main):
     """(ensemble, costs): the stacked holdout predictions of a cell's
-    models, and {metric: (main report, model reports)} from one
-    model_costs call; the main report is None unless main."""
+    models, and {metric: (main costs, model costs)} from one model_costs
+    call; the main costs are None unless main."""
     test = plan.test
     preds = [model.predict(test.X) for model in models]
     scores, labels = (np.stack(p) for p in zip(*preds))
@@ -428,7 +434,7 @@ def _predict(models, plan, main):
     if main:
         return ens, ensemble_costs(ens, plan.metrics)
     costs = model_costs(test.y, labels, scores, test.a, plan.metrics)
-    return ens, {m: (None, reports) for m, reports in costs.items()}
+    return ens, {m: (None, c) for m, c in costs.items()}
 
 
 def _evaluated(plan, spec, evaluate, draw=None):
@@ -451,7 +457,7 @@ def _evaluated(plan, spec, evaluate, draw=None):
 
 def _reduce_bias(result, plan, spec):
     """ssb_size / urb_ratio: per-model cells, plus SSB against the largest
-    size or URB against the population split, from the same reports."""
+    size or URB against the population split, from the same costs."""
     if result.family == "ssb_size":
         kind, desc, ref_desc = (be.SSB_ENSEMBLE, "m={}".format,
                                 f"M={plan.ref}")
@@ -466,9 +472,8 @@ def _reduce_bias(result, plan, spec):
     ref_disc = be.ensemble_discs(per_point[plan.ref], spec.estimator)
     for g, costs in per_point.items():
         disc = be.ensemble_discs(costs, spec.estimator)
-        for metric, (_, reports) in costs.items():
-            _add_row(result, g, metric, [r.as_floats() for r in reports],
-                     spec.estimator)
+        for metric, (_, models) in costs.items():
+            _add_row(result, g, metric, models.floats(), spec.estimator)
             result.bias_rows.append(be.estimate(
                 kind, metric, spec.estimator, desc(g), ref_desc,
                 *disc[metric], *ref_disc[metric], spec.replicates))
@@ -488,16 +493,16 @@ def _reduce_decomposition(result, plan, spec):
         return costs, decompose_costs(ens, costs)
     per_point = _evaluated(plan, spec, evaluate)
     ref_costs, ref_terms = per_point[plan.ref]
-    ref_disc = {metric: _float(be.mean_over_models(models)[0])
+    ref_disc = {metric: _float(models.mean_disc())
                 for metric, (_, models) in ref_costs.items()}
     for g, (costs, terms) in per_point.items():
-        for metric, (_, reports) in costs.items():
+        for metric, (_, models) in costs.items():
             gap = bias_gap(terms[metric], ref_terms[metric])
             sign = gap.target.cost_sign
             # per-replicate single-model gaps drive the dispersion column
             rd = ref_disc[metric]
             values = [(v0, v1, None if (d is None or rd is None) else d - rd)
-                      for v0, v1, d in (r.as_floats() for r in reports)]
+                      for v0, v1, d in models.floats()]
             _add_row(result, g, metric, values, be.MEAN_OVER_MODELS,
                      _float(gap.total), _float(gap.bias_delta_diff, sign),
                      _float(gap.net_variance_delta_diff, sign))
@@ -517,8 +522,8 @@ def _reduce_collect(result, plan, spec):
     else:
         label = "holdout"
         per_point = _evaluated(plan, spec, lambda models, _: {
-            m: [r.as_floats() for r in reports]
-            for m, (_, reports) in _predict(models, plan, False)[1].items()})
+            m: costs.floats()
+            for m, (_, costs) in _predict(models, plan, False)[1].items()})
     for g, per_metric in per_point.items():
         for metric, values in per_metric.items():
             _add_row(result, g, metric, values, label)
@@ -584,8 +589,8 @@ def _cv_cells(models, holds, folds, metrics):
     costs = []
     for model, hold in zip(models, holds):
         scores, labels = model.predict(hold.X)
-        costs.append({r.metric: r.as_floats() for r in disc_vector(
-            hold.y, labels, scores, hold.a, metrics)})
+        costs.append({m: c.floats()[0] for m, c in model_costs(
+            hold.y, [labels], [scores], hold.a, metrics).items()})
     draws = [costs[r:r + folds] for r in range(0, len(costs), folds)]
     return {m: [[_mean_stderr(v)[0] for v in zip(*(fold[m] for fold in draw))]
                 for draw in draws] for m in metrics}

@@ -1,10 +1,11 @@
 """Per-group cost metrics and discrimination differences.
 
-Rate metrics (FPR, FNR, EO, ZOL, SD) are exact Fractions of two sums of a
-whole ensemble's confusion_counts, one np.bincount; AUC is exact too, so
-Disc^EO == -Disc^FNR and disc = value_a1 - value_a0 hold exactly.  MSE is
-a float.  Empty conditioning sets yield None (UNDEFINED), never a silent
-zero.  Groups, and the outcomes and labels a metric counts, must be 0/1.
+model_costs gives one MetricCosts per metric: each model's numerators over
+the per-group denominators all models on one evaluation set share, read
+from one confusion_counts table (np.bincount) for the rate metrics.  Means
+over models are exact, so Disc^EO == -Disc^FNR holds exactly.  A group
+whose denominator is 0 is undefined (None), never a silent zero.  Groups,
+and the outcomes and labels a metric counts, must be 0/1.
 """
 
 from __future__ import annotations
@@ -36,27 +37,39 @@ def task_metrics(task, metrics=()):
 
 
 @dataclass(frozen=True)
-class GroupCostReport:
-    metric: str
-    value_a0: object  # Fraction, float, or None
-    value_a1: object
+class MetricCosts:
+    """One metric's per-group costs of K models on one evaluation set: num,
+    each model's (a0, a1) numerators (ints, or MSE's floats), over den, the
+    (a0, a1) denominators all K share, 0 where a group is undefined."""
 
-    @property
-    def disc(self):
-        if self.value_a0 is None or self.value_a1 is None:
-            return None
-        return self.value_a1 - self.value_a0
+    num: tuple
+    den: tuple
 
-    def as_floats(self):
-        conv = lambda v: None if v is None else float(v)
-        return conv(self.value_a0), conv(self.value_a1), conv(self.disc)
+    def means(self):
+        """Exact (a0, a1) means over the models; None where undefined."""
+        return tuple(_ratio(sum(n[g] for n in self.num), len(self.num) * d,
+                            exact=True) for g, d in enumerate(self.den))
+
+    def mean_disc(self):
+        """Exact mean over the models of a1 - a0, or None."""
+        d0, d1 = self.den
+        return _ratio(sum(n1 * d0 - n0 * d1 for n0, n1 in self.num),
+                      len(self.num) * d0 * d1, exact=True)
+
+    def floats(self):
+        """Each model's (a0, a1, disc) as floats, None where undefined: one
+        division of Python ints each, so each is float() of the exact value
+        (numpy int64 division misrounds past 2**53)."""
+        d0, d1 = self.den
+        return [(_ratio(n0, d0), _ratio(n1, d1),
+                 _ratio(n1 * d0 - n0 * d1, d0 * d1)) for n0, n1 in self.num]
 
 
-def disc_vector(y, labels, scores, a, metrics):
-    """One model's report per metric: the K = 1 row of model_costs."""
-    costs = model_costs(y, [labels], None if scores is None else [scores], a,
-                        metrics)
-    return [costs[m][0] for m in metrics]
+def _ratio(num, den, exact=False):
+    """num / den, or None for den 0; exact: a Fraction of ints."""
+    if den == 0:
+        return None
+    return Fraction(num, den) if exact and isinstance(num, int) else num / den
 
 
 # each rate metric's (numerator, denominator) cells; cell 2y + label
@@ -87,8 +100,10 @@ def confusion_counts(y, labels, a):
 
 
 def model_costs(y, labels, scores, a, metrics):
-    """{metric: K GroupCostReports} for a (K, n) stack of labels and
-    scores on one evaluation set (y, a); AUC and MSE run per model."""
+    """{metric: MetricCosts} for a (K, n) stack of labels and scores on
+    one evaluation set (y, a); AUC and MSE run per model."""
+    if len(labels) == 0:
+        raise ConfigError("model_costs needs at least one model")
     for m in metrics:
         if m not in ALL_METRICS:
             raise ConfigError(f"unknown metric {m!r}")
@@ -98,42 +113,39 @@ def model_costs(y, labels, scores, a, metrics):
     _check_binary(groups=a, outcomes=y if "AUC" in metrics else None)
     if any(m in _RATE_CELLS for m in metrics):
         counts = confusion_counts(y, labels, a)
+    groups = (a == 0, a == 1)
     costs = {}
     for m in metrics:
         if m in _RATE_CELLS:
             num, den = (counts[..., list(c)].sum(axis=-1).tolist()
                         for c in _RATE_CELLS[m])
-            values = [[None if d == 0 else Fraction(n, d)
-                       for n, d in zip(*nd)] for nd in zip(num, den)]
         else:
-            value = _auc if m == "AUC" else _mse
-            values = [[value(y[a == g], s[a == g]) for g in (0, 1)]
-                      for s in np.asarray(scores)]
-        costs[m] = [GroupCostReport(m, *v) for v in values]
+            cost = _auc if m == "AUC" else _mse
+            # per model, [(num, den) per group] -> (nums, dens)
+            num, den = zip(*(zip(*(cost(y[sel], s[sel]) for sel in groups))
+                             for s in np.asarray(scores)))
+        costs[m] = MetricCosts(tuple(map(tuple, num)), tuple(den[0]))
     return costs
 
 
 def _mse(y, scores):
-    return None if len(y) == 0 else float(np.mean((scores - y) ** 2))
+    """(mean squared error, 1), or (0.0, 0) for an empty group."""
+    return (float(np.mean((scores - y) ** 2)), 1) if len(y) else (0.0, 0)
 
 
 def _auc(y, scores):
-    """Within-group probability a positive outscores a negative, ties 1/2.
+    """(2U, 2 * positives * negatives): U counts the (positive, negative)
+    pairs where the positive scores higher, ties as 1/2.
 
-    Mid-rank Mann-Whitney: with doubled mid-ranks everything stays integer,
-    so the result is an exact rational equal to pair counting with ties
-    counted half.
+    Mid-rank Mann-Whitney: doubled mid-ranks keep everything integer, and
+    2U is pair counting with each win 2 and each tie 1.
     """
     pos = y == 1
     npos = int(pos.sum())
-    nneg = int(len(y) - npos)
-    if npos == 0 or nneg == 0:
-        return None
-    uniq, inv, counts = np.unique(scores, return_inverse=True,
-                                  return_counts=True)
+    _, inv, counts = np.unique(scores, return_inverse=True,
+                               return_counts=True)
     ends = np.cumsum(counts)
-    starts = ends - counts + 1
-    double_midrank = starts + ends  # 2 * average rank, always integer
+    double_midrank = 2 * ends - counts + 1  # first + last rank of a tie
     rank2_pos = int(double_midrank[inv][pos].sum())
     # U = sum(ranks_pos) - npos (npos + 1) / 2
-    return Fraction(rank2_pos - npos * (npos + 1), 2 * npos * nneg)
+    return rank2_pos - npos * (npos + 1), 2 * npos * (len(y) - npos)

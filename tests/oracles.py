@@ -19,6 +19,7 @@ in for an end-to-end byte comparison.
 """
 
 import csv
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from fairsample.decomposition import (_COST_AFFINE, _CONDITIONING, SQUARED,
                                       SdBoundsReport, _majority_labels,
                                       decompose_points)
 from fairsample.errors import ConfigError, DataError
-from fairsample.group_metrics import ALL_METRICS, GroupCostReport
+from fairsample.group_metrics import ALL_METRICS, MetricCosts
 from fairsample.learners import _best_split
 
 _ORACLE_N_CAP = 500
@@ -470,6 +471,17 @@ def sd_bounds(ens):
                           terms[1][1], terms[1][2])
 
 
+@dataclass(frozen=True)
+class Report:
+    """One model's exact per-group values of one metric (None where
+    undefined) and their difference a1 - a0."""
+
+    metric: str
+    value_a0: object
+    value_a1: object
+    disc: object
+
+
 def oracle_metrics(y, labels, scores, a, metrics=None):
     """Naive loop-based recomputation of every metric; tests only."""
     if len(y) > _ORACLE_N_CAP:
@@ -480,58 +492,71 @@ def oracle_metrics(y, labels, scores, a, metrics=None):
         vals = []
         for group in (0, 1):
             idx = [i for i in range(len(y)) if a[i] == group]
-            vals.append(_oracle_value(metric, y, labels, scores, idx))
-        reports.append(GroupCostReport(metric, vals[0], vals[1]))
+            num, den = _oracle_counts(metric, y, labels, scores, idx)
+            vals.append(num if metric == "MSE" and den else _frac(num, den))
+        disc = None if None in vals else vals[1] - vals[0]
+        reports.append(Report(metric, vals[0], vals[1], disc))
     return reports
 
 
 def oracle_model_costs(y, labels, scores, a, metrics):
-    """group_metrics.model_costs one model at a time through
-    oracle_metrics: {metric: K reports} for a (K, n) stack."""
+    """group_metrics.model_costs one model and one group at a time:
+    {metric: MetricCosts} for a (K, n) stack, each model's numerators
+    counted in loops over the rows, its denominators checked equal to
+    every other model's."""
+    if len(y) > _ORACLE_N_CAP:
+        raise ConfigError(f"oracle size cap {_ORACLE_N_CAP} exceeded")
     labels = np.asarray(labels)
-    per_model = [oracle_metrics(y, labels[k],
-                                None if scores is None else scores[k], a,
-                                list(metrics))
-                 for k in range(len(labels))]
-    return {m: [reports[i] for reports in per_model]
-            for i, m in enumerate(metrics)}
+    groups = [[i for i in range(len(y)) if a[i] == g] for g in (0, 1)]
+    costs = {}
+    for metric in metrics:
+        rows = [[_oracle_counts(metric, y, labels[k],
+                                None if scores is None else scores[k], idx)
+                 for idx in groups] for k in range(len(labels))]
+        dens = {tuple(d for _, d in row) for row in rows}
+        assert len(dens) == 1, (metric, dens)
+        costs[metric] = MetricCosts(
+            tuple(tuple(n for n, _ in row) for row in rows), dens.pop())
+    return costs
 
 
-def _oracle_value(metric, y, labels, scores, idx):
+def _oracle_counts(metric, y, labels, scores, idx):
+    """(numerator, denominator) of one model's metric over the rows idx:
+    counts for the rate metrics, 2 * wins + ties over 2 * positive-negative
+    pairs for AUC, the mean squared error over 1 for MSE (0.0 over 0 for no
+    rows)."""
     if metric == "FPR":
         den = [i for i in idx if y[i] == 0]
-        return _frac(sum(1 for i in den if labels[i] == 1), len(den))
+        return sum(1 for i in den if labels[i] == 1), len(den)
     if metric == "FNR":
         den = [i for i in idx if y[i] == 1]
-        return _frac(sum(1 for i in den if labels[i] == 0), len(den))
+        return sum(1 for i in den if labels[i] == 0), len(den)
     if metric == "EO":
         den = [i for i in idx if y[i] == 1]
-        return _frac(sum(1 for i in den if labels[i] == 1), len(den))
+        return sum(1 for i in den if labels[i] == 1), len(den)
     if metric == "ZOL":
-        return _frac(sum(1 for i in idx if labels[i] != y[i]), len(idx))
+        return sum(1 for i in idx if labels[i] != y[i]), len(idx)
     if metric == "SD":
-        return _frac(sum(1 for i in idx if labels[i] == 1), len(idx))
+        return sum(1 for i in idx if labels[i] == 1), len(idx)
     if metric == "MSE":
         if not idx:
-            return None
+            return 0.0, 0
         # the squared errors one row at a time, squared as e * e (Python's
         # e ** 2 can differ in the last bit) and averaged in numpy's
         # summation order, so that a sweep's bytes can be compared
         errors = [float(scores[i]) - float(y[i]) for i in idx]
-        return float(np.mean([e * e for e in errors]))
+        return float(np.mean([e * e for e in errors])), 1
     if metric == "AUC":
         pos = [scores[i] for i in idx if y[i] == 1]
         neg = [scores[i] for i in idx if y[i] == 0]
-        if not pos or not neg:
-            return None
-        s = Fraction(0)
+        doubled = 0
         for sp in pos:
             for sn in neg:
                 if sp > sn:
-                    s += 1
+                    doubled += 2
                 elif sp == sn:
-                    s += Fraction(1, 2)
-        return s / (len(pos) * len(neg))
+                    doubled += 1
+        return doubled, 2 * len(pos) * len(neg)
     raise ConfigError(f"unknown metric {metric!r}")
 
 

@@ -13,14 +13,15 @@ import pytest
 from scipy.stats import spearmanr
 
 from fairsample import (Learner, PredictionEnsemble, SweepSpec, SynthSpec,
-                        decompose_costs, decompose_points, disc_vector,
-                        draw_from_pools, ensemble_costs, fit, generate,
-                        holdout_split, run_decomposition_sweep,
-                        run_ssb_sweep, run_urb_sweep, sd_bounds)
+                        decompose_costs, decompose_points, draw_from_pools,
+                        ensemble_costs, fit, generate, holdout_split,
+                        run_decomposition_sweep, run_ssb_sweep,
+                        run_urb_sweep, sd_bounds)
 from fairsample.bias_estimators import MAIN_PREDICTION, MEAN_OVER_MODELS
 from fairsample.cli import main
 from fairsample.synth import write_csv
 from oracles import oracle_decomposition, oracle_metrics
+from reports import model_reports
 
 FAST_TREE = Learner("decision_tree", max_depth=4, min_leaf=5)
 
@@ -123,7 +124,7 @@ def test_c04_metric_oracle_equivalence():
     for _ in range(1000):
         y, labels, scores, a = _random_fixture(rng)
         for rep in oracle_metrics(y, labels, scores, a):
-            mine = disc_vector(y, labels, scores, a, (rep.metric,))[0]
+            mine = model_reports(y, labels, scores, a, (rep.metric,))[0]
             assert mine.value_a0 == rep.value_a0
             assert mine.value_a1 == rep.value_a1
     ok(4, "all metrics match the brute-force oracle exactly on 1000 "
@@ -134,8 +135,8 @@ def test_c05_eo_is_negated_fnr():
     rng = np.random.default_rng(205)
     for _ in range(1000):
         y, labels, scores, a = _random_fixture(rng)
-        eo = disc_vector(y, labels, None, a, ("EO",))[0].disc
-        fnr = disc_vector(y, labels, None, a, ("FNR",))[0].disc
+        eo = model_reports(y, labels, None, a, ("EO",))[0].disc
+        fnr = model_reports(y, labels, None, a, ("FNR",))[0].disc
         if eo is None:
             assert fnr is None
         else:
@@ -180,7 +181,7 @@ def test_c07_null_disparity_convergence():
         model = fit(learner, sample)
         scores, labels = model.predict(test.X)
         for m in metrics:
-            d = disc_vector(test.y, labels, scores, test.a, (m,))[0].disc
+            d = model_reports(test.y, labels, scores, test.a, (m,))[0].disc
             discs[m].append(float(d))
     elapsed = time.perf_counter() - start
     for m in metrics:

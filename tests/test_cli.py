@@ -9,7 +9,7 @@ from fairsample import (Learner, SweepSpec, SynthSpec, cli, fit, generate,
                         run_ssb_sweep)
 from fairsample.cli import main
 from fairsample.dataset import holdout_split
-from fairsample.group_metrics import disc_vector
+from fairsample.group_metrics import model_costs
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -33,13 +33,13 @@ def test_metrics_matches_library_call(tmp_path):
     pool, test = holdout_split(ds, 0.3, 4)
     model = fit(Learner("decision_tree", max_depth=3, min_leaf=5), pool)
     scores, labels = model.predict(test.X)
-    expected = disc_vector(test.y, labels, scores, test.a, ["EO", "SD"])
+    expected = model_costs(test.y, [labels], [scores], test.a, ["EO", "SD"])
 
     with open(out / "metrics.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["metric"] for r in rows] == ["EO", "SD"]
-    for row, rep in zip(rows, expected):
-        v0, v1, d = rep.as_floats()
+    for row, rep in zip(rows, expected.values()):
+        v0, v1, d = rep.floats()[0]
         assert float(row["value_a0"]) == v0
         assert float(row["value_a1"]) == v1
         assert float(row["disc"]) == d

@@ -53,6 +53,55 @@ def test_task_seed_stable_and_distinct():
     assert s != task_seed(7, "urb_ratio", 100)
 
 
+def test_task_seed_hashes_numpy_scalars_as_python_numbers():
+    assert task_seed(7, "ssb_size", np.int64(20)) == task_seed(7, "ssb_size",
+                                                               20)
+    assert task_seed(7, "decomposition", ("ssb", np.int64(14), 6)) == \
+        task_seed(7, "decomposition", ("ssb", 14, 6))
+    assert task_seed(7, "collect", ("minority_random", np.float64(0.5))) == \
+        task_seed(7, "collect", ("minority_random", 0.5))
+
+
+def _ints(*values):
+    return tuple(np.array(values))
+
+
+# per family, a spec with Python numbers and the equal spec with numpy
+# scalars where a config built in code may carry them
+NUMPY_SPECS = {
+    "ssb_size": ({"grid": (20, 100)}, {"grid": _ints(20, 100)}),
+    "collect": ({"grid": (4, 20), "fixed_majority": 40},
+                {"grid": _ints(4, 20), "fixed_majority": np.int64(40)}),
+    "decomposition": ({"grid": (20, 100)}, {"grid": _ints(20, 100)}),
+    "urb_ratio": ({"grid": (0.2, 0.5), "total_m": 80},
+                  {"grid": _ints(0.2, 0.5), "total_m": np.int64(80)}),
+    "urb decomposition": (
+        {"family": "decomposition", "decomp_kind": "urb",
+         "grid": (0.2, 0.5), "total_m": 80},
+        {"family": "decomposition", "decomp_kind": "urb",
+         "grid": _ints(0.2, 0.5), "total_m": np.int64(80)}),
+}
+RUNNERS = {"ssb_size": run_ssb_sweep, "urb_ratio": run_urb_sweep,
+           "decomposition": run_decomposition_sweep,
+           "collect": run_collect_sim}
+
+
+@pytest.mark.parametrize("family", NUMPY_SPECS)
+def test_equal_specs_with_numpy_scalars_write_the_same_bytes(
+        family, clf_ds, tmp_path):
+    specs = [SweepSpec(**{"family": family, **kw}, replicates=2, seed=3,
+                       learner=FAST_TREE) for kw in NUMPY_SPECS[family]]
+    assert specs[0] == specs[1]
+    written = []
+    for i, spec in enumerate(specs):
+        result = RUNNERS[spec.family](clf_ds, spec)
+        result.write_csv(tmp_path / f"sweep{i}.csv")
+        result.write_bias_csv(tmp_path / f"bias{i}.csv")
+        written.append([(tmp_path / f"{name}{i}.csv").read_bytes()
+                        for name in ("sweep", "bias")])
+    assert written[0] == written[1]
+
+
 def test_default_ssb_grid():
     assert default_ssb_grid(1000, 0.8) == (10, 20, 50, 100, 200, 500, 800)
     assert default_ssb_grid(3000, 0.8) == (10, 20, 50, 100, 200, 500, 1000,
@@ -607,3 +656,46 @@ def test_each_ensemble_is_evaluated_once(monkeypatch):
     # one AUC per (model, group) for each grid point, plus the reference
     # once before the grid
     assert len(calls) <= 2 * spec.replicates * (grid_points + 1)
+
+
+@pytest.fixture(scope="module")
+def no_a1_negatives_ds():
+    """clf-like data whose a1 rows are all positive: the dataset, and so
+    every holdout, lacks the (a1, negative) stratum."""
+    ds = generate(SynthSpec(n=600, d=2, group1_share=0.4, seed=21))
+    y = np.where(ds.a == 1, 1.0, ds.y)
+    return Dataset(ds.X, y, ds.a, ds.row_ids, ds.feature_names, ds.task)
+
+
+@pytest.mark.parametrize("family, options", [
+    ("ssb_size", {"grid": (20, 100)}),
+    ("ssb_size", {"grid": (20, 100), "estimator": "main_prediction"}),
+    ("urb_ratio", {"grid": (0.2, 0.5), "total_m": 80}),
+    ("urb_ratio", {"grid": (0.2, 0.5), "total_m": 80,
+                   "estimator": "main_prediction"}),
+    ("decomposition", {"grid": (20, 100)}),
+    ("decomposition", {"grid": (0.2, 0.5), "total_m": 80,
+                       "decomp_kind": "urb"}),
+    ("collect", {"grid": (4, 20), "fixed_majority": 40}),
+])
+def test_a_missing_stratum_leaves_its_metrics_undefined_in_every_row(
+        family, options, no_a1_negatives_ds):
+    # undefined holdout values are a property of the dataset: a metric is
+    # undefined for every model at every grid point or for none
+    metrics = ("ZOL", "FPR", "EO") if family == "decomposition" else \
+        ("FPR", "FNR", "EO", "ZOL", "SD", "AUC")
+    spec = SweepSpec(family=family, replicates=3, seed=4, learner=FAST_TREE,
+                     metrics=metrics, **options)
+    result = RUNNERS[family](no_a1_negatives_ds, spec)
+    undefined = {"FPR", "AUC"}
+    for row in result.rows:
+        assert row.k_total == 3
+        assert row.k_defined == (0 if row.metric in undefined else 3)
+        assert (row.mean is None) == (row.metric in undefined)
+        assert (row.group1_mean is None) == (row.metric in undefined)
+        assert row.group0_mean is not None
+    assert {r.metric for r in result.rows} >= {"FPR", "EO"}
+    assert result.bias_rows or family in ("decomposition", "collect")
+    for est in result.bias_rows:
+        value = est.to_csv_row()[5]
+        assert (value == "") == (est.metric in undefined), est

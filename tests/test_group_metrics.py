@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairsample import ConfigError, disc_vector
-from fairsample.group_metrics import (CLASSIFICATION_METRICS,
+from fairsample import ConfigError
+from fairsample.group_metrics import (CLASSIFICATION_METRICS, MetricCosts,
                                       confusion_counts, model_costs)
 from oracles import oracle_metrics, oracle_model_costs
+from reports import model_reports
 
 
 def test_hand_fixture_fpr_eo():
@@ -16,11 +17,11 @@ def test_hand_fixture_fpr_eo():
     y = np.array([0, 0, 1, 0, 0, 1])
     labels = np.array([1, 0, 1, 0, 1, 0])
     a = np.array([1, 1, 1, 0, 0, 0])
-    fpr = disc_vector(y, labels, None, a, ("FPR",))[0]
+    fpr = model_reports(y, labels, None, a, ("FPR",))[0]
     assert fpr.value_a1 == Fraction(1, 2)
     assert fpr.value_a0 == Fraction(1, 2)
     assert fpr.disc == 0
-    eo = disc_vector(y, labels, None, a, ("EO",))[0]
+    eo = model_reports(y, labels, None, a, ("EO",))[0]
     assert eo.value_a1 == 1
     assert eo.value_a0 == 0
     assert eo.disc == 1
@@ -31,18 +32,26 @@ def test_auc_tie_handling():
     y = np.array([1, 1, 0, 0])
     scores = np.array([0.9, 0.7, 0.8, 0.1])
     a = np.zeros(4, dtype=int)
-    rep = disc_vector(y, y, scores, a, ("AUC",))[0]
+    rep = model_reports(y, y, scores, a, ("AUC",))[0]
     assert rep.value_a0 == Fraction(3, 4)
     # ties count one half
     scores = np.array([0.5, 0.7, 0.5, 0.1])
-    rep = disc_vector(y, y, scores, a, ("AUC",))[0]
+    rep = model_reports(y, y, scores, a, ("AUC",))[0]
     assert rep.value_a0 == Fraction(1, 2) * Fraction(1, 4) + Fraction(3, 4)
 
 
 def test_auc_requires_scores():
     y = np.array([0, 1])
     with pytest.raises(ConfigError, match="AUC requires scores"):
-        disc_vector(y, y, None, np.array([0, 1]), ("AUC",))[0]
+        model_reports(y, y, None, np.array([0, 1]), ("AUC",))[0]
+
+
+def test_an_empty_stack_is_a_config_error():
+    # K = 0 has no model row to read the shared denominators from
+    y = np.array([0, 1, 0, 1])
+    with pytest.raises(ConfigError, match="at least one model"):
+        model_costs(y, np.empty((0, 4)), None, np.array([0, 0, 1, 1]),
+                    ("FPR",))
 
 
 def test_identical_groups_zero_disc():
@@ -50,8 +59,8 @@ def test_identical_groups_zero_disc():
     labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
     scores = np.array([0.1, 0.9, 0.4, 0.6, 0.1, 0.9, 0.4, 0.6])
     a = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    for rep in disc_vector(y, labels, scores, a,
-                           ["FPR", "FNR", "EO", "ZOL", "SD", "AUC"]):
+    for rep in model_reports(y, labels, scores, a,
+                             ["FPR", "FNR", "EO", "ZOL", "SD", "AUC"]):
         assert rep.disc == 0
 
 
@@ -62,8 +71,8 @@ def test_eo_equals_negated_fnr_exactly():
         y = rng.integers(0, 2, n)
         labels = rng.integers(0, 2, n).astype(float)
         a = rng.integers(0, 2, n)
-        eo = disc_vector(y, labels, None, a, ("EO",))[0].disc
-        fnr = disc_vector(y, labels, None, a, ("FNR",))[0].disc
+        eo = model_reports(y, labels, None, a, ("EO",))[0].disc
+        fnr = model_reports(y, labels, None, a, ("FNR",))[0].disc
         if eo is None:
             assert fnr is None
         else:
@@ -74,7 +83,7 @@ def test_undefined_on_empty_conditioning_set():
     y = np.array([1, 1, 0, 1])  # group 1 has no negatives
     labels = np.array([1, 0, 0, 1])
     a = np.array([1, 1, 0, 0])
-    rep = disc_vector(y, labels, None, a, ("FPR",))[0]
+    rep = model_reports(y, labels, None, a, ("FPR",))[0]
     assert rep.value_a1 is None
     assert rep.value_a0 is not None
     assert rep.disc is None
@@ -89,8 +98,9 @@ def test_permutation_invariance():
     a = rng.integers(0, 2, n)
     perm = rng.permutation(n)
     for m in ["FPR", "FNR", "EO", "ZOL", "SD", "AUC"]:
-        r1 = disc_vector(y, labels, scores, a, (m,))[0]
-        r2 = disc_vector(y[perm], labels[perm], scores[perm], a[perm], (m,))[0]
+        r1 = model_reports(y, labels, scores, a, (m,))[0]
+        r2 = model_reports(y[perm], labels[perm], scores[perm], a[perm],
+                           (m,))[0]
         assert (r1.value_a0, r1.value_a1) == (r2.value_a0, r2.value_a1)
 
 
@@ -103,26 +113,26 @@ def test_values_in_range():
         scores = rng.random(n)
         a = rng.integers(0, 2, n)
         for m in ["FPR", "FNR", "EO", "ZOL", "SD", "AUC"]:
-            rep = disc_vector(y, labels, scores, a, (m,))[0]
+            rep = model_reports(y, labels, scores, a, (m,))[0]
             for v in (rep.value_a0, rep.value_a1):
                 assert v is None or 0 <= v <= 1
-        mse = disc_vector(y, labels, scores, a, ("MSE",))[0]
+        mse = model_reports(y, labels, scores, a, ("MSE",))[0]
         for v in (mse.value_a0, mse.value_a1):
             assert v is None or v >= 0
 
 
-def test_disc_vector_matches_individual_calls():
+def test_model_reports_match_individual_calls():
     y = np.array([0, 1, 1, 0, 1, 0])
     labels = np.array([1, 1, 0, 0, 1, 0]).astype(float)
     scores = np.array([0.8, 0.9, 0.2, 0.3, 0.7, 0.1])
     a = np.array([0, 1, 0, 1, 0, 1])
     metrics = ["EO", "FNR", "SD"]
-    combined = disc_vector(y, labels, scores, a, metrics)
+    combined = model_reports(y, labels, scores, a, metrics)
     for rep, m in zip(combined, metrics):
-        single = disc_vector(y, labels, scores, a, (m,))[0]
+        single = model_reports(y, labels, scores, a, (m,))[0]
         assert (rep.value_a0, rep.value_a1) == (single.value_a0,
                                                 single.value_a1)
-    assert disc_vector(y, labels, scores, a, []) == []
+    assert model_reports(y, labels, scores, a, []) == []
 
 
 def test_matches_oracle_on_fixtures():
@@ -135,7 +145,7 @@ def test_matches_oracle_on_fixtures():
         a = rng.integers(0, 2, n)
         oracle = oracle_metrics(y, labels, scores, a)
         for rep in oracle:
-            mine = disc_vector(y, labels, scores, a, (rep.metric,))[0]
+            mine = model_reports(y, labels, scores, a, (rep.metric,))[0]
             assert (mine.value_a0, mine.value_a1) == (rep.value_a0,
                                                       rep.value_a1)
 
@@ -146,27 +156,27 @@ def test_values_outside_zero_one_are_config_errors():
     a = np.array([1, 1, 1, 0, 0, 0])
     # a fractional label once truncated to 0 and counted as a negative
     with pytest.raises(ConfigError, match="labels must be 0 or 1"):
-        disc_vector(y, [0.7, 0.7, 1, 0, 0, 1], None, a, ("FPR",))[0]
+        model_reports(y, [0.7, 0.7, 1, 0, 0, 1], None, a, ("FPR",))[0]
     # a label of 2 once counted twice under SD
     with pytest.raises(ConfigError, match="labels must be 0 or 1"):
-        disc_vector(y, [2, 0, 1, 0, 0, 1], None, a, ("SD",))[0]
+        model_reports(y, [2, 0, 1, 0, 0, 1], None, a, ("SD",))[0]
     # rows of a third group once dropped out of both groups
     for metric in ("FPR", "AUC", "MSE"):
         with pytest.raises(ConfigError, match="groups must be 0 or 1"):
-            disc_vector(y, y, scores, [1, 1, 2, 0, 0, 0], (metric,))[0]
+            model_reports(y, y, scores, [1, 1, 2, 0, 0, 0], (metric,))[0]
     for metric in ("EO", "ZOL", "AUC"):
         with pytest.raises(ConfigError, match="outcomes must be 0 or 1"):
-            disc_vector([0, 0, 3, 0, 0, 1], y, scores, a, (metric,))[0]
+            model_reports([0, 0, 3, 0, 0, 1], y, scores, a, (metric,))[0]
     # MSE takes real-valued outcomes and predictions
-    rep = disc_vector([0.5, 2.0, 1.0, 0.0, 0.25, 3.0], scores, scores, a,
-                      ("MSE",))[0]
+    rep = model_reports([0.5, 2.0, 1.0, 0.0, 0.25, 3.0], scores, scores, a,
+                        ("MSE",))[0]
     assert rep.value_a0 is not None and rep.value_a1 is not None
 
 
 def test_mse_requires_scores():
     y = np.array([0.5, 1.5])
     with pytest.raises(ConfigError, match="MSE requires scores"):
-        disc_vector(y, y, None, np.array([0, 1]), ("MSE",))[0]
+        model_reports(y, y, None, np.array([0, 1]), ("MSE",))[0]
 
 
 def test_confusion_counts_one_bincount_layout():
@@ -209,8 +219,9 @@ def test_model_costs_match_oracle_model_by_model(stack):
     assert costs == oracle_model_costs(y, labels, scores, a,
                                        CLASSIFICATION_METRICS)
     for k in range(len(labels)):
-        assert [costs[m][k] for m in CLASSIFICATION_METRICS] == disc_vector(
-            y, labels[k], scores[k], a, CLASSIFICATION_METRICS)
+        assert {m: MetricCosts(c.num[k:k + 1], c.den)
+                for m, c in costs.items()} == model_costs(
+            y, labels[k:k + 1], scores[k:k + 1], a, CLASSIFICATION_METRICS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -223,3 +234,52 @@ def test_model_costs_mse_matches_oracle_on_a_regression_stack(k, n, seed):
     a = rng.integers(0, 2, n)
     assert (model_costs(y, scores, scores, a, ("MSE",))
             == oracle_model_costs(y, scores, scores, a, ("MSE",)))
+
+
+# numerators and denominators up to 2**120, most of them past 2**53, where
+# a float64 operand would no longer be exact
+_BIG = st.one_of(st.integers(0, 2**20), st.integers(2**53, 2**120))
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.lists(st.tuples(_BIG, _BIG), min_size=1, max_size=5),
+       den=st.tuples(st.one_of(st.just(0), _BIG), st.one_of(st.just(0), _BIG)))
+def test_float_view_and_means_are_the_exact_values(num, den):
+    costs = MetricCosts(tuple(num), den)
+    exact = [[None if d == 0 else Fraction(n, d) for n, d in zip(pair, den)]
+             for pair in num]
+    discs = [None if None in v else v[1] - v[0] for v in exact]
+    assert costs.floats() == [
+        tuple(None if v is None else float(v) for v in (*values, disc))
+        for values, disc in zip(exact, discs)]
+    assert costs.means() == tuple(
+        None if d == 0 else sum(v[g] for v in exact) / len(num)
+        for g, d in enumerate(den))
+    assert costs.mean_disc() == (None if None in discs
+                                 else sum(discs) / len(num))
+
+
+def test_auc_past_two_to_the_53_matches_fraction_arithmetic():
+    # ~20,000 rows per group: every operand of a disc, n1 * d0, n0 * d1
+    # and d0 * d1, is past 2**53
+    rng = np.random.default_rng(53)
+    n = 40000
+    y = rng.integers(0, 2, n)
+    a = rng.integers(0, 2, n)
+    scores = rng.integers(0, 1000, (2, n)) / 1000  # many ties
+    costs = model_costs(y, scores, scores, a, ("AUC",))["AUC"]
+    d0, d1 = costs.den
+    assert min(min(n1 * d0, n0 * d1) for n0, n1 in costs.num) > 2**53
+    for k, s in enumerate(scores):
+        exact = []
+        for g in (0, 1):
+            pos = np.sort(s[(a == g) & (y == 1)])
+            neg = np.sort(s[(a == g) & (y == 0)])
+            below = np.searchsorted(neg, pos, side="left")
+            ties = np.searchsorted(neg, pos, side="right") - below
+            doubled = 2 * int(below.sum()) + int(ties.sum())
+            assert (costs.num[k][g], costs.den[g]) == (
+                doubled, 2 * len(pos) * len(neg))
+            exact.append(Fraction(doubled, 2 * len(pos) * len(neg)))
+        assert costs.floats()[k] == (float(exact[0]), float(exact[1]),
+                                     float(exact[1] - exact[0]))

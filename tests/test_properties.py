@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsample import (PredictionEnsemble, bias_gap, decompose_costs,
-                        decompose_points, disc_vector, ensemble_costs,
-                        ensemble_discs, estimate)
+                        decompose_points, ensemble_costs, ensemble_discs,
+                        estimate)
 from fairsample.bias_estimators import (ESTIMATORS, MEAN_OVER_MODELS,
                                         SSB_ENSEMBLE, URB_ENSEMBLE)
+from reports import model_reports
 
 CLASSIFICATION = ("FPR", "FNR", "EO", "ZOL", "SD", "AUC")
 ZERO_ONE_DECOMPOSABLE = ("ZOL", "FPR", "EO")
@@ -124,9 +125,9 @@ def test_zero_one_decomposition_identities(pair):
         # each group's cost is the mean over models of its metric value
         rep = decompose_costs(t, ensemble_costs(t, (metric,)))[metric]
         for group in (0, 1):
-            values = [getattr(disc_vector(t.eval_y, t.labels[k],
-                                          t.scores[k], t.eval_a,
-                                          (metric,))[0],
+            values = [getattr(model_reports(t.eval_y, t.labels[k],
+                                            t.scores[k], t.eval_a,
+                                            (metric,))[0],
                               f"value_a{group}") for k in range(t.k)]
             if values[0] is None:
                 assert rep.cost(group) is None
@@ -162,8 +163,8 @@ def test_squared_decomposition_identities(pair):
 def test_eo_is_negated_fnr(data, seed):
     y, a = data
     labels = np.random.default_rng(seed).integers(0, 2, len(y)).astype(float)
-    eo = disc_vector(y, labels, None, a, ("EO",))[0].disc
-    fnr = disc_vector(y, labels, None, a, ("FNR",))[0].disc
+    eo = model_reports(y, labels, None, a, ("EO",))[0].disc
+    fnr = model_reports(y, labels, None, a, ("FNR",))[0].disc
     assert (eo is None) == (fnr is None)
     if eo is not None:
         assert eo == -fnr
