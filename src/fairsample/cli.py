@@ -107,7 +107,11 @@ def _prepare(args):
     check_integer("threads", config.get("threads", 1))
     check_type("output_dir", config.get("output_dir", "."), str, "a string")
     out_dir = args.out or config.get("output_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output directory {out_dir!r} is a file or lies "
+                          f"under one") from None
     return config, seed, out_dir, started_at
 
 

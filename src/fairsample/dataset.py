@@ -128,13 +128,18 @@ def load_csv(path, schema):
     sensitive columns are mapped to {0,1}.  The file is read in blocks of
     rows; a row too short for the schema's columns raises at once, and the
     column checks raise after the read in the order sensitive, target,
-    features, each naming the column's first bad row.
+    features, each naming the column's first bad row.  A file that cannot
+    be read (an OSError or csv.Error, such as an over-long field) or is
+    not UTF-8 is a DataError naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             columns, n = _read_columns(csv.reader(fh), path, schema)
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
+    except (OSError, csv.Error) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"{path}: cannot be read ({reason})") from None
     if not n:
         raise DataError(f"{path}: no data rows")
 

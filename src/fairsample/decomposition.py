@@ -155,7 +155,9 @@ class DecompositionReport:
     loss, the implied cost values, and the between-group differences.
 
     cost_a = cost_offset + cost_sign * (bias_a + net_variance_a); for all
-    decomposable metrics except EO offset is 0 and sign is +1.
+    decomposable metrics except EO offset is 0 and sign is +1.  cost_disc
+    is cost_sign * (bias_diff + net_variance_diff): cost(1) - cost(0),
+    exactly for zero-one terms.
     """
 
     metric: str
@@ -184,7 +186,8 @@ class DecompositionReport:
 
     @property
     def cost_disc(self):
-        return _diff(self.cost(1), self.cost(0))
+        b, v = self.bias_diff, self.net_variance_diff
+        return None if b is None or v is None else self.cost_sign * (b + v)
 
 
 def _squared_terms(ens):
@@ -219,54 +222,20 @@ def decompose_costs(ens, costs):
     return reports
 
 
-@dataclass(frozen=True)
-class BiasGapReport:
-    """Term-wise deltas between a target and a reference decomposition.
-
-    total = cost_sign * (bias_delta_diff + net_variance_delta_diff) equals
-    the discrimination gap between the two ensembles under the
-    mean-over-models estimator; for zero-one loss, exactly, and
-    cost_sign * bias_delta_diff is the gap under the main-prediction
-    estimator.
-    """
-
-    metric: str
-    target: DecompositionReport
-    reference: DecompositionReport
-    bias_delta_a0: object
-    bias_delta_a1: object
-    net_variance_delta_a0: object
-    net_variance_delta_a1: object
-
-    @property
-    def bias_delta_diff(self):
-        return _diff(self.bias_delta_a1, self.bias_delta_a0)
-
-    @property
-    def net_variance_delta_diff(self):
-        return _diff(self.net_variance_delta_a1, self.net_variance_delta_a0)
-
-    @property
-    def total(self):
-        b = self.bias_delta_diff
-        v = self.net_variance_delta_diff
-        if b is None or v is None:
-            return None
-        return self.target.cost_sign * (b + v)
-
-
 def bias_gap(target, reference):
-    """Term-wise deltas between a target's and a reference's
-    DecompositionReport of one metric on one evaluation set."""
+    """The term deltas target - reference of one metric's decompositions
+    on one evaluation set, as a DecompositionReport with cost_offset 0 and
+    the target's metric, conditioning and sign.
 
-    def delta(term):
-        return [_diff(getattr(target, f"{term}_a{g}"),
-                      getattr(reference, f"{term}_a{g}")) for g in (0, 1)]
-
-    db = delta("bias")
-    dv = delta("net_variance")
-    return BiasGapReport(target.metric, target, reference, db[0], db[1],
-                         dv[0], dv[1])
+    Its cost_disc is the discrimination gap between the two ensembles
+    under the mean-over-models estimator, and cost_sign * bias_diff the
+    gap under the main-prediction estimator; for zero-one loss, exactly.
+    """
+    return DecompositionReport(
+        target.metric, target.conditioning, 0, target.cost_sign,
+        *(_diff(getattr(target, term), getattr(reference, term))
+          for term in ("bias_a0", "net_variance_a0", "bias_a1",
+                       "net_variance_a1")))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,11 @@ its family's evaluation returns.  A small reducer per family turns each
 grid point's value into summary rows and bias estimates.
 
 Every (cell, replicate) draw has its own RNG stream derived by hashing
-(seed, family, cell key, replicate index), and the reducers read the
-values in fixed grid order, so a sweep's output depends on the dataset
-and the spec only.
+(seed, base family, cell key, replicate index); a decomposition's base
+family is the ssb_size or urb_ratio sweep its decomp_kind names (_base),
+so it decomposes exactly the ensembles that sweep reports.  The reducers
+read the values in fixed grid order, so a sweep's output depends on the
+dataset and the spec only.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .learners import Learner, fit_many
 
 FAMILIES = ("ssb_size", "urb_ratio", "decomposition", "collect")
 VARIANTS = ("minority_random", "majority_random", "minority_positive_only")
+# the base family of a decomposition sweep of each decomp_kind
+_DECOMP_BASES = {"ssb": "ssb_size", "urb": "urb_ratio"}
 
 
 @dataclass(frozen=True)
@@ -73,12 +77,10 @@ class SweepSpec:
         check_fields(self)
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
-        if self.decomp_kind not in ("ssb", "urb"):
+        if self.decomp_kind not in _DECOMP_BASES:
             raise ConfigError(f"unknown decomp_kind {self.decomp_kind!r}")
-        ratios = self.family == "urb_ratio" or (
-            self.family == "decomposition" and self.decomp_kind == "urb")
         for p in self.grid:
-            if ratios:
+            if _base(self) == "urb_ratio":
                 check_finite("ratio grid point", p)
             else:
                 check_integer("grid point", p)
@@ -163,6 +165,15 @@ def task_seed(seed, family, grid_value, tag=0):
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _base(spec):
+    """The family whose grid, reference, feasibility rule and cell seeds
+    spec's sweep takes: its own, or for a decomposition the family its
+    decomp_kind names."""
+    if spec.family == "decomposition":
+        return _DECOMP_BASES[spec.decomp_kind]
+    return spec.family
+
+
 def _plain(value):
     if isinstance(value, tuple):
         return tuple(map(_plain, value))
@@ -243,10 +254,10 @@ def _cell_problems(pools, counts, spec):
     """(bad-count, pool-exhausted) messages for the grid points whose
     counts (one per named pool) cannot be drawn: a negative count, no rows
     at all, a 1-row draw that collect's k-fold CV leaves with an empty
-    training fold, an empty group where the family needs both, or a count
-    a pool cannot give (dataset.can_draw)."""
+    training fold, an empty group where the base family needs both, or a
+    count a pool cannot give (dataset.can_draw)."""
     cv = spec.family == "collect" and spec.use_cv
-    allow_empty = spec.family in ("ssb_size", "collect")
+    allow_empty = _base(spec) in ("ssb_size", "collect")
     bad, short = [], []
     for g, c in counts.items():
         drawn = ", ".join(f"{want} from {name}"
@@ -286,8 +297,8 @@ class Cell:
 
     counts are the rows a draw takes from each of the plan's pools, in
     pool order, and replicate rep draws from the stream (seed, rep); seed
-    is task_seed of the family's key for the point (_SEED_KEYS).  Grid
-    points with equal cells share one ensemble.
+    is task_seed of the base family's key for the point (_SEED_KEYS).
+    Grid points with equal cells share one ensemble.
     """
 
     counts: tuple
@@ -308,23 +319,22 @@ class _Plan:
     dropped: tuple = ()       # default-grid points that cannot be drawn
 
 
-# the grid value each family's task_seed hashes, from a grid point g and
-# its counts c
+# the grid value each base family's task_seed hashes, from a grid point g
+# and its counts c
 _SEED_KEYS = {
     "ssb_size": lambda spec, g, c: g,
     "urb_ratio": lambda spec, g, c: c,
-    "decomposition": lambda spec, g, c: (spec.decomp_kind,) + c,
     "collect": lambda spec, g, c: (spec.variant, g),
 }
 
 
 def _resolve(ds, spec):
     """Holdout split, pools, grid, metrics, reference and one Cell per
-    grid point; an infeasible grid fails here, before any fit.  A size
-    grid's reference is its largest size; a ratio grid's, in urb_ratio and
-    URB decomposition alike, its first point that splits total_m as the
-    population does, added when no point does."""
-    family = spec.family
+    grid point, all from spec's base family; an infeasible grid fails
+    here, before any fit.  A size grid's reference is its largest size; a
+    ratio grid's, its first point that splits total_m as the population
+    does, added when no point does."""
+    family = _base(spec)
     if family == "collect" and ds.task != CLASSIFICATION:
         raise ConfigError("collect simulation requires a classification task")
     spec.learner.check_task(ds.task)
@@ -345,8 +355,7 @@ def _resolve(ds, spec):
         grid_param = "n1"
         grid = tuple(spec.grid) if spec.grid else tuple(range(2, 101, 2))
         counts = {n1: (spec.fixed_majority, n1) for n1 in grid}
-    elif family == "ssb_size" or (family == "decomposition"
-                                  and spec.decomp_kind == "ssb"):
+    elif family == "ssb_size":
         grid_param = "m"
         grid = tuple(spec.grid) if spec.grid \
             else default_ssb_grid(pool.n, spec.pool_portion)
@@ -480,13 +489,15 @@ def _reduce_bias(result, plan, spec):
 
 
 def _reduce_decomposition(result, plan, spec):
-    """Per-group bias/net-variance deltas against the reference: the
-    largest size, or the population split's grid point.
+    """Per-group bias/net-variance deltas against the base family's
+    reference: the largest size, or the population split's grid point.
 
-    Row means are the ensemble-level totals bias_delta + netvar_delta:
-    the mean-over-models SSB/URB, whatever spec.estimator says (exactly,
-    for zero-one loss, where bias_delta is the main-prediction SSB/URB).
-    stderr is over the per-replicate single-model gaps.
+    Each row reads its grid point's bias_gap report: mean is cost_disc,
+    the mean-over-models SSB/URB whatever spec.estimator says;
+    bias_delta and netvar_delta are cost_sign times bias_diff and
+    net_variance_diff (for zero-one loss, bias_delta is exactly the
+    main-prediction SSB/URB).  stderr is over the per-replicate
+    single-model gaps.
     """
     def evaluate(models, _):
         ens, costs = _predict(models, plan, True)
@@ -498,14 +509,14 @@ def _reduce_decomposition(result, plan, spec):
     for g, (costs, terms) in per_point.items():
         for metric, (_, models) in costs.items():
             gap = bias_gap(terms[metric], ref_terms[metric])
-            sign = gap.target.cost_sign
             # per-replicate single-model gaps drive the dispersion column
             rd = ref_disc[metric]
             values = [(v0, v1, None if (d is None or rd is None) else d - rd)
                       for v0, v1, d in models.floats()]
             _add_row(result, g, metric, values, be.MEAN_OVER_MODELS,
-                     _float(gap.total), _float(gap.bias_delta_diff, sign),
-                     _float(gap.net_variance_delta_diff, sign))
+                     _float(gap.cost_disc),
+                     _float(gap.bias_diff, gap.cost_sign),
+                     _float(gap.net_variance_diff, gap.cost_sign))
 
 
 def _reduce_collect(result, plan, spec):

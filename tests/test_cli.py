@@ -239,6 +239,36 @@ def test_non_utf8_csv_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["directory", "long_field"])
+def test_unreadable_csv_exit_3(tmp_path, capsys, case):
+    # both used to stop with a traceback (exit 1): IsADirectoryError, and
+    # _csv.Error past the csv module's 131072-character field limit
+    data = tmp_path / "data.csv"
+    if case == "directory":
+        data.mkdir()
+    else:
+        data.write_text('outcome,group,x0\npos,a0,1.0\nneg,a1,"'
+                        + "x" * 200000 + '"\n')
+    cfg = write_config(tmp_path, {
+        "dataset": {"csv": str(data), "schema": write_schema(tmp_path)}})
+    assert main(["metrics", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {data}: cannot be read")
+    assert "Traceback" not in err
+
+
+def test_out_naming_a_file_exit_2(tmp_path, capsys):
+    # makedirs used to stop with a FileExistsError traceback (exit 1)
+    cfg = write_config(tmp_path, {"dataset": SYNTH})
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["synth", "--config", cfg, "--out", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output directory {str(afile)!r}")
+    assert afile.read_text() == ""
+
+
 def test_mse_on_classification_exit_2(tmp_path):
     cfg = write_config(tmp_path, {
         "dataset": SYNTH, "learner": TREE, "metrics": ["MSE"],

@@ -227,9 +227,9 @@ def test_bias_gap_zero_for_identical_ensembles():
     a = rng.integers(0, 2, 30)
     ens = make_ens(scores, y=y, a=a, loss="squared")
     gap = decompose_gap(ens, ens, "MSE")
-    assert gap.bias_delta_diff == 0
-    assert gap.net_variance_delta_diff == 0
-    assert gap.total == 0
+    assert gap.bias_diff == 0
+    assert gap.net_variance_diff == 0
+    assert gap.cost_disc == 0
 
 
 def test_bias_gap_total_matches_recomputed_disc_gap():
@@ -247,7 +247,7 @@ def test_bias_gap_total_matches_recomputed_disc_gap():
             out.append(np.mean((ens.scores[:, sel] - y[sel]) ** 2))
         return out[1] - out[0]
 
-    assert gap.total == pytest.approx(disc(small) - disc(ref), abs=1e-9)
+    assert gap.cost_disc == pytest.approx(disc(small) - disc(ref), abs=1e-9)
 
 
 def test_bias_gap_perfect_reference():
@@ -258,8 +258,8 @@ def test_bias_gap_perfect_reference():
                      loss="squared")
     gap = decompose_gap(small, ref, "MSE")
     own = decompose_costs(small, ensemble_costs(small, ("MSE",)))["MSE"]
-    assert gap.bias_delta_diff == own.bias_diff
-    assert gap.net_variance_delta_diff == own.net_variance_diff
+    assert gap.bias_diff == own.bias_diff
+    assert gap.net_variance_diff == own.net_variance_diff
 
 
 def test_sd_bounds_perfect_ensemble():

@@ -655,11 +655,12 @@ def test_zero_one_gap_terms_are_the_estimators_gaps(target, other):
                           for e in ("main_prediction", "mean_over_models"))
         main_r, mean_r = (disc(ref, metric, e)
                           for e in ("main_prediction", "mean_over_models"))
-        if gap.bias_delta_diff is None:  # a group's conditioning set is empty
-            assert gap.total is main_t is main_r is mean_t is mean_r is None
+        if gap.bias_diff is None:  # a group's conditioning set is empty
+            assert (gap.cost_disc is main_t is main_r is mean_t is mean_r
+                    is None)
             continue
-        assert gap.target.cost_sign * gap.bias_delta_diff == main_t - main_r
-        assert gap.total == mean_t - mean_r
+        assert gap.cost_sign * gap.bias_diff == main_t - main_r
+        assert gap.cost_disc == mean_t - mean_r
 
 
 def test_empty_conditioning_subset_gives_none():

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -567,6 +568,66 @@ def test_collect_sim_with_replacement_draws_past_its_pools(monkeypatch):
     assert "300 needs 300 rows" in msg and "500 needs 500 rows" in msg
     assert "5 needs 5 rows" not in msg
     assert fitted == []
+
+
+# a size grid from m=1, whose 30% split leaves group a1 empty, and a ratio
+# grid, each with its base family
+BASE_SWEEPS = {
+    "ssb": (run_ssb_sweep, "ssb_size", {"grid": (1, 20, 100)}),
+    "urb": (run_urb_sweep, "urb_ratio", {"grid": (0.2, 0.5, 0.8),
+                                         "total_m": 60}),
+}
+
+
+def _decomposition_and_base(ds, kind, estimators, **common):
+    """A decomposition sweep and its base sweep under each estimator."""
+    run, family, grid = BASE_SWEEPS[kind]
+    dec = run_decomposition_sweep(ds, SweepSpec(
+        family="decomposition", decomp_kind=kind, **grid, **common))
+    bases = [run(ds, SweepSpec(family=family, estimator=e, **grid, **common))
+             for e in estimators]
+    # the same (grid value, metric) points, in the same order, both ways
+    points = [(r.grid_value, r.metric) for r in dec.rows]
+    for base in bases:
+        assert [(r.grid_value, r.metric) for r in base.rows] == points
+        assert [b.metric for b in base.bias_rows] == [m for _, m in points]
+    return dec, bases
+
+
+@pytest.mark.parametrize("kind", BASE_SWEEPS)
+@pytest.mark.parametrize("learner", [
+    Learner(), Learner("knn", k=5),
+    Learner("decision_tree", max_depth=4, min_leaf=5)],
+    ids=["logreg", "knn", "tree"])
+def test_decomposition_rows_are_their_base_sweeps_estimates(kind, learner):
+    # a decomposition draws its base sweep's cells: its row totals are that
+    # sweep's bias estimates, exactly; decomposition-ssb used to hash its
+    # own cell seeds, and to reject m=1 at a 30% split ("empty group")
+    ds = generate(SynthSpec(n=600, d=2, group1_share=0.3, seed=23))
+    dec, (mean, main) = _decomposition_and_base(
+        ds, kind, ("mean_over_models", "main_prediction"), replicates=3,
+        seed=5, learner=learner, metrics=("ZOL", "FPR", "EO"))
+    for row, base_row, mo, mp in zip(dec.rows, mean.rows, mean.bias_rows,
+                                     main.bias_rows):
+        for name in ("group0_mean", "group1_mean", "k_defined", "k_total"):
+            assert getattr(row, name) == getattr(base_row, name)
+        assert isinstance(mo.value, Fraction)
+        assert isinstance(mp.value, Fraction)
+        assert row.mean == float(mo.value)
+        assert row.bias_delta == float(mp.value)
+        assert row.netvar_delta == float(mo.value - mp.value)
+
+
+@pytest.mark.parametrize("kind", BASE_SWEEPS)
+def test_mse_decomposition_rows_are_their_base_sweeps_estimates(reg_ds,
+                                                                kind):
+    dec, (mean,) = _decomposition_and_base(
+        reg_ds, kind, ("mean_over_models",), replicates=3, seed=5,
+        learner=FAST_OLS, metrics=("MSE",))
+    for row, base_row, mo in zip(dec.rows, mean.rows, mean.bias_rows):
+        assert row.group0_mean == base_row.group0_mean
+        assert row.group1_mean == base_row.group1_mean
+        assert abs(row.mean - mo.value) <= 1e-9
 
 
 _PROPERTY_DS = generate(SynthSpec(n=300, d=2, group1_share=0.3, seed=31))

@@ -135,7 +135,8 @@ def test_zero_one_decomposition_identities(pair):
                 assert rep.cost(group) == sum(values) / t.k
         # the gap's terms add up to the mean-over-models estimate
         gap = decompose_gap(t, r, metric)
-        assert gap.total == estimate_bias(t, r, metric, MEAN_OVER_MODELS).value
+        assert gap.cost_disc == estimate_bias(t, r, metric,
+                                              MEAN_OVER_MODELS).value
 
 
 @settings(max_examples=100, deadline=None)
@@ -153,9 +154,9 @@ def test_squared_decomposition_identities(pair):
     gap = decompose_gap(t, r, "MSE")
     value = estimate_bias(t, r, "MSE", MEAN_OVER_MODELS).value
     if value is None:
-        assert gap.total is None
+        assert gap.cost_disc is None
     else:
-        assert abs(gap.total - value) <= 1e-9 * (1 + abs(value))
+        assert abs(gap.cost_disc - value) <= 1e-9 * (1 + abs(value))
 
 
 @settings(max_examples=300, deadline=None)
