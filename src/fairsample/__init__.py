@@ -8,8 +8,7 @@ from .dataset import (Dataset, Schema, draw_from_pools, holdout_split,
 from .learners import FittedModel, Learner, fit
 from .group_metrics import MetricCosts, model_costs
 from .decomposition import (PredictionEnsemble, bias_gap, decompose_costs,
-                            decompose_points, ensemble_costs,
-                            main_prediction, sd_bounds)
+                            ensemble_costs, main_prediction, sd_bounds)
 from .bias_estimators import BiasEstimate, ensemble_discs, estimate
 from .experiments import (SweepResult, SweepSpec, run_collect_sim,
                           run_decomposition_sweep, run_ssb_sweep,

@@ -109,9 +109,10 @@ def _prepare(args):
     out_dir = args.out or config.get("output_dir", ".")
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ConfigError(f"output directory {out_dir!r} is a file or lies "
-                          f"under one") from None
+    except (OSError, ValueError) as e:
+        # a file on the path, an empty name, a NUL byte
+        raise ConfigError(f"output directory {out_dir!r} cannot be made: "
+                          f"{getattr(e, 'strerror', None) or e}") from None
     return config, seed, out_dir, started_at
 
 

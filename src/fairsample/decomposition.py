@@ -18,7 +18,6 @@ fixed-order summation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -68,18 +67,6 @@ class PredictionEnsemble:
         return self.scores.shape[1]
 
 
-@dataclass(frozen=True)
-class PointDecomposition:
-    """Per evaluation point terms.  For squared loss the entries are float
-    arrays; for zero-one loss they are tuples of Fractions."""
-
-    loss_kind: str
-    bias: tuple
-    variance: tuple
-    net_factor: tuple     # c(x): +1 / -1 for 0-1 loss, 1 for squared
-    mean_loss: tuple
-
-
 def main_prediction(ens):
     """(scores, labels) of the ensemble's main prediction.
 
@@ -120,28 +107,6 @@ def _zero_one_terms(main, models, offset, sign):
     return [(None, None) if value is None else
             (sign * (value - offset), sign * (mean - value))
             for value, mean in zip(main.means(), models.means())]
-
-
-def decompose_points(ens):
-    if ens.loss_kind == SQUARED:
-        mean_scores = ens.scores.mean(axis=0)
-        bias = (mean_scores - ens.eval_y) ** 2
-        variance = ((ens.scores - mean_scores) ** 2).mean(axis=0)
-        mean_loss = ((ens.scores - ens.eval_y) ** 2).mean(axis=0)
-        return PointDecomposition(SQUARED, bias, variance, np.ones(ens.n),
-                                  mean_loss)
-    _, main = main_prediction(ens)
-    biased = main != ens.eval_y
-    n_diff_main = (ens.labels != main).sum(axis=0)
-    n_diff_y = (ens.labels != ens.eval_y).sum(axis=0)
-    k = ens.k
-    zero, one = Fraction(0), Fraction(1)
-    return PointDecomposition(
-        ZERO_ONE,
-        tuple(one if b else zero for b in biased),
-        tuple(Fraction(int(v), k) for v in n_diff_main),
-        tuple(-1 if b else 1 for b in biased),
-        tuple(Fraction(int(v), k) for v in n_diff_y))
 
 
 def _diff(x1, x0):
@@ -193,10 +158,11 @@ class DecompositionReport:
 def _squared_terms(ens):
     """[(bias, net_variance)] per group: the mean squared-loss terms over
     the group's points, or (None, None) for a group with none."""
-    points = decompose_points(ens)
-    return [(float(np.mean(points.bias[sel])),
-             float(np.mean(points.variance[sel]))) if sel.any()
-            else (None, None)
+    mean_scores = ens.scores.mean(axis=0)
+    bias = (mean_scores - ens.eval_y) ** 2
+    variance = ((ens.scores - mean_scores) ** 2).mean(axis=0)
+    return [(float(np.mean(bias[sel])), float(np.mean(variance[sel])))
+            if sel.any() else (None, None)
             for sel in (ens.eval_a == g for g in (0, 1))]
 
 
@@ -252,19 +218,6 @@ class SdBoundsReport:
     net_variance_a0: object
     bias_a1: object
     net_variance_a1: object
-
-    def to_json_dict(self):
-        conv = lambda v: None if v is None else float(v)
-        return {
-            "observed": conv(self.observed),
-            "upper": conv(self.upper),
-            "lower": conv(self.lower),
-            "within_bounds": self.within_bounds,
-            "a0": {"bias": conv(self.bias_a0),
-                   "net_variance": conv(self.net_variance_a0)},
-            "a1": {"bias": conv(self.bias_a1),
-                   "net_variance": conv(self.net_variance_a1)},
-        }
 
 
 def sd_bounds(ens):

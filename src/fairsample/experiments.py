@@ -135,7 +135,6 @@ class SweepResult:
     grid_param: str
     grid: tuple
     metrics: tuple
-    spec: SweepSpec
     population_ratio: float
     cells: dict               # (grid_value, metric) -> per-replicate values
     rows: list = field(default_factory=list)
@@ -550,7 +549,7 @@ def _run(ds, spec, family):
         raise ConfigError(f"spec.family must be {family}")
     plan = _resolve(ds, spec)
     result = SweepResult(family, plan.grid_param, plan.grid, plan.metrics,
-                         spec, plan.ratio, {}, grid_dropped=plan.dropped)
+                         plan.ratio, {}, grid_dropped=plan.dropped)
     _REDUCERS[family](result, plan, spec)
     return result
 

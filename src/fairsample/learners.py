@@ -439,32 +439,35 @@ def _best_split(X, y, min_leaf):
 
 def _fit_tree(learner, X, y):
     """Preorder node arrays (feature, threshold, left, right, and value,
-    each node's mean label) and the tree's height, each node appended as
-    the recursion reaches it.  A leaf points to itself on both sides, so a
-    row that reaches it early stays there while deeper rows descend."""
+    each node's mean label) and the tree's height, its largest node depth.
+    Subsets wait on a stack, right under left, so nodes are appended in
+    preorder; a right child writes its index into its parent's right.  A
+    leaf points to itself on both sides, so a row that reaches it early
+    stays there while deeper rows descend."""
     nodes = []
-
-    def grow(X, y, depth):
-        """Append the subtree of (X, y) at depth; return its height."""
+    height = 0
+    stack = [(X, y, 0, None)]  # subset, depth, parent if a right child
+    while stack:
+        X, y, depth, parent = stack.pop()
         i = len(nodes)
+        if parent is not None:
+            nodes[parent][3] = i
         mean = float(y.mean())
         nodes.append([0, 0.0, i, i, mean])
+        height = max(height, depth)
         if (depth >= learner.max_depth or len(y) < 2 * learner.min_leaf
                 or mean in (0.0, 1.0)):
-            return 0
+            continue
         split = _best_split(X, y, learner.min_leaf)
         if split is None:
-            return 0
+            continue
         _, j, thr = split
         go = X[:, j] <= thr
         if go.all() or not go.any():
-            return 0
+            continue
         nodes[i][:3] = j, thr, i + 1
-        height = grow(X[go], y[go], depth + 1)
-        nodes[i][3] = len(nodes)
-        return 1 + max(height, grow(X[~go], y[~go], depth + 1))
-
-    height = grow(X, y, 0)
+        stack.append((X[~go], y[~go], depth + 1, i))
+        stack.append((X[go], y[go], depth + 1, None))
     names = ("feature", "threshold", "left", "right", "value")
     return dict(zip(names, map(np.array, zip(*nodes))), height=height)
 

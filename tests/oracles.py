@@ -5,9 +5,10 @@ primitive (the library keeps only that primitive,
 dataset.draw_from_pools; draw_sample here takes each group's count, the
 seed and the replacement flag as plain arguments and checks each group's
 pool itself), logistic-regression fitting one sample at a time, per-row kNN
-and tree scoring, a decision tree fitted as a nested dict, the exact
-zero-one decomposition one point at a time, and brute-force group metrics
-(one model and one group at a time) and decompositions.
+and tree scoring, a decision tree fitted as a nested dict, the per-point
+decomposition (exact for zero-one loss, one point at a time), and
+brute-force group metrics (one model and one group at a time) and
+decompositions.
 
 These are the straightforward loops the library's array code must match
 exactly: one list of cells per CSV row, one stratum key per row, one
@@ -27,8 +28,7 @@ import numpy as np
 from fairsample.dataset import CLASSIFICATION, NUMERIC, Dataset, _parse_float
 from fairsample.decomposition import (_COST_AFFINE, _CONDITIONING, SQUARED,
                                       ZERO_ONE, DecompositionReport,
-                                      SdBoundsReport, _majority_labels,
-                                      decompose_points)
+                                      SdBoundsReport, _majority_labels)
 from fairsample.errors import ConfigError, DataError
 from fairsample.group_metrics import ALL_METRICS, MetricCosts
 from fairsample.learners import _best_split
@@ -377,6 +377,30 @@ def zero_one_points(ens):
         net_factor.append(c)
         mean_loss.append(Fraction(int(n_diff_y[i]), k))
     return tuple(bias), tuple(variance), tuple(net_factor), tuple(mean_loss)
+
+
+@dataclass(frozen=True)
+class PointDecomposition:
+    """Per evaluation point terms.  For squared loss the entries are float
+    arrays; for zero-one loss they are tuples of Fractions."""
+
+    loss_kind: str
+    bias: tuple
+    variance: tuple
+    net_factor: tuple     # c(x): +1 / -1 for 0-1 loss, 1 for squared
+    mean_loss: tuple
+
+
+def decompose_points(ens):
+    """The per-point form of the decomposition: a point's mean loss over
+    the models is its bias plus net_factor times its variance."""
+    if ens.loss_kind == SQUARED:
+        mean_scores = ens.scores.mean(axis=0)
+        return PointDecomposition(
+            SQUARED, (mean_scores - ens.eval_y) ** 2,
+            ((ens.scores - mean_scores) ** 2).mean(axis=0), np.ones(ens.n),
+            ((ens.scores - ens.eval_y) ** 2).mean(axis=0))
+    return PointDecomposition(ZERO_ONE, *zero_one_points(ens))
 
 
 def _subset_mask(metric, y):

@@ -13,14 +13,15 @@ import pytest
 from scipy.stats import spearmanr
 
 from fairsample import (Learner, PredictionEnsemble, SweepSpec, SynthSpec,
-                        decompose_costs, decompose_points, draw_from_pools,
-                        ensemble_costs, fit, generate, holdout_split,
+                        decompose_costs, draw_from_pools, ensemble_costs,
+                        fit, generate, holdout_split,
                         run_decomposition_sweep, run_ssb_sweep,
                         run_urb_sweep, sd_bounds)
 from fairsample.bias_estimators import MAIN_PREDICTION, MEAN_OVER_MODELS
 from fairsample.cli import main
 from fairsample.synth import write_csv
-from oracles import oracle_decomposition, oracle_metrics
+from oracles import (decompose_cost, decompose_points, oracle_decomposition,
+                     oracle_metrics)
 from reports import model_reports
 
 FAST_TREE = Learner("decision_tree", max_depth=4, min_leaf=5)
@@ -86,8 +87,14 @@ def test_c02_zero_one_identity_exact():
         for i in range(ens.n):
             total = pts.bias[i] + pts.net_factor[i] * pts.variance[i]
             assert total == pts.mean_loss[i]
-    ok(2, "per-point zero-one loss = bias + (sign) * variance exactly on "
-          "100 random ensembles")
+        # the library's per-group terms are the group means of the
+        # per-point terms over each metric's conditioning subset
+        for metric in ("ZOL", "FPR", "EO"):
+            rep = decompose_costs(ens, ensemble_costs(ens, (metric,)))
+            assert rep[metric] == decompose_cost(ens, metric)
+    ok(2, "per-point zero-one loss = bias + (sign) * variance exactly, and "
+          "the per-group ZOL/FPR/EO terms are their group means, on 100 "
+          "random ensembles")
 
 
 def test_c03_gap_decomposition_identity(reg_ds):
@@ -337,9 +344,9 @@ def test_c11_sd_bounds_match_oracle():
             v = sum(net_factor[i] * variance[i] for i in sel) / len(sel)
             assert getattr(rep, f"bias_a{group}") == b
             assert getattr(rep, f"net_variance_a{group}") == v
-        records.append(rep.to_json_dict())
-    assert all("within_bounds" in r for r in records)
-    inside = sum(r["within_bounds"] for r in records)
+        records.append(rep)
+    assert all(isinstance(r.within_bounds, bool) for r in records)
+    inside = sum(r.within_bounds for r in records)
     ok(11, f"disparity-bound components match the exhaustive oracle on 100 "
            f"fixtures; observed gap within bounds for {inside}/100 "
            f"(reported, not asserted)")

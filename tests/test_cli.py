@@ -269,6 +269,18 @@ def test_out_naming_a_file_exit_2(tmp_path, capsys):
     assert afile.read_text() == ""
 
 
+@pytest.mark.parametrize("out_dir", ["", "a\u0000b"], ids=["empty", "nul"])
+def test_unmakeable_output_dir_exit_2(tmp_path, monkeypatch, capsys, out_dir):
+    # makedirs used to stop with FileNotFoundError or ValueError (exit 1)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"dataset": SYNTH, "learner": TREE,
+                                  "output_dir": out_dir})
+    assert main(["metrics", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output directory {out_dir!r}")
+    assert "Traceback" not in err
+
+
 def test_mse_on_classification_exit_2(tmp_path):
     cfg = write_config(tmp_path, {
         "dataset": SYNTH, "learner": TREE, "metrics": ["MSE"],

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fairsample import (ConfigError, PredictionEnsemble, bias_gap,
-                        decompose_costs, decompose_points, ensemble_costs,
-                        main_prediction, sd_bounds)
-from oracles import oracle_decomposition
+                        decompose_costs, ensemble_costs, main_prediction,
+                        sd_bounds)
+from oracles import decompose_points, oracle_decomposition
 
 
 def make_ens(scores, labels=None, y=None, a=None, loss="zero_one"):

@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 import oracles
 from fairsample import (DataError, Dataset, FairsampleError, Learner,
                         PredictionEnsemble, Schema, SweepSpec, SynthSpec,
-                        bias_gap, decompose_costs, decompose_points,
-                        ensemble_costs, ensemble_discs, fit, generate,
-                        holdout_split, run_collect_sim,
-                        run_decomposition_sweep, run_ssb_sweep,
-                        run_urb_sweep, sd_bounds)
+                        bias_gap, decompose_costs, ensemble_costs,
+                        ensemble_discs, fit, generate, holdout_split,
+                        run_collect_sim, run_decomposition_sweep,
+                        run_ssb_sweep, run_urb_sweep, sd_bounds)
 from fairsample import dataset, experiments, group_metrics, learners
 from fairsample.synth import write_csv as write_synth_csv
 
@@ -608,7 +607,7 @@ def _is_exact(report, fields):
 @settings(max_examples=300, deadline=None)
 @given(ens=zero_one_ensembles())
 def test_zero_one_decomposition_matches_per_point_oracle(ens):
-    pts = decompose_points(ens)
+    pts = oracles.decompose_points(ens)
     assert (pts.bias, pts.variance, pts.net_factor, pts.mean_loss) == \
         oracles.zero_one_points(ens)
     terms = ("bias_a0", "net_variance_a0", "bias_a1", "net_variance_a1")

@@ -103,6 +103,53 @@ def test_equal_specs_with_numpy_scalars_write_the_same_bytes(
     assert written[0] == written[1]
 
 
+PREFIX_SYNTH = SynthSpec(n=1500, d=3, group1_share=0.3, seed=5)
+PREFIX_LEARNERS = {
+    "lr": Learner("logistic_regression"), "knn": Learner("knn", k=5),
+    "tree": Learner("decision_tree", max_depth=4, min_leaf=5),
+    "ols": FAST_OLS}
+PREFIX_SPECS = {
+    "ssb_size": {"family": "ssb_size", "grid": (20, 100, 400)},
+    "urb_ratio": {"family": "urb_ratio", "grid": (0.1, 0.3, 0.5),
+                  "total_m": 200},
+    "decomposition": {"family": "decomposition", "decomp_kind": "urb",
+                      "grid": (0.1, 0.3, 0.5), "total_m": 200},
+    "collect": {"family": "collect", "grid": (4, 20, 60),
+                "fixed_majority": 60},
+    "collect_cv": {"family": "collect", "grid": (4, 20, 60),
+                   "fixed_majority": 60, "use_cv": True},
+}
+
+
+@pytest.fixture(scope="module")
+def prefix_data():
+    return {task: generate(replace(PREFIX_SYNTH, task=task))
+            for task in ("classification", "regression")}
+
+
+# collect simulates a classification task only
+@pytest.mark.parametrize("case, learner", [
+    (case, learner) for case in PREFIX_SPECS for learner in PREFIX_LEARNERS
+    if not (learner == "ols" and case.startswith("collect"))])
+def test_replicates_are_a_prefix_of_a_larger_sweep(case, learner,
+                                                   prefix_data):
+    # replicate k of a cell draws the same sample whatever K is, so a K=3
+    # sweep's per-replicate values are the first three of a K=6 sweep's
+    kw = PREFIX_SPECS[case]
+    ds = prefix_data["regression" if learner == "ols" else "classification"]
+    small, large = (RUNNERS[kw["family"]](ds, SweepSpec(
+        **kw, replicates=k, seed=4, learner=PREFIX_LEARNERS[learner]))
+        for k in (3, 6))
+    # a decomposition's per-replicate disc is a model's gap to the
+    # reference ensemble's K-model mean, so it depends on K by design
+    keys = ("a0", "a1") if kw["family"] == "decomposition" \
+        else ("a0", "a1", "disc")
+    assert small.cells.keys() == large.cells.keys()
+    for cell, values in small.cells.items():
+        for key in keys:
+            assert values[key] == large.cells[cell][key][:3], (cell, key)
+
+
 def test_default_ssb_grid():
     assert default_ssb_grid(1000, 0.8) == (10, 20, 50, 100, 200, 500, 800)
     assert default_ssb_grid(3000, 0.8) == (10, 20, 50, 100, 200, 500, 1000,

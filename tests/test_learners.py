@@ -93,6 +93,19 @@ def test_tree_deterministic_tie_break():
     assert model.params["feature"][0] == 0
 
 
+def test_tree_deeper_than_the_recursion_limit():
+    # alternating labels along one feature: a chain of n - 1 splits, which
+    # a recursive builder cannot reach (RecursionError past ~1000 levels)
+    n = 1500
+    X = np.arange(n, dtype=float)[:, None]
+    y = (np.arange(n) % 2).astype(float)
+    model = fit(Learner("decision_tree", max_depth=5000, min_leaf=1),
+                make_ds(X, y))
+    assert model.params["height"] == n - 1
+    _, labels = model.predict(X)
+    assert np.array_equal(labels, y)
+
+
 def test_knn_distance_tie_lower_row_index():
     # two training rows equidistant from the query: row 0 must win
     X = np.array([[-1.0], [1.0], [5.0]])

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsample import (PredictionEnsemble, bias_gap, decompose_costs,
-                        decompose_points, ensemble_costs, ensemble_discs,
-                        estimate)
+                        ensemble_costs, ensemble_discs, estimate)
 from fairsample.bias_estimators import (ESTIMATORS, MEAN_OVER_MODELS,
                                         SSB_ENSEMBLE, URB_ENSEMBLE)
+from oracles import decompose_points
 from reports import model_reports
 
 CLASSIFICATION = ("FPR", "FNR", "EO", "ZOL", "SD", "AUC")
