@@ -491,10 +491,12 @@ def _score_tree(params, X):
 # ---------------------------------------------------------------- knn
 
 # query rows per chunk in _score_knn: _KNN_CHUNK_ELEMS // (n_train * d),
-# so a chunk's one-gemm filter array and each of the exact fallback's
-# per-feature terms stay ~1 MB as float64 at most; larger chunks cut
-# per-chunk overhead until they fall out of cache (four times this size
-# ran slower)
+# so a chunk's one-gemm filter array stays ~512 KB as float32 (~1 MB once
+# the filter turns to float64) and each of the exact fallback's
+# per-feature terms ~1 MB as float64 at most; larger chunks cut per-chunk
+# overhead until they fall out of cache (four times this size ran slower;
+# twice it read ~5% faster on 100 training rows but slower on one feature
+# and 4000, where the float64 filter array grows to 2 MB)
 _KNN_CHUNK_ELEMS = 131072
 
 
@@ -570,61 +572,123 @@ def _score_knn(params, X):
     to the lower training rows.  Query rows are scored in chunks of
     _KNN_CHUNK_ELEMS // (n_train * d) rows, and a filter settles almost
     every row without the exact pass.  Scores do not depend on the chunk
-    size.
+    size.  The filter runs in float32; the rows it leaves open go to the
+    same filter in float64 and only then to the exact pass.  Once float32
+    leaves more than a quarter of a chunk's rows open, where it cannot
+    separate the k-th from the next distance (dense training rows in one
+    or two dimensions), later chunks filter in float64 alone.
 
-    The filter.  One gemm per chunk, [-2q, 1] @ [t, ||t||^2]', gives
+    The filter, at the type's unit roundoff u (2**-24 in float32, 2**-53
+    in float64) and with m = u times its smallest normal number (2**-150,
+    2**-1075).  One gemm per chunk, [-2q, 1] @ [t, ||t||^2]', gives
     a = ||t||^2 - 2 q.t for every query row q and training row t: the
     squared distance less ||q||^2, which is the same along a row.  Let T
-    be a row's k-th smallest a, u = 2**-53, x = ||q|| + max ||t|| and
+    be a row's k-th smallest a, P = max(T + ||q||^2, 0) and
 
-        B = 8 (d + 4) (u x^2 + 2**-1074).
+        B = 24 (d + 2) (u (P + ||q||^2) + m) in float32,
+        B = 32 (d + 2) (u (P + ||q||^2) + m) in float64.
 
-    Let D be the exact squared distance and D' the one _knn_exact
-    computes.  In any summation order (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 3.1), an n-term float sum is off by at
-    most gamma_n = n u / (1 - n u) times the sum of its |terms|, plus
-    2**-1075 for each product that rounds in the subnormal range (a sum or
-    difference that lands there is exact).  So |D' - D| <= gamma_(d+2) D
-    + d 2**-1075, with D <= x^2.  a is a (d+1)-term sum whose |terms| add
-    up to at most 2 ||q|| ||t|| + ||t||^2 <= x^2, and its last term, the
-    computed ||t||^2, is itself a d-term sum; so a is within (2d + 1) u x^2
-    (1 + 1e-12) + 2d 2**-1075 of D - ||q||^2.  B bounds the sum of both
-    errors at least 2x over, which covers the rounding of the norms in x
-    (an underflowed norm only matters where u x^2 is far below 2**-1074),
-    of B and of the test's T + 2B.
+    Let D be the exact squared distance to t, D' the one _knn_exact
+    computes and x_t = ||q|| + ||t||.  Rounding is off by at most u times
+    the value, or by m where it lands below the smallest normal number; a
+    sum that lands there is exact (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2.4 and 3.1).  With (d + 2) u < 2**-11,
+    a is within 2.03 (d + 2) (u x_t^2 + m) of D - ||q||^2, from:
 
-    A row is decided when exactly k training rows have a <= T + 2B and
-    x^2 < 2**1020.  At least k rows have a <= T, so the k are those rows,
-    each with D' <= T + ||q||^2 + B.  Every other row has a > T + 2B, so
-    D' > T + ||q||^2 + B: strictly farther than each of the k, never tied
-    with them, so they are the k nearest under any tie rule.  The limit
-    on x^2 keeps a, T + 2B and every D' of a decided row finite, and it
-    fails for a NaN or an inf in the data.  Every other row takes
-    _knn_exact.  Labels are 0/1, so the positive count over k is exact.
+    - the inputs.  ||t||^2 is a float64 d-term sum, off by at most
+      gamma_d ||t||^2 + d 2**-1075 at float64's u.  In float64 the other
+      inputs are exact, so they are off by at most
+      1.01 d (u x_t^2 + m) in all.  In float32, where that sum's error is
+      below 2**-16 u ||t||^2, rounding -2q, t and ||t||^2 costs
+      4u ||q|| ||t|| + 1.01u ||t||^2 <= 2.01u x_t^2, and each input below
+      the smallest normal number is off by up to m, which the other
+      factor scales: m (2 sum |q_j| + sum |t_j|) <= 2 sqrt(d) m x_t
+      <= (d + 1) (u x_t^2 + m), as m x_t <= u x_t^2 where x_t is at least
+      the smallest normal number;
+    - the (d+1)-term sum in any order, fused or not: gamma_(d+1)
+      <= 1.01 (d + 1) u times the |terms|, which add up to at most
+      (1 + 3u) x_t^2, plus m for each product or fused add that rounds
+      below the smallest normal number.
+
+    The exact path's own float64 error, |D' - D| <= gamma_(d+2) D
+    + d 2**-1075, makes that g (u x_t^2 + m), with g = 2.04 (d + 2) in
+    float32, whose u is 2**29 times float64's, and
+    g = (1.01 d + 1.02 (d + 1) + 1.01 (d + 2)) <= 3.05 (d + 2) in float64.
+    As x_t <= 2 ||q|| + sqrt(D), x_t^2 <= 5 (||q||^2 + D), so
+    |a + ||q||^2 - D'| <= e D' + b, with e = 5.02 g u < 0.008 and
+    b = 1.01 g (5u ||q||^2 + m).
+
+    A row is decided when exactly k training rows have a <= T + 2B,
+    (d + 2) u < 2**-11 (d < 8190 in float32) and x^2 < 2**-8 times the
+    type's largest number, for x = ||q|| + max ||t||.  At least k rows
+    have a <= T, so the k are those rows, each with
+    D' <= (T + ||q||^2 + b) / (1 - e).  Every other row has a > T + 2B,
+    so its D' >= (a + ||q||^2 - b) / (1 + e) is strictly larger, because
+    2B exceeds 2e (P + b) / (1 - e) + 2b and the rounding of T + 2B in
+    the filter's type (at most 2u (P + ||q||^2 + 2B) + m) at least 2x
+    over: per (d + 2) (u (P + ||q||^2) + m), 48 against at most 21 in
+    float32 and 64 against at most 31.5 in float64, which also leaves room
+    for the float64 rounding of ||q||^2, P and B.  The other rows are
+    strictly farther than each of the k, never tied with them, so the k
+    are the k nearest under any tie rule.  The
+    limit on x^2 keeps every value finite, and it fails for a NaN or an
+    inf in the data.  A row float32 leaves open takes the float64 filter,
+    and one that leaves open takes _knn_exact.  Labels are 0/1, so the
+    positive counts are exact: in float32 below 2**24 training rows, else
+    in float64, each divided by k in float64.
     """
     Xt, yt, k = params["X"], params["y"], params["k"]
-    d = Xt.shape[1]
+    n, d = Xt.shape
     Xt_cols = np.ascontiguousarray(Xt.T)
     tt = np.vecdot(Xt, Xt)
-    Ta = np.vstack([Xt_cols, tt])
+    qq = np.vecdot(X, X)
+    x2 = (np.sqrt(qq) + np.sqrt(tt.max())) ** 2
     Xa = np.hstack([-2.0 * X, np.ones((len(X), 1))])
-    x2 = (np.sqrt(np.vecdot(X, X)) + np.sqrt(tt.max())) ** 2
-    # 2B; a NaN limit selects no training row, so the row is not decided
-    two_B = np.where(x2 < 2.0 ** 1020,
-                     16 * (d + 4) * (x2 * _U + 2.0 ** -1074), np.nan)
-    # one product gives each row's positive and neighbour counts
-    y_one = np.column_stack([yt, np.ones(len(yt))])
+    Ta = np.vstack([Xt_cols, tt])
+    # one product gives each row's positive and neighbour counts, exact
+    # in float32 below 2**24 training rows; in float64 it converts each
+    # chunk's mask to a twice larger temporary, which made the float64
+    # filter ~1.8x slower on one feature and 4000 training rows
+    y_one = np.stack([yt, np.ones(n)], axis=1).astype(
+        np.float32 if n < 2 ** 24 else np.float64)
+
+    def filter_in(dtype, scale):
+        """The filter in dtype: [-2q, 1], [t, ||t||^2]', c and
+        2B = c (P + ||q||^2 + the smallest normal number) less its P term,
+        or NaN, which selects no training row, so the row is not
+        decided."""
+        f = np.finfo(dtype)
+        u = float(f.eps) / 2
+        c = scale * (d + 2) * u
+        fits = (x2 < f.max * 2.0 ** -8) & ((d + 2) * u < 2.0 ** -11)
+        return (Xa.astype(dtype), Ta.astype(dtype), c,
+                np.where(fits, c * (qq + float(f.smallest_normal)), np.nan))
+
+    # B = 24 (d + 2) (...) in float32, 32 (d + 2) (...) in float64
+    f32, f64 = filter_in(np.float32, 48), filter_in(np.float64, 64)
     rows = max(1, _KNN_CHUNK_ELEMS // Xt.size)
-    out = np.empty(len(X))
+    out, index = np.empty(len(X)), np.arange(len(X))
+    filters = (f32, f64)
     for s in range(0, len(X), rows):
-        a = Xa[s:s + rows] @ Ta
-        lim = np.partition(a, k - 1, axis=1)[:, k - 1] + two_B[s:s + rows]
-        pos, count = ((a <= lim[:, None]) @ y_one).T
-        out[s:s + rows] = pos / k
-        exact = s + np.flatnonzero(count != k)
-        if exact.size:
-            out[exact] = _knn_exact(Xt_cols, X[exact], k) @ yt / k
-    return out
+        # the chunk, then the rows the last filter left open
+        left = slice(s, s + rows)
+        for Xa, Ta, c, two_B in filters:
+            a = Xa[left] @ Ta
+            # a copy, so the partitioned chunk is freed at once
+            T = np.partition(a, k - 1, axis=1)[:, k - 1].copy()
+            lim = T + c * np.maximum(T + qq[left], 0.0) + two_B[left]
+            # a later pass overwrites the positive count of an open row
+            out[left], count = ((a <= lim.astype(a.dtype)[:, None]) @ y_one).T
+            open_ = np.flatnonzero(count != k)
+            # float32 left over a quarter open: later chunks skip it
+            if a.dtype == np.float32 and 4 * open_.size > count.size:
+                filters = (f64,)
+            if not open_.size:
+                break
+            left = index[left][open_]
+        else:
+            out[left] = _knn_exact(Xt_cols, X[left], k) @ yt
+    return out / k
 
 
 # ---------------------------------------------------------------- OLS

@@ -234,6 +234,20 @@ def _record_knn_exact(monkeypatch):
     return calls
 
 
+def _record_partition_dtypes(monkeypatch):
+    """The dtype of each array np.partition selects from: one per filter
+    pass, and float64 for each call of the exact path."""
+    dtypes = []
+    partition = np.partition
+
+    def record(a, kth, axis):
+        dtypes.append(a.dtype)
+        return partition(a, kth, axis=axis)
+
+    monkeypatch.setattr(np, "partition", record)
+    return dtypes
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.sampled_from([1, 2, 5, 9]),
        n_train=st.integers(20, 60),
@@ -296,7 +310,8 @@ def test_knn_predict_mixes_fast_path_and_tie_fill_rows(d, n_train, k, seed):
 @given(d=st.sampled_from([1, 2, 5, 9]),
        n_train=st.integers(1, 30),
        k=st.sampled_from(["1", "3", "n_train"]),
-       scale=st.sampled_from([1.0, 1e160, 1e-160, 1e-161]),
+       scale=st.sampled_from([1.0, 1e160, 1e-160, 1e-161, 1e19, 1e-20,
+                              1e-23, 1e-40]),
        rows=st.sampled_from(["normal", "grid", "duplicated"]),
        scaled=st.sampled_from(["all", "some"]),
        seed=st.integers(0, 2**32 - 1))
@@ -305,7 +320,9 @@ def test_knn_filter_matches_per_row_oracle_at_extreme_scales(
     # at 1e160 squares overflow, and with "some" rows scaled, some of a
     # row's distances do and others do not; at 1e-160 and 1e-161 squared
     # distances are subnormal, a few thousand or tens of multiples of
-    # 2**-1074
+    # 2**-1074; in the float32 filter, sums of squares overflow near
+    # 1e19, squares are subnormal at 1e-20 and round to 0 at 1e-23, and at
+    # 1e-40 the inputs themselves are subnormal
     rng = np.random.default_rng(seed)
     if rows == "grid":
         X = rng.integers(-2, 3, (n_train, d)).astype(float)
@@ -323,9 +340,37 @@ def test_knn_filter_matches_per_row_oracle_at_extreme_scales(
     params = {"X": X, "y": rng.integers(0, 2, n_train).astype(float),
               "k": k}
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = learners._score_knn(params, Xq)
         expected = oracles.score_knn(params, Xq)
-    assert np.array_equal(scores, expected)
+        # and one query row per chunk: after a row float32 leaves open,
+        # the float64 filter takes the later rows
+        for elems in (learners._KNN_CHUNK_ELEMS, X.size):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(learners, "_KNN_CHUNK_ELEMS", elems)
+                scores = learners._score_knn(params, Xq)
+            assert np.array_equal(scores, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([1, 2, 5, 9]),
+       n_train=st.integers(5, 30),
+       k=st.sampled_from([1, 3]),
+       query_scale=st.sampled_from([1e-8, 1e-7, 1e-6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_knn_filter_matches_per_row_oracle_on_a_thin_shell(
+        d, n_train, k, query_scale, seed):
+    # training rows on a shell of radius 1 and width ~1e-7, queries near
+    # its centre: the float32 rounding of ||t||^2 (relative to the
+    # distance, not to ||q||) can reorder the training rows, so the bound
+    # must grow with the k-th distance
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n_train, d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X *= 1 + 1e-7 * rng.standard_normal((n_train, 1))
+    Xq = query_scale * rng.standard_normal((60, d))
+    params = {"X": X, "y": rng.integers(0, 2, n_train).astype(float),
+              "k": k}
+    assert np.array_equal(learners._score_knn(params, Xq),
+                          oracles.score_knn(params, Xq))
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,6 +397,93 @@ def test_knn_scores_do_not_depend_on_chunk_size(d, n_train, k, n_query,
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learners, "_KNN_CHUNK_ELEMS", elems)
             assert np.array_equal(learners._score_knn(params, Xq), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2, 5]),
+       n_train=st.sampled_from([5, 60, 1100]),
+       k=st.sampled_from(["1", "5", "n_train"]),
+       rows=st.sampled_from(["grid", "normal"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_knn_filter_matches_per_row_oracle_on_small_and_large_training_sets(
+        d, n_train, k, rows, seed):
+    # on an integer grid many distances tie at the k-th place, and on
+    # normal rows the filter decides queries
+    rng = np.random.default_rng(seed)
+    if rows == "grid":
+        X = rng.integers(-2, 3, (n_train, d)).astype(float)
+        X = X[rng.integers(0, n_train, n_train)]
+        Xq = rng.integers(-3, 4, (80, d)).astype(float)
+    else:
+        X = rng.standard_normal((n_train, d))
+        Xq = rng.standard_normal((80, d))
+    k = n_train if k == "n_train" else int(k)
+    params = {"X": X, "y": rng.integers(0, 2, n_train).astype(float),
+              "k": k}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_knn_exact(mp)
+        scores = learners._score_knn(params, Xq)
+    assert np.array_equal(scores, oracles.score_knn(params, Xq))
+    if rows == "normal":
+        assert sum(len(c) for c in calls) < len(Xq)
+
+
+def test_knn_filter_keeps_float32_after_a_tie(monkeypatch):
+    # query row 0 ties at the k-th place, so float32 and float64 leave it
+    # open and it takes the exact path; that leaves one row of its
+    # 8-row chunk open in float32, under a quarter, so the later chunks
+    # still filter in float32
+    rng = np.random.default_rng(6)
+    X = np.arange(-3.0, 4.0)[:, None]
+    params = {"X": X, "y": rng.integers(0, 2, len(X)).astype(float),
+              "k": 1}
+    Xq = np.vstack([[[0.5]], rng.uniform(-3, 3, (31, 1))])
+    monkeypatch.setattr(learners, "_KNN_CHUNK_ELEMS", 8 * X.size)
+    calls = _record_knn_exact(monkeypatch)
+    dtypes = _record_partition_dtypes(monkeypatch)
+    scores = learners._score_knn(params, Xq)
+    monkeypatch.undo()
+    assert np.array_equal(scores, oracles.score_knn(params, Xq))
+    assert [len(c) for c in calls] == [1]
+    assert dtypes.count(np.float32) == 4
+
+
+def test_knn_filter_takes_very_wide_rows_in_float64(monkeypatch):
+    # the float32 filter's bound holds below 8190 features; these rows,
+    # whose second and third neighbours lie far apart, float32 decides at
+    # 8189 and float64 at 8190, and none takes the exact path
+    calls = _record_knn_exact(monkeypatch)
+    rng = np.random.default_rng(4)
+    passes = []
+    for d in (8189, 8190):
+        params = {"X": np.outer([0.0, 10.0, 100.0], np.ones(d)),
+                  "y": np.array([0.0, 1.0, 1.0]), "k": 2}
+        Xq = 0.01 * rng.standard_normal((4, d))
+        with pytest.MonkeyPatch.context() as mp:
+            dtypes = _record_partition_dtypes(mp)
+            scores = learners._score_knn(params, Xq)
+        passes.append(dtypes)
+        assert np.array_equal(scores, oracles.score_knn(params, Xq))
+    assert not calls
+    assert passes == [[np.float32], [np.float32, np.float64]]
+
+
+def test_knn_filter_decides_dense_training_rows_in_float64(monkeypatch):
+    # 2000 training rows on one feature: float32 cannot separate the k-th
+    # from the next distance for most query rows, float64 can
+    rng = np.random.default_rng(5)
+    params = {"X": rng.standard_normal((2000, 1)),
+              "y": rng.integers(0, 2, 2000).astype(float), "k": 5}
+    Xq = rng.standard_normal((600, 1))
+    calls = _record_knn_exact(monkeypatch)
+    dtypes = _record_partition_dtypes(monkeypatch)
+    scores = learners._score_knn(params, Xq)
+    monkeypatch.undo()
+    assert np.array_equal(scores, oracles.score_knn(params, Xq))
+    assert sum(len(c) for c in calls) < 0.01 * len(Xq)
+    # float32 leaves most of the first chunk open, so only the first chunk
+    # runs it
+    assert dtypes.count(np.float32) == 1
 
 
 def test_knn_filter_decides_almost_every_standard_normal_row(monkeypatch):
@@ -607,9 +739,14 @@ def _is_exact(report, fields):
 @settings(max_examples=300, deadline=None)
 @given(ens=zero_one_ensembles())
 def test_zero_one_decomposition_matches_per_point_oracle(ens):
+    # each point's mean loss is the share of models whose label differs
+    # from its outcome, and its bias plus net_factor times its variance
     pts = oracles.decompose_points(ens)
-    assert (pts.bias, pts.variance, pts.net_factor, pts.mean_loss) == \
-        oracles.zero_one_points(ens)
+    for i in range(ens.n):
+        loss = Fraction(sum(int(label != ens.eval_y[i])
+                            for label in ens.labels[:, i]), ens.k)
+        assert pts.mean_loss[i] == loss
+        assert pts.bias[i] + pts.net_factor[i] * pts.variance[i] == loss
     terms = ("bias_a0", "net_variance_a0", "bias_a1", "net_variance_a1")
     for metric in ("ZOL", "FPR", "EO"):
         rep = decompose_costs(ens, ensemble_costs(ens, (metric,)))[metric]
