@@ -81,6 +81,8 @@ class FittedModel:
             raise DataError(
                 f"feature dimension mismatch: model expects {self.n_features},"
                 f" got {X.shape}")
+        if not np.isfinite(X).all():
+            raise DataError("feature matrix holds NaN or infinite values")
         if "constant" in self.params:
             scores = np.full(len(X), self.params["constant"])
         else:
@@ -491,12 +493,11 @@ def _score_tree(params, X):
 # ---------------------------------------------------------------- knn
 
 # query rows per chunk in _score_knn: _KNN_CHUNK_ELEMS // (n_train * d),
-# so a chunk's one-gemm filter array stays ~512 KB as float32 (~1 MB once
-# the filter turns to float64) and each of the exact fallback's
-# per-feature terms ~1 MB as float64 at most; larger chunks cut per-chunk
-# overhead until they fall out of cache (four times this size ran slower;
-# twice it read ~5% faster on 100 training rows but slower on one feature
-# and 4000, where the float64 filter array grows to 2 MB)
+# so a chunk's one-gemm filter array stays ~512 KB as float32 and the exact
+# step's (candidates, d) differences, at most every training row for every
+# row of the chunk, ~1 MB as float64; larger chunks cut per-chunk overhead
+# until they fall out of cache (four times this size ran slower; twice it
+# read ~5% faster on 100 training rows but slower on one feature and 4000)
 _KNN_CHUNK_ELEMS = 131072
 
 
@@ -504,102 +505,60 @@ def _fit_knn(learner, X, y):
     return {"X": X.copy(), "y": y.copy(), "k": min(learner.k, len(y))}
 
 
-def _sq_distances(Xt_cols, Xq_cols, lo, hi):
-    """Squared distances over features lo..hi-1, shape (queries, n_train).
+def _nearest_positives(Xt, yt, Xq, cand, k):
+    """Positive labels among the k nearest training rows of each query row
+    in Xq, ranked among its candidates, row i of the (queries, n_train)
+    mask cand, which must hold those k.
 
-    One (queries, n_train) term per feature, added in numpy's pairwise
-    order for a d-long float64 reduction: sequential below 8 terms; 8
-    lanes combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) plus the remainder
-    up to 128; above that, halves split at a multiple of 8.  The result is
-    bit-equal to np.sum((Xt - Xq[:, None]) ** 2, axis=2) without its 3-D
-    temporary and short-axis reduction.
+    Distances are np.sum((Xt[t] - q) ** 2, axis=1), the definition, and
+    ties go to the lower training row, as a stable argsort would.
     """
-    def term(j):
-        t = Xt_cols[j] - Xq_cols[j][:, None]
-        return np.multiply(t, t, out=t)
-
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return (_sq_distances(Xt_cols, Xq_cols, lo, lo + half)
-                + _sq_distances(Xt_cols, Xq_cols, lo + half, hi))
-    if n < 8:
-        acc = term(lo)
-        for j in range(lo + 1, hi):
-            acc += term(j)
-        return acc
-    r = [term(lo + i) for i in range(8)]
-    end = hi - n % 8
-    for s in range(lo + 8, end, 8):
-        for i in range(8):
-            r[i] += term(s + i)
-    acc = (((r[0] + r[1]) + (r[2] + r[3]))
-           + ((r[4] + r[5]) + (r[6] + r[7])))
-    for j in range(end, hi):
-        acc += term(j)
-    return acc
-
-
-def _knn_exact(Xt_cols, Xq, k):
-    """Neighbour mask of query rows Xq, (queries, n_train), exactly.
-
-    Squared distances come from _sq_distances, whose summation order does
-    not depend on the chunk, so ties are exact.  A row with exactly k
-    training rows at or below its k-th distance takes them all; only a row
-    with more, a tie across the k-th place, gives the tied places to the
-    lower training rows, as a stable argsort would.
-    """
-    d2 = _sq_distances(Xt_cols, np.ascontiguousarray(Xq.T), 0, len(Xt_cols))
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    near = d2 <= kth
-    # rows with more than k candidates have ties across the k-th place
-    over = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
-    if over.size:
-        d2, kth = d2[over], kth[over]
-        fill = d2 < kth
-        tie = d2 == kth
-        need = k - fill.sum(axis=1, keepdims=True)
-        fill |= tie & (np.cumsum(tie, axis=1) <= need)
-        near[over] = fill
-    return near
+    q, t = divmod(np.flatnonzero(cand), cand.shape[1])
+    d2 = np.sum((Xt[t] - Xq[q]) ** 2, axis=1)
+    # by query row, then distance; stable, so then by training row
+    order = np.lexsort((d2, q))
+    counts = np.bincount(q, minlength=len(cand))
+    rank = np.arange(len(q)) - (np.cumsum(counts) - counts)[q]
+    near = order[rank < k]
+    return np.bincount(q[near], weights=yt[t[near]], minlength=len(Xq))
 
 
 def _score_knn(params, X):
     """Fraction of positive labels among the k nearest training rows.
 
-    The neighbours are those of _knn_exact: distances as
-    np.sum((Xt - q) ** 2, axis=1) computes them, ties at the k-th place
-    to the lower training rows.  Query rows are scored in chunks of
-    _KNN_CHUNK_ELEMS // (n_train * d) rows, and a filter settles almost
-    every row without the exact pass.  Scores do not depend on the chunk
-    size.  The filter runs in float32; the rows it leaves open go to the
-    same filter in float64 and only then to the exact pass.  Once float32
-    leaves more than a quarter of a chunk's rows open, where it cannot
-    separate the k-th from the next distance (dense training rows in one
-    or two dimensions), later chunks filter in float64 alone.
+    Distances are those np.sum((Xt - x) ** 2, axis=1) computes, and ties
+    at the k-th place go to the lower training rows.  Query rows are
+    scored in chunks of _KNN_CHUNK_ELEMS // (n_train * d) rows.  A float32
+    filter decides almost every row; a row it leaves open goes to
+    _nearest_positives with its candidates, the training rows that can be
+    among its k nearest.  Scores do not depend on the chunk size.
 
-    The filter, at the type's unit roundoff u (2**-24 in float32, 2**-53
-    in float64) and with m = u times its smallest normal number (2**-150,
-    2**-1075).  One gemm per chunk, [-2q, 1] @ [t, ||t||^2]', gives
-    a = ||t||^2 - 2 q.t for every query row q and training row t: the
-    squared distance less ||q||^2, which is the same along a row.  Let T
-    be a row's k-th smallest a, P = max(T + ||q||^2, 0) and
+    The filter runs on rows centred at the training mean mu in float64:
+    q = fl(x - mu) for a query row x and t = fl(z - mu) for a training
+    row z.  The shift leaves squared distances as they are and keeps the
+    norms below small for data far from the origin.  Let u = 2**-24 be
+    float32's unit roundoff and m = 2**-150 u times its smallest normal
+    number.  One gemm per chunk, [-2q, 1] @ [t, ||t||^2]', gives
+    a = ||t||^2 - 2 q.t for every query row and training row: the squared
+    distance less ||q||^2, which is the same along a row.  Let T be a
+    row's k-th smallest a, P = max(T + ||q||^2, 0) and
 
-        B = 24 (d + 2) (u (P + ||q||^2) + m) in float32,
-        B = 32 (d + 2) (u (P + ||q||^2) + m) in float64.
+        B = 24 (d + 2) (u (P + ||q||^2) + m).
 
-    Let D be the exact squared distance to t, D' the one _knn_exact
+    The row's candidates are the training rows with a <= T + 2B.
+
+    Let D be the exact squared distance ||z - x||^2, D' the one np.sum
     computes and x_t = ||q|| + ||t||.  Rounding is off by at most u times
     the value, or by m where it lands below the smallest normal number; a
     sum that lands there is exact (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., 2.4 and 3.1).  With (d + 2) u < 2**-11,
     a is within 2.03 (d + 2) (u x_t^2 + m) of D - ||q||^2, from:
 
-    - the inputs.  ||t||^2 is a float64 d-term sum, off by at most
-      gamma_d ||t||^2 + d 2**-1075 at float64's u.  In float64 the other
-      inputs are exact, so they are off by at most
-      1.01 d (u x_t^2 + m) in all.  In float32, where that sum's error is
-      below 2**-16 u ||t||^2, rounding -2q, t and ||t||^2 costs
+    - the centring.  Each coordinate of q and t is off by at most float64's
+      unit roundoff, 2**-29 u, times its own size, so t - q is within
+      2**-29 u x_t of z - x and ||t - q||^2 within 2**-27 u x_t^2 of D;
+    - the inputs.  ||t||^2 is a float64 d-term sum, off by below
+      2**-16 u ||t||^2.  Rounding -2q, t and ||t||^2 to float32 costs
       4u ||q|| ||t|| + 1.01u ||t||^2 <= 2.01u x_t^2, and each input below
       the smallest normal number is off by up to m, which the other
       factor scales: m (2 sum |q_j| + sum |t_j|) <= 2 sqrt(d) m x_t
@@ -610,84 +569,76 @@ def _score_knn(params, X):
       (1 + 3u) x_t^2, plus m for each product or fused add that rounds
       below the smallest normal number.
 
-    The exact path's own float64 error, |D' - D| <= gamma_(d+2) D
-    + d 2**-1075, makes that g (u x_t^2 + m), with g = 2.04 (d + 2) in
-    float32, whose u is 2**29 times float64's, and
-    g = (1.01 d + 1.02 (d + 1) + 1.01 (d + 2)) <= 3.05 (d + 2) in float64.
-    As x_t <= 2 ||q|| + sqrt(D), x_t^2 <= 5 (||q||^2 + D), so
-    |a + ||q||^2 - D'| <= e D' + b, with e = 5.02 g u < 0.008 and
-    b = 1.01 g (5u ||q||^2 + m).
+    The last two add up to at most 2.01 (d + 2) (u x_t^2 + m), so 2.03
+    holds the centring's 2**-27 u x_t^2 too.
 
-    A row is decided when exactly k training rows have a <= T + 2B,
-    (d + 2) u < 2**-11 (d < 8190 in float32) and x^2 < 2**-8 times the
-    type's largest number, for x = ||q|| + max ||t||.  At least k rows
-    have a <= T, so the k are those rows, each with
-    D' <= (T + ||q||^2 + b) / (1 - e).  Every other row has a > T + 2B,
-    so its D' >= (a + ||q||^2 - b) / (1 + e) is strictly larger, because
-    2B exceeds 2e (P + b) / (1 - e) + 2b and the rounding of T + 2B in
-    the filter's type (at most 2u (P + ||q||^2 + 2B) + m) at least 2x
-    over: per (d + 2) (u (P + ||q||^2) + m), 48 against at most 21 in
-    float32 and 64 against at most 31.5 in float64, which also leaves room
-    for the float64 rounding of ||q||^2, P and B.  The other rows are
-    strictly farther than each of the k, never tied with them, so the k
-    are the k nearest under any tie rule.  The
-    limit on x^2 keeps every value finite, and it fails for a NaN or an
-    inf in the data.  A row float32 leaves open takes the float64 filter,
-    and one that leaves open takes _knn_exact.  Labels are 0/1, so the
+    np.sum's own float64 error on the uncentred rows,
+    |D' - D| <= gamma_(d+2) D + d 2**-1075, makes that g (u x_t^2 + m)
+    with g = 2.04 (d + 2).  As x_t <= 2 ||q|| + sqrt(D) + 2**-29 u x_t,
+    x_t^2 <= 5.01 (||q||^2 + D), so |a + ||q||^2 - D'| <= e D' + b, with
+    e = 5.02 g u < 0.008 and b = 1.01 g (5u ||q||^2 + m).
+
+    The candidate property holds where (d + 2) u < 2**-11 (d < 8190) and
+    x^2 < 2**-8 times float32's largest number, for x = ||q|| + max ||t||;
+    outside them every training row is a candidate.  At least k rows
+    have a <= T, each with D' <= (T + ||q||^2 + b) / (1 - e).  A row that
+    is not a candidate has a > T + 2B, so its
+    D' >= (a + ||q||^2 - b) / (1 + e) is strictly larger, because 2B
+    exceeds 2e (P + b) / (1 - e) + 2b and the rounding of T + 2B in
+    float32 (at most 2u (P + ||q||^2 + 2B) + m) at least 2x over: per
+    (d + 2) (u (P + ||q||^2) + m), 48 against at most 21, which also
+    leaves room for the float64 rounding of ||q||^2, P and B.  So every
+    row that is not a candidate is strictly farther than each of at least
+    k candidates and cannot be among the k nearest under any tie rule:
+    the k nearest are candidates.  A row with exactly k candidates takes
+    them; every other row's candidates, ranked by D' with the tie rule,
+    give the k nearest.  The limit on x^2 keeps every value finite, and it
+    fails for a NaN or an inf in the data.  Labels are 0/1, so the
     positive counts are exact: in float32 below 2**24 training rows, else
     in float64, each divided by k in float64.
     """
     Xt, yt, k = params["X"], params["y"], params["k"]
     n, d = Xt.shape
-    Xt_cols = np.ascontiguousarray(Xt.T)
-    tt = np.vecdot(Xt, Xt)
-    qq = np.vecdot(X, X)
-    x2 = (np.sqrt(qq) + np.sqrt(tt.max())) ** 2
-    Xa = np.hstack([-2.0 * X, np.ones((len(X), 1))])
-    Ta = np.vstack([Xt_cols, tt])
+    mu = Xt.mean(axis=0)
+    Xc, Tc = X - mu, Xt - mu
+    qq, tt = np.vecdot(Xc, Xc), np.vecdot(Tc, Tc)
+    f = np.finfo(np.float32)
+    u = float(f.eps) / 2
+    # 2B = c (P + ||q||^2 + the smallest normal number) less its P term,
+    # or NaN outside the bound's range (and for a NaN or an inf), which
+    # selects no training row, so the row stays open
+    c = 48 * (d + 2) * u
+    fits = (((np.sqrt(qq) + np.sqrt(tt.max())) ** 2 < f.max * 2.0 ** -8)
+            & ((d + 2) * u < 2.0 ** -11))
+    two_B = np.where(fits, c * (qq + float(f.smallest_normal)), np.nan)
+    # built in place and C-ordered: temporaries and an F-ordered stack
+    # slowed the set-up and the gemm of small chunks
+    Xa = np.empty((len(X), d + 1), dtype=np.float32)
+    np.multiply(Xc, -2.0, out=Xa[:, :d], casting="same_kind")
+    Xa[:, d] = 1.0
+    Ta = np.empty((d + 1, n), dtype=np.float32)
+    Ta[:d], Ta[d] = Tc.T, tt
     # one product gives each row's positive and neighbour counts, exact
-    # in float32 below 2**24 training rows; in float64 it converts each
-    # chunk's mask to a twice larger temporary, which made the float64
-    # filter ~1.8x slower on one feature and 4000 training rows
+    # in float32 below 2**24 training rows
     y_one = np.stack([yt, np.ones(n)], axis=1).astype(
         np.float32 if n < 2 ** 24 else np.float64)
-
-    def filter_in(dtype, scale):
-        """The filter in dtype: [-2q, 1], [t, ||t||^2]', c and
-        2B = c (P + ||q||^2 + the smallest normal number) less its P term,
-        or NaN, which selects no training row, so the row is not
-        decided."""
-        f = np.finfo(dtype)
-        u = float(f.eps) / 2
-        c = scale * (d + 2) * u
-        fits = (x2 < f.max * 2.0 ** -8) & ((d + 2) * u < 2.0 ** -11)
-        return (Xa.astype(dtype), Ta.astype(dtype), c,
-                np.where(fits, c * (qq + float(f.smallest_normal)), np.nan))
-
-    # B = 24 (d + 2) (...) in float32, 32 (d + 2) (...) in float64
-    f32, f64 = filter_in(np.float32, 48), filter_in(np.float64, 64)
     rows = max(1, _KNN_CHUNK_ELEMS // Xt.size)
-    out, index = np.empty(len(X)), np.arange(len(X))
-    filters = (f32, f64)
+    out = np.empty(len(X))
     for s in range(0, len(X), rows):
-        # the chunk, then the rows the last filter left open
-        left = slice(s, s + rows)
-        for Xa, Ta, c, two_B in filters:
-            a = Xa[left] @ Ta
-            # a copy, so the partitioned chunk is freed at once
-            T = np.partition(a, k - 1, axis=1)[:, k - 1].copy()
-            lim = T + c * np.maximum(T + qq[left], 0.0) + two_B[left]
-            # a later pass overwrites the positive count of an open row
-            out[left], count = ((a <= lim.astype(a.dtype)[:, None]) @ y_one).T
-            open_ = np.flatnonzero(count != k)
-            # float32 left over a quarter open: later chunks skip it
-            if a.dtype == np.float32 and 4 * open_.size > count.size:
-                filters = (f64,)
-            if not open_.size:
-                break
-            left = index[left][open_]
-        else:
-            out[left] = _knn_exact(Xt_cols, X[left], k) @ yt
+        chunk = slice(s, s + rows)
+        a = Xa[chunk] @ Ta
+        # a copy, so the partitioned chunk is freed at once
+        T = np.partition(a, k - 1, axis=1)[:, k - 1].copy()
+        lim = T + c * np.maximum(T + qq[chunk], 0.0) + two_B[chunk]
+        cand = a <= lim.astype(np.float32)[:, None]
+        out[chunk], count = (cand @ y_one).T
+        open_ = np.flatnonzero(count != k)
+        if open_.size:
+            cand = cand[open_]
+            open_ += s
+            # outside the bound's range every training row is a candidate
+            cand[~fits[open_]] = True
+            out[open_] = _nearest_positives(Xt, yt, X[open_], cand, k)
     return out / k
 
 

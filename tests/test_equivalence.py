@@ -221,31 +221,18 @@ def test_knn_predict_matches_per_row_oracle(d, n_train, k, levels, scale,
     assert np.array_equal(labels, (expected >= 0.5).astype(float))
 
 
-def _record_knn_exact(monkeypatch):
-    """Query rows handed to the exact fallback, one array per call."""
+def _record_exact_step(monkeypatch):
+    """Query rows and their candidate masks handed to the exact step, one
+    (rows, candidates) pair per call."""
     calls = []
-    exact = learners._knn_exact
+    exact = learners._nearest_positives
 
-    def record(Xt_cols, Xq, k):
-        calls.append(Xq.copy())
-        return exact(Xt_cols, Xq, k)
+    def record(Xt, yt, Xq, cand, k):
+        calls.append((Xq.copy(), cand.copy()))
+        return exact(Xt, yt, Xq, cand, k)
 
-    monkeypatch.setattr(learners, "_knn_exact", record)
+    monkeypatch.setattr(learners, "_nearest_positives", record)
     return calls
-
-
-def _record_partition_dtypes(monkeypatch):
-    """The dtype of each array np.partition selects from: one per filter
-    pass, and float64 for each call of the exact path."""
-    dtypes = []
-    partition = np.partition
-
-    def record(a, kth, axis):
-        dtypes.append(a.dtype)
-        return partition(a, kth, axis=axis)
-
-    monkeypatch.setattr(np, "partition", record)
-    return dtypes
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,14 +278,15 @@ def test_knn_predict_mixes_fast_path_and_tie_fill_rows(d, n_train, k, seed):
     excess = np.count_nonzero(d2 <= kth, axis=1) > k
     assert excess.any() and not excess.all()
     with pytest.MonkeyPatch.context() as mp:
-        calls = _record_knn_exact(mp)
+        calls = _record_exact_step(mp)
         scores, labels = model.predict(Xq)
     expected = oracles.score_knn(model.params, Xq)
     assert np.array_equal(scores, expected)
     assert np.array_equal(labels, (expected >= 0.5).astype(float))
     # the first chunk has both filtered and exact rows, and its exact rows
-    # take both of the exact path's branches
-    first = calls[0]
+    # hold both a tie across the k-th place and a row with exactly k rows
+    # at or below its k-th distance that the filter cannot tell apart
+    first, _ = calls[0]
     assert 0 < len(first) < rows_per_chunk
     d2 = np.sum((X - first[:, None]) ** 2, axis=2)
     kth = np.sort(d2, axis=1)[:, k - 1:k]
@@ -350,24 +338,117 @@ def test_knn_filter_matches_per_row_oracle_at_extreme_scales(
             assert np.array_equal(scores, expected)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([1, 2, 5, 9]),
+       n_train=st.integers(1, 30),
+       k=st.sampled_from(["1", "3", "n_train"]),
+       offset=st.sampled_from([1e3, 1e6, 1e9]),
+       rows=st.sampled_from(["normal", "grid", "duplicated"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_knn_filter_matches_per_row_oracle_on_translated_data(
+        d, n_train, k, offset, rows, seed):
+    # rows far from the origin, each feature shifted by +-offset: the
+    # filter ranks rows centred at the training mean, the oracle the rows
+    # as they are; at 1e9 the shift rounds the rows themselves.  Without
+    # the centring, float32's bound would grow with the offset and leave
+    # every normal row open
+    rng = np.random.default_rng(seed)
+    if rows == "grid":
+        X = rng.integers(-2, 3, (n_train, d)).astype(float)
+        Xq = rng.integers(-3, 4, (60, d)).astype(float)
+    else:
+        X = rng.standard_normal((n_train, d))
+        Xq = rng.standard_normal((60, d))
+    if rows == "duplicated":
+        X = X[rng.integers(0, n_train, n_train)]
+    Xq[:10] = X[rng.integers(0, n_train, 10)]
+    shift = offset * rng.choice([-1.0, 1.0], d)
+    X += shift
+    Xq += shift
+    k = n_train if k == "n_train" else min(int(k), n_train)
+    params = {"X": X, "y": rng.integers(0, 2, n_train).astype(float),
+              "k": k}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_exact_step(mp)
+        scores = learners._score_knn(params, Xq)
+    assert np.array_equal(scores, oracles.score_knn(params, Xq))
+    if rows == "normal":
+        assert sum(len(q) for q, _ in calls) < len(Xq) // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]),
+       k=st.sampled_from([1, 3, 5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_knn_filter_matches_per_row_oracle_far_from_the_training_mean(
+        d, k, seed):
+    # half the training rows near the origin and half in a dense cluster
+    # near 100, queries in the cluster: centred, the queries sit ~50 from
+    # the mean, so float32 rounds a by far more than the cluster's
+    # distances differ, and a bound 48x smaller than B picks wrong
+    # neighbours
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.standard_normal((200, d)),
+                   100.0 + 1e-3 * rng.standard_normal((200, d))])
+    Xq = 100.0 + 1e-3 * rng.standard_normal((100, d))
+    params = {"X": X, "y": rng.integers(0, 2, len(X)).astype(float),
+              "k": k}
+    assert np.array_equal(learners._score_knn(params, Xq),
+                          oracles.score_knn(params, Xq))
+
+
+def _one_hot_rows(rng, n):
+    """Three categorical columns (3, 4 and 8 levels) one-hot encoded and an
+    integer column standardized, as load_csv encodes them: most query rows
+    tie across the k-th place."""
+    blocks = [np.eye(levels)[rng.integers(0, levels, n)]
+              for levels in (3, 4, 8)]
+    ints = rng.integers(0, 5, n).astype(float)
+    return np.hstack(blocks + [((ints - 2.0) / 1.4)[:, None]])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_knn_matches_per_row_oracle_on_one_hot_rows(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    X = _one_hot_rows(rng, 500)
+    params = {"X": X, "y": rng.integers(0, 2, len(X)).astype(float),
+              "k": 5}
+    Xq = _one_hot_rows(rng, 400)
+    calls = _record_exact_step(monkeypatch)
+    scores = learners._score_knn(params, Xq)
+    monkeypatch.undo()
+    assert np.array_equal(scores, oracles.score_knn(params, Xq))
+    # the ties leave many rows open, and each is ranked among the training
+    # rows at or near its k-th distance, not among all of them
+    n_open = sum(len(q) for q, _ in calls)
+    assert n_open > len(Xq) // 4
+    pairs = sum(np.count_nonzero(cand) for _, cand in calls)
+    assert pairs < 0.25 * n_open * len(X)
+
+
+@settings(max_examples=150, deadline=None)
 @given(d=st.sampled_from([1, 2, 5, 9]),
        n_train=st.integers(5, 30),
        k=st.sampled_from([1, 3]),
        query_scale=st.sampled_from([1e-8, 1e-7, 1e-6]),
+       opposite=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_knn_filter_matches_per_row_oracle_on_a_thin_shell(
-        d, n_train, k, query_scale, seed):
+        d, n_train, k, query_scale, opposite, seed):
     # training rows on a shell of radius 1 and width ~1e-7, queries near
     # its centre: the float32 rounding of ||t||^2 (relative to the
     # distance, not to ||q||) can reorder the training rows, so the bound
-    # must grow with the k-th distance
+    # must grow with the k-th distance; with each row followed by its
+    # opposite, the shell's mean, where the filter centres rows, is its
+    # centre, so the queries stay near the centre after the shift
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n_train, d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     X *= 1 + 1e-7 * rng.standard_normal((n_train, 1))
+    if opposite:
+        X = np.stack([X, -X], axis=1).reshape(-1, d)
     Xq = query_scale * rng.standard_normal((60, d))
-    params = {"X": X, "y": rng.integers(0, 2, n_train).astype(float),
+    params = {"X": X, "y": rng.integers(0, 2, len(X)).astype(float),
               "k": k}
     assert np.array_equal(learners._score_knn(params, Xq),
                           oracles.score_knn(params, Xq))
@@ -421,69 +502,50 @@ def test_knn_filter_matches_per_row_oracle_on_small_and_large_training_sets(
     params = {"X": X, "y": rng.integers(0, 2, n_train).astype(float),
               "k": k}
     with pytest.MonkeyPatch.context() as mp:
-        calls = _record_knn_exact(mp)
+        calls = _record_exact_step(mp)
         scores = learners._score_knn(params, Xq)
     assert np.array_equal(scores, oracles.score_knn(params, Xq))
     if rows == "normal":
-        assert sum(len(c) for c in calls) < len(Xq)
+        assert sum(len(q) for q, _ in calls) < len(Xq)
 
 
-def test_knn_filter_keeps_float32_after_a_tie(monkeypatch):
-    # query row 0 ties at the k-th place, so float32 and float64 leave it
-    # open and it takes the exact path; that leaves one row of its
-    # 8-row chunk open in float32, under a quarter, so the later chunks
-    # still filter in float32
-    rng = np.random.default_rng(6)
-    X = np.arange(-3.0, 4.0)[:, None]
-    params = {"X": X, "y": rng.integers(0, 2, len(X)).astype(float),
-              "k": 1}
-    Xq = np.vstack([[[0.5]], rng.uniform(-3, 3, (31, 1))])
-    monkeypatch.setattr(learners, "_KNN_CHUNK_ELEMS", 8 * X.size)
-    calls = _record_knn_exact(monkeypatch)
-    dtypes = _record_partition_dtypes(monkeypatch)
-    scores = learners._score_knn(params, Xq)
-    monkeypatch.undo()
-    assert np.array_equal(scores, oracles.score_knn(params, Xq))
-    assert [len(c) for c in calls] == [1]
-    assert dtypes.count(np.float32) == 4
-
-
-def test_knn_filter_takes_very_wide_rows_in_float64(monkeypatch):
-    # the float32 filter's bound holds below 8190 features; these rows,
-    # whose second and third neighbours lie far apart, float32 decides at
-    # 8189 and float64 at 8190, and none takes the exact path
-    calls = _record_knn_exact(monkeypatch)
+def test_knn_filter_leaves_very_wide_rows_to_the_exact_step(monkeypatch):
+    # the filter's bound holds below 8190 features; these rows, whose
+    # second and third neighbours lie far apart, the filter decides at
+    # 8189, and at 8190 every row reaches the exact step with every
+    # training row as a candidate
+    calls = _record_exact_step(monkeypatch)
     rng = np.random.default_rng(4)
-    passes = []
     for d in (8189, 8190):
         params = {"X": np.outer([0.0, 10.0, 100.0], np.ones(d)),
                   "y": np.array([0.0, 1.0, 1.0]), "k": 2}
         Xq = 0.01 * rng.standard_normal((4, d))
-        with pytest.MonkeyPatch.context() as mp:
-            dtypes = _record_partition_dtypes(mp)
-            scores = learners._score_knn(params, Xq)
-        passes.append(dtypes)
+        calls.clear()
+        scores = learners._score_knn(params, Xq)
         assert np.array_equal(scores, oracles.score_knn(params, Xq))
-    assert not calls
-    assert passes == [[np.float32], [np.float32, np.float64]]
+        if d == 8189:
+            assert not calls
+    assert sum(len(q) for q, _ in calls) == len(Xq)
+    assert all(cand.all() for _, cand in calls)
 
 
-def test_knn_filter_decides_dense_training_rows_in_float64(monkeypatch):
+def test_knn_exact_step_ranks_few_candidates_on_dense_training_rows(
+        monkeypatch):
     # 2000 training rows on one feature: float32 cannot separate the k-th
-    # from the next distance for most query rows, float64 can
+    # from the next distance for many query rows, but each such row's
+    # candidates are a few rows around its k-th place, not the training set
     rng = np.random.default_rng(5)
     params = {"X": rng.standard_normal((2000, 1)),
               "y": rng.integers(0, 2, 2000).astype(float), "k": 5}
     Xq = rng.standard_normal((600, 1))
-    calls = _record_knn_exact(monkeypatch)
-    dtypes = _record_partition_dtypes(monkeypatch)
+    calls = _record_exact_step(monkeypatch)
     scores = learners._score_knn(params, Xq)
     monkeypatch.undo()
     assert np.array_equal(scores, oracles.score_knn(params, Xq))
-    assert sum(len(c) for c in calls) < 0.01 * len(Xq)
-    # float32 leaves most of the first chunk open, so only the first chunk
-    # runs it
-    assert dtypes.count(np.float32) == 1
+    n_open = sum(len(q) for q, _ in calls)
+    assert n_open > 0
+    pairs = sum(np.count_nonzero(cand) for _, cand in calls)
+    assert pairs <= 3 * params["k"] * n_open
 
 
 def test_knn_filter_decides_almost_every_standard_normal_row(monkeypatch):
@@ -493,10 +555,10 @@ def test_knn_filter_decides_almost_every_standard_normal_row(monkeypatch):
     params = {"X": rng.standard_normal((100, 5)),
               "y": rng.integers(0, 2, 100).astype(float), "k": 5}
     Xq = rng.standard_normal((6000, 5))
-    calls = _record_knn_exact(monkeypatch)
+    calls = _record_exact_step(monkeypatch)
     scores = learners._score_knn(params, Xq)
     assert np.array_equal(scores, oracles.score_knn(params, Xq))
-    assert sum(len(c) for c in calls) < 0.01 * len(Xq)
+    assert sum(len(q) for q, _ in calls) < 0.01 * len(Xq)
 
 
 def _load_outcome(load, path, schema):

@@ -73,6 +73,24 @@ def test_predict_dimension_mismatch():
         model.predict(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("kind", ["logistic_regression", "decision_tree",
+                                  "knn", "linear_regression"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_predict_rejects_non_finite_features(kind, value):
+    # a NaN row used to score 0.0 in kNN, NaN in logistic regression and
+    # go right at every tree node
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((40, 2))
+    y = (X[:, 0] > 0).astype(float)
+    task = "regression" if kind == "linear_regression" else "classification"
+    model = fit(Learner(kind), make_ds(X, y, task=task))
+    Xq = rng.standard_normal((5, 2))
+    Xq[3, 1] = value
+    with pytest.raises(DataError, match="NaN or infinite"):
+        model.predict(Xq)
+
+
 def test_tree_leaf_frequency_score():
     # feature splits the 8 rows into two leaves: left 3 pos / 1 neg,
     # right all neg
