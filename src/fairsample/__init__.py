@@ -9,7 +9,7 @@ from .learners import FittedModel, Learner, fit
 from .group_metrics import MetricCosts, model_costs
 from .decomposition import (PredictionEnsemble, bias_gap, decompose_costs,
                             ensemble_costs, main_prediction, sd_bounds)
-from .bias_estimators import BiasEstimate, ensemble_discs, estimate
+from .bias_estimators import BiasEstimate, estimate
 from .experiments import (SweepResult, SweepSpec, run_collect_sim,
                           run_decomposition_sweep, run_ssb_sweep,
                           run_urb_sweep)

@@ -3,12 +3,12 @@
 Every estimate is a difference of discriminations, target minus reference:
 sample size bias against the largest-size reference ensemble,
 underrepresentation bias against the population-split reference of the
-same total size; the arithmetic is the same.  ensemble_discs gives an
-ensemble's discrimination per metric under one of two estimator modes: the
-main prediction's, or the average of per-model discriminations ("mean
-over models"), the exact mean disc of the ensemble's main or model costs
-per metric.  estimate takes the difference; undefined discrimination in
-either term propagates to an undefined estimate with the cause recorded.
+same total size; the arithmetic is the same.  estimate reads each
+ensemble's (main costs, model costs) for the metric and takes, under one
+of two estimator modes, the exact mean disc of the main prediction's
+costs or of the models' ("mean over models").  Undefined discrimination
+in either term propagates to an undefined estimate with the cause
+recorded.
 """
 
 from __future__ import annotations
@@ -46,24 +46,17 @@ CSV_HEADER = ["kind", "metric", "estimator", "target", "reference",
               "value", "k"]
 
 
-def ensemble_discs(costs, estimator):
-    """{metric: (disc, cause)} under the chosen estimator mode, from costs,
-    an ensemble's {metric: (main costs, model costs)}: the main
-    prediction's disc, or the mean of the models' discs."""
+def estimate(kind, metric, estimator, target_desc, ref_desc, target,
+             reference, k):
+    """The target's disc minus the reference's, each read from its
+    (main costs, model costs) for the metric under the estimator mode, or
+    undefined with each undefined term's cause."""
     if estimator not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator!r}")
     row = 0 if estimator == MAIN_PREDICTION else 1
-    discs = {m: pair[row].mean_disc() for m, pair in costs.items()}
-    return {m: (d, "" if d is not None else "undefined group value")
-            for m, d in discs.items()}
-
-
-def estimate(kind, metric, estimator, target_desc, ref_desc,
-             disc_t, cause_t, disc_r, cause_r, k):
-    """disc_t - disc_r, or undefined with each undefined term's cause."""
-    causes = [f"{term}: {cause}" for term, disc, cause in
-              (("target", disc_t, cause_t), ("reference", disc_r, cause_r))
-              if disc is None]
+    disc_t, disc_r = target[row].mean_disc(), reference[row].mean_disc()
+    causes = [f"{term}: undefined group value" for term, disc in
+              (("target", disc_t), ("reference", disc_r)) if disc is None]
     return BiasEstimate(kind, metric, estimator, target_desc, ref_desc,
                         None if causes else disc_t - disc_r, k,
                         "; ".join(causes))

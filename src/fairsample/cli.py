@@ -7,7 +7,7 @@ name them.
 --threads and the config key threads (an integer) are accepted for
 compatibility and have no effect.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
-invariant violation.
+error: any other exception, reported with its traceback.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from datetime import datetime, timezone
 
 from . import __version__
 from .dataset import Schema, holdout_split, load_csv, population_ratio
-from .errors import (ConfigError, DataError, FairsampleError, build,
-                     check_finite, check_integer, check_keys, check_type,
-                     read_json)
+from .errors import (ConfigError, DataError, build, check_finite,
+                     check_integer, check_keys, check_type, read_json)
 from .experiments import (SweepSpec, run_collect_sim, run_decomposition_sweep,
                           run_ssb_sweep, run_urb_sweep)
 from .group_metrics import model_costs, task_metrics
@@ -225,8 +225,9 @@ def main(argv=None):
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except FairsampleError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
 
 

@@ -143,29 +143,11 @@ def load_csv(path, schema):
     if not n:
         raise DataError(f"{path}: no data rows")
 
-    # sensitive -> group vector
-    levels, codes = columns[schema.sensitive].levels()
-    if len(levels) != 2:
-        raise DataError(
-            f"sensitive not binary: column {schema.sensitive!r} has "
-            f"{len(levels)} distinct values {levels[:5]}")
-    if schema.privileged_value not in levels:
-        raise DataError(
-            f"privileged value {schema.privileged_value!r} not present in "
-            f"column {schema.sensitive!r}")
-    a = (codes != levels.index(schema.privileged_value)).astype(int)
-
-    # target
+    a = (~_indicator(columns[schema.sensitive], schema.privileged_value,
+                     "sensitive", "privileged value")).astype(int)
     if schema.task == CLASSIFICATION:
-        tlevels, tcodes = columns[schema.target].levels()
-        if len(tlevels) != 2:
-            raise DataError(
-                f"target not binary: {len(tlevels)} distinct values")
-        if schema.positive_label not in tlevels:
-            raise DataError(
-                f"positive label {schema.positive_label!r} not present in "
-                f"column {schema.target!r}")
-        y = (tcodes == tlevels.index(schema.positive_label)).astype(float)
+        y = _indicator(columns[schema.target], schema.positive_label,
+                       "target", "positive label").astype(float)
     else:
         y = columns[schema.target].values()
 
@@ -193,12 +175,20 @@ def load_csv(path, schema):
     if not blocks:
         raise DataError("schema declares no feature columns")
     X = np.hstack(blocks)
-
-    for group in (0, 1):
-        if not np.any(a == group):
-            raise DataError(f"empty group: no rows with group a{group}")
-
     return Dataset(X, y, a, np.arange(n), tuple(names), schema.task)
+
+
+def _indicator(column, value, role, what):
+    """Whether each row of a text column holds value: the column must have
+    exactly two levels, value one of them."""
+    levels, codes = column.levels()
+    if len(levels) != 2:
+        raise DataError(f"{role} not binary: column {column.name!r} has "
+                        f"{len(levels)} distinct values {levels[:5]}")
+    if value not in levels:
+        raise DataError(f"{what} {value!r} not present in column "
+                        f"{column.name!r}")
+    return codes == levels.index(value)
 
 
 def _read_columns(reader, path, schema):

@@ -12,7 +12,8 @@ their exact means over the shared denominators: a point's mean loss over
 the models is its bias plus its net variance (Domingos, ICML 2000), so a
 group's bias is the main prediction's loss rate and its net variance the
 models' mean loss rate less it.  Squared-loss terms are float64 with
-fixed-order summation.
+fixed-order summation: a group's bias is the main prediction's MSE, its
+net variance the mean of the models' per-point variance.
 """
 
 from __future__ import annotations
@@ -155,15 +156,14 @@ class DecompositionReport:
         return None if b is None or v is None else self.cost_sign * (b + v)
 
 
-def _squared_terms(ens):
-    """[(bias, net_variance)] per group: the mean squared-loss terms over
-    the group's points, or (None, None) for a group with none."""
-    mean_scores = ens.scores.mean(axis=0)
-    bias = (mean_scores - ens.eval_y) ** 2
-    variance = ((ens.scores - mean_scores) ** 2).mean(axis=0)
-    return [(float(np.mean(bias[sel])), float(np.mean(variance[sel])))
-            if sel.any() else (None, None)
-            for sel in (ens.eval_a == g for g in (0, 1))]
+def _squared_terms(ens, main):
+    """[(bias, net_variance)] per group: the main prediction's MSE, read
+    from its costs, and the mean over the group's points of the models'
+    spread about the mean score, or (None, None) for a group with none."""
+    variance = ens.scores.var(axis=0)
+    return [(None, None) if bias is None else
+            (bias, float(np.mean(variance[ens.eval_a == g])))
+            for g, bias in enumerate(main.means())]
 
 
 def decompose_costs(ens, costs):
@@ -181,7 +181,7 @@ def decompose_costs(ens, costs):
                 f"{ens.loss_kind}")
         affine = _COST_AFFINE[metric]
         # MSE conditions on all points
-        terms = _squared_terms(ens) if loss_kind == SQUARED else \
+        terms = _squared_terms(ens, main) if loss_kind == SQUARED else \
             _zero_one_terms(main, models, *affine)
         reports[metric] = DecompositionReport(
             metric, _CONDITIONING[metric], *affine, *terms[0], *terms[1])

@@ -1,8 +1,9 @@
 """Exception hierarchy and the config checks shared across the toolkit.
 
-ConfigError maps to CLI exit code 2, DataError to 3; anything else escaping
-the library is treated as an internal invariant violation (exit 4).  Config
-dataclasses declare each field's type once, and check_fields enforces it.
+ConfigError maps to CLI exit code 2, DataError to 3; any other exception
+escaping the library is an internal error, which the CLI reports with its
+traceback as exit code 4.  Config dataclasses declare each field's type
+once, and check_fields enforces it.
 """
 
 import dataclasses

@@ -224,7 +224,7 @@ def _sweep_metrics(spec, task):
     return metrics
 
 
-def default_ssb_grid(pool_n, portion=0.8):
+def default_ssb_grid(pool_n, portion):
     cap = int(portion * pool_n)
     if cap < 10:
         raise DataError(f"training pool too small for an SSB sweep "
@@ -477,14 +477,13 @@ def _reduce_bias(result, plan, spec):
     main = spec.estimator == be.MAIN_PREDICTION
     per_point = _evaluated(plan, spec,
                            lambda models, _: _predict(models, plan, main)[1])
-    ref_disc = be.ensemble_discs(per_point[plan.ref], spec.estimator)
+    ref = per_point[plan.ref]
     for g, costs in per_point.items():
-        disc = be.ensemble_discs(costs, spec.estimator)
         for metric, (_, models) in costs.items():
             _add_row(result, g, metric, models.floats(), spec.estimator)
             result.bias_rows.append(be.estimate(
                 kind, metric, spec.estimator, desc(g), ref_desc,
-                *disc[metric], *ref_disc[metric], spec.replicates))
+                costs[metric], ref[metric], spec.replicates))
 
 
 def _reduce_decomposition(result, plan, spec):

@@ -62,13 +62,11 @@ class Learner:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Opaque fitted parameters."""
+    """Opaque fitted parameters, with the learner that fitted them."""
 
-    kind: str
-    threshold: float
+    learner: Learner
     n_features: int
     params: dict
-    task: str
 
     def predict(self, X):
         """Return (scores, labels) for a feature matrix.
@@ -86,10 +84,10 @@ class FittedModel:
         if "constant" in self.params:
             scores = np.full(len(X), self.params["constant"])
         else:
-            scores = _SCORERS[self.kind](self.params, X)
-        if self.task == CLASSIFICATION:
+            scores = _SCORERS[self.learner.kind](self.params, X)
+        if self.learner.task == CLASSIFICATION:
             scores = np.clip(scores, 0.0, 1.0)
-            labels = (scores >= self.threshold).astype(float)
+            labels = (scores >= self.learner.threshold).astype(float)
         else:
             labels = scores
         return scores, labels
@@ -122,17 +120,14 @@ def fit_many(learner, samples):
         if learner.task == CLASSIFICATION and len(np.unique(train.y)) < 2:
             # Single-class draws are common at very small m; a constant
             # model keeps sweeps running instead of crashing.
-            models[i] = FittedModel(learner.kind, learner.threshold,
-                                    train.X.shape[1],
-                                    {"constant": float(train.y[0])},
-                                    CLASSIFICATION)
+            models[i] = FittedModel(learner, train.X.shape[1],
+                                    {"constant": float(train.y[0])})
         else:
             idx.append(i)
     fitted = _FITTERS[learner.kind](learner, [samples[i].X for i in idx],
                                     [samples[i].y for i in idx])
     for i, params in zip(idx, fitted):
-        models[i] = FittedModel(learner.kind, learner.threshold,
-                                samples[i].X.shape[1], params, learner.task)
+        models[i] = FittedModel(learner, samples[i].X.shape[1], params)
     return models
 
 

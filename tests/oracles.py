@@ -110,7 +110,8 @@ def load_csv(path, schema):
         tlevels = sorted(set(tvals))
         if len(tlevels) != 2:
             raise DataError(
-                f"target not binary: {len(tlevels)} distinct values")
+                f"target not binary: column {schema.target!r} has "
+                f"{len(tlevels)} distinct values {tlevels[:5]}")
         if schema.positive_label not in tlevels:
             raise DataError(
                 f"positive label {schema.positive_label!r} not present in "

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from fairsample import (PredictionEnsemble, ensemble_costs, ensemble_discs,
+from fairsample import (ConfigError, PredictionEnsemble, ensemble_costs,
                         estimate)
 from fairsample.bias_estimators import (MAIN_PREDICTION, MEAN_OVER_MODELS,
                                         SSB_ENSEMBLE, URB_ENSEMBLE)
@@ -19,13 +20,11 @@ def make_ens(labels, y, a, scores=None):
 def estimate_bias(target, ref, metric, estimator=MEAN_OVER_MODELS,
                   kind=SSB_ENSEMBLE, target_desc="target",
                   ref_desc="reference"):
-    """The sweep engine's estimate of target against ref: each ensemble's
-    ensemble_discs over its ensemble_costs, then their difference."""
-    discs = [ensemble_discs(ensemble_costs(ens, (metric,)),
-                            estimator)[metric]
-             for ens in (target, ref)]
+    """The sweep engine's estimate of target against ref, from each
+    ensemble's ensemble_costs."""
+    costs = [ensemble_costs(ens, (metric,))[metric] for ens in (target, ref)]
     return estimate(kind, metric, estimator, target_desc, ref_desc,
-                    *discs[0], *discs[1], target.k)
+                    *costs, target.k)
 
 
 Y = [1, 0, 1, 0, 1, 0]
@@ -104,6 +103,27 @@ def test_undefined_propagates_with_cause():
     est = estimate_bias(t, t, "FPR", MEAN_OVER_MODELS)
     assert est.value is None
     assert "undefined" in est.cause
+
+
+def test_each_undefined_term_names_its_cause():
+    y, a = [1, 0, 1, 1], [0, 0, 1, 1]
+    undefined = make_ens([[1, 0, 1, 0]], y, a)  # a1 has no negatives
+    defined = make_ens([[1, 0, 1, 0]], Y[:4], A[1:5])
+    for t, r, cause in (
+            (undefined, defined, "target: undefined group value"),
+            (defined, undefined, "reference: undefined group value"),
+            (undefined, undefined, "target: undefined group value; "
+                                   "reference: undefined group value")):
+        for estimator in (MAIN_PREDICTION, MEAN_OVER_MODELS):
+            est = estimate_bias(t, r, "FPR", estimator)
+            assert (est.value, est.cause) == (None, cause)
+    assert estimate_bias(defined, defined, "FPR").cause == ""
+
+
+def test_unknown_estimator_rejected():
+    ens = make_ens([[1, 0, 0, 1, 1, 0]], Y, A)
+    with pytest.raises(ConfigError, match="unknown estimator 'median'"):
+        estimate_bias(ens, ens, "EO", "median")
 
 
 def test_urb_zero_at_population_split():

@@ -121,6 +121,33 @@ def test_run_setting_in_sweep_section_exit_2(tmp_path, capsys, key, value):
         assert f"unknown sweep keys: ['{key}']" in capsys.readouterr().err
 
 
+def test_negative_seed_flag_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"dataset": SYNTH, "learner": TREE})
+    assert main(["metrics", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exit_4(tmp_path, capsys, monkeypatch):
+    # any exception but a ConfigError or DataError is an internal error,
+    # reported with its traceback
+    def broken(path, schema):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(cli, "load_csv", broken)
+    # the config file stands in for the CSV, which is never read
+    cfg = write_config(tmp_path, {
+        "dataset": {"csv": str(tmp_path / "config.json"),
+                    "schema": write_schema(tmp_path)}})
+    assert main(["metrics", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert 'raise RuntimeError("broken invariant")' in err
+    assert err.endswith(
+        "internal error: RuntimeError('broken invariant')\n")
+
+
 def test_missing_config_exit_2(tmp_path, capsys):
     assert main(["metrics", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
@@ -406,6 +433,15 @@ COLLECT = {"family": "collect", "grid": [4, 8], "replicates": 3,
     # int64 seeded the run
     ("metrics", {"threads": "x"}, "threads must be an integer, got 'x'"),
     ("metrics", {"seed": 2**64}, "seed must be within the int64 range"),
+    # a dataset section or family the command cannot run
+    ("sweep", {"dataset": REG_SYNTH, "learner": {"kind": "linear_regression"},
+               "metrics": None, "sweep": COLLECT},
+     "collect simulation requires a classification task"),
+    ("metrics", {"dataset": {**SYNTH, "csv": "data.csv"}},
+     "dataset: give either csv+schema or synth"),
+    ("metrics", {"dataset": {"csv": "data.csv"}},
+     "dataset requires both 'csv' and 'schema' paths"),
+    ("synth", {"dataset": {}}, "synth command requires dataset.synth"),
 ])
 def test_wrong_type_or_missing_value_exit_2(tmp_path, capsys, command, change,
                                             message):

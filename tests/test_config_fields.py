@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fairsample import ConfigError, Learner, Schema, SweepSpec, SynthSpec
+from fairsample.errors import check_fields
 
 VALID = {
     SweepSpec: dict(family="ssb_size"),
@@ -34,6 +35,18 @@ def test_every_field_rejects_a_value_of_the_wrong_type(cls, name):
     cls(**VALID[cls])
     with pytest.raises(ConfigError, match=f"^{name} must be"):
         cls(**{**VALID[cls], name: WRONG[kind]})
+
+
+def test_a_field_type_without_a_rule_is_a_type_error():
+    @dataclasses.dataclass(frozen=True)
+    class Spec:
+        options: dict
+
+        def __post_init__(self):
+            check_fields(self)
+
+    with pytest.raises(TypeError, match="no rule for Spec.options"):
+        Spec({})
 
 
 def test_flags_and_lists_take_their_python_forms():

@@ -1,12 +1,13 @@
+import dataclasses
 import re
 import statistics
 
 import numpy as np
 import pytest
 
-from fairsample import (ConfigError, DataError, Schema, SweepSpec, SynthSpec,
-                        draw_from_pools, generate, holdout_split, load_csv,
-                        population_ratio, run_collect_sim)
+from fairsample import (ConfigError, DataError, Dataset, Schema, SweepSpec,
+                        SynthSpec, draw_from_pools, generate, holdout_split,
+                        load_csv, population_ratio, run_collect_sim)
 from fairsample.dataset import can_draw
 
 
@@ -185,6 +186,44 @@ def test_schema_invariants():
     with pytest.raises(ConfigError):
         Schema(target="t", positive_label="1", sensitive="s",
                privileged_value="a", features=(("t", "numeric"),))
+    valid = dict(target="t", positive_label="1", sensitive="s",
+                 privileged_value="a", features=(("x", "numeric"),))
+    for kw, message in (
+            ({"features": (("t", "numeric"),)},
+             "'t' cannot also be a feature"),
+            ({"features": (("x", "ordinal"),)}, "unknown kind 'ordinal'"),
+            ({"task": "ranking"}, "unknown task 'ranking'"),
+            ({"features": (("x", "numeric"), ("x", "categorical"))},
+             "duplicate feature column"),
+            ({"positive_label": ""}, "requires positive_label")):
+        with pytest.raises(ConfigError, match=message):
+            Schema(**{**valid, **kw})
+
+
+@pytest.mark.parametrize("rows, schema, message", [
+    ([["yes", "m", "1", "x"], ["no", "f", "2", "y"]],
+     dataclasses.replace(BASIC_SCHEMA, positive_label="maybe"),
+     "positive label 'maybe' not present in column 'label'"),
+    ([["yes", "m", "1", "x"], ["no", "f", "2", "y"],
+      ["maybe", "f", "3", "z"]], BASIC_SCHEMA,
+     "target not binary: column 'label' has 3 distinct values "
+     "['maybe', 'no', 'yes']"),
+    ([["yes", "m", "1", "x"], ["no", "f", "2", "y"]],
+     dataclasses.replace(BASIC_SCHEMA, features=()),
+     "schema declares no feature columns"),
+], ids=["absent-positive-label", "three-level-target", "no-features"])
+def test_column_checks_are_data_errors(tmp_path, rows, schema, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_csv(basic_csv(tmp_path, rows), schema)
+
+
+def test_dataset_vectors_aligned_and_finite():
+    X, v = np.zeros((3, 1)), np.zeros(3)
+    with pytest.raises(DataError, match="misaligned"):
+        Dataset(X, v[:2], v.astype(int), np.arange(3))
+    with pytest.raises(DataError, match="non-finite"):
+        Dataset(np.array([[0.0], [np.nan], [1.0]]), v, v.astype(int),
+                np.arange(3))
 
 
 def test_population_ratio(tmp_path):
@@ -320,3 +359,6 @@ def test_holdout_split_small_stratum(tmp_path):
     ds = load_csv(basic_csv(tmp_path, rows), BASIC_SCHEMA)
     with pytest.raises(DataError, match="stratum"):
         holdout_split(ds, 0.3, seed=1)
+    for fraction in (0.0, 1.0):
+        with pytest.raises(ConfigError, match="test_fraction must be in"):
+            holdout_split(ds, fraction, seed=1)

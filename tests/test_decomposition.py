@@ -88,6 +88,33 @@ def test_absolute_loss_rejected():
         make_ens([[1.0]], loss="absolute")
 
 
+def test_ensemble_shapes_checked():
+    s, y, a = np.zeros((2, 3)), np.zeros(3), np.zeros(3, int)
+    for args, message in (
+            ((np.zeros(3), np.zeros(3), y, a), "K x n matrix"),
+            ((np.zeros((0, 3)), np.zeros((0, 3)), y, a), "K x n matrix"),
+            ((s, np.zeros((2, 4)), y, a), "labels shape"),
+            ((s, s, np.zeros(2), a), "misaligned"),
+            ((s, s, y, np.zeros(4, int)), "misaligned")):
+        with pytest.raises(ConfigError, match=message):
+            PredictionEnsemble(*args)
+
+
+def test_decompose_costs_checks_metric_and_loss():
+    ens = make_ens([[0.2, 0.8], [0.6, 0.4]], [[0, 1], [1, 0]], y=[0, 1],
+                   a=[0, 1])
+    with pytest.raises(ConfigError, match="'SD' has no decomposition"):
+        decompose_costs(ens, ensemble_costs(ens, ("SD",)))
+    with pytest.raises(ConfigError, match="MSE needs squared loss"):
+        decompose_costs(ens, ensemble_costs(ens, ("MSE",)))
+    reg = make_ens([[0.2, 0.8], [0.6, 0.4]], y=[0, 1], a=[0, 1],
+                   loss="squared")
+    with pytest.raises(ConfigError, match="ZOL needs zero_one loss"):
+        decompose_costs(reg, ensemble_costs(ens, ("ZOL",)))
+    with pytest.raises(ConfigError, match="requires a classification"):
+        sd_bounds(reg)
+
+
 @pytest.mark.parametrize("field, loss, values", [
     ("eval_a", "zero_one", {"a": [0, 1, 2, 1]}),
     ("eval_a", "squared", {"a": [0, 1, 2, 1]}),

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import oracles
 from fairsample import (DataError, Dataset, FairsampleError, Learner,
                         PredictionEnsemble, Schema, SweepSpec, SynthSpec,
-                        bias_gap, decompose_costs, ensemble_costs,
-                        ensemble_discs, fit, generate, holdout_split,
+                        bias_gap, decompose_costs, ensemble_costs, fit,
+                        generate, holdout_split,
                         run_collect_sim, run_decomposition_sweep,
                         run_ssb_sweep, run_urb_sweep, sd_bounds)
 from fairsample import dataset, experiments, group_metrics, learners
@@ -843,8 +843,8 @@ def test_zero_one_gap_terms_are_the_estimators_gaps(target, other):
                              target.eval_y, target.eval_a, "zero_one")
 
     def disc(ens, metric, estimator):
-        costs = ensemble_costs(ens, (metric,))
-        return ensemble_discs(costs, estimator)[metric][0]
+        row = 0 if estimator == "main_prediction" else 1
+        return ensemble_costs(ens, (metric,))[metric][row].mean_disc()
 
     for metric in ("ZOL", "FPR", "EO"):
         gap = bias_gap(*(decompose_costs(ens, ensemble_costs(ens, (metric,)))
@@ -978,6 +978,23 @@ def test_knn_urb_decomposition_sweep_matches_oracles_bytewise(
     path = tmp_path / "sweep.csv"
     before = _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path)
     monkeypatch.setitem(learners._SCORERS, "knn", oracles.score_knn)
+    monkeypatch.setattr(experiments, "decompose_costs",
+                        oracles.decompose_costs)
+    assert _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path) == before
+
+
+@pytest.mark.parametrize("kind, grid", [("ssb", (10, 40, 160)),
+                                        ("urb", (0.1, 0.5, 0.9))])
+def test_ols_mse_decomposition_sweep_matches_oracle_bytewise(
+        tmp_path, monkeypatch, kind, grid):
+    # the per-point squared-loss terms, averaged one group at a time
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=13,
+                            task="regression"))
+    spec = SweepSpec(family="decomposition", decomp_kind=kind, grid=grid,
+                     total_m=120, replicates=4, seed=13,
+                     learner=Learner("linear_regression"))
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path)
     monkeypatch.setattr(experiments, "decompose_costs",
                         oracles.decompose_costs)
     assert _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path) == before

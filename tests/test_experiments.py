@@ -195,6 +195,14 @@ def test_spec_validation():
             SweepSpec(family="collect", **{field: value})
     SweepSpec(family="collect", replicates=np.int64(3), seed=np.int32(1),
               total_m=np.int64(60), grid=(np.int64(4), 20))
+    for kw, message in (({"estimator": "median"}, "unknown estimator"),
+                        ({"decomp_kind": "both"}, "unknown decomp_kind"),
+                        ({"test_fraction": 0.0}, "test_fraction must be in"),
+                        ({"test_fraction": 1.0}, "test_fraction must be in"),
+                        ({"cv_folds": 1}, "cv_folds must be >= 2"),
+                        ({"seed": -1}, "seed must be non-negative")):
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(family="decomposition", **kw)
     for family, kind in (("ssb_size", "ssb"), ("collect", "ssb"),
                          ("decomposition", "ssb")):
         with pytest.raises(ConfigError, match="grid point must be an int"):

@@ -52,6 +52,8 @@ def test_an_empty_stack_is_a_config_error():
     with pytest.raises(ConfigError, match="at least one model"):
         model_costs(y, np.empty((0, 4)), None, np.array([0, 0, 1, 1]),
                     ("FPR",))
+    with pytest.raises(ConfigError, match="unknown metric 'WOMBAT'"):
+        model_costs(y, [y], None, np.array([0, 0, 1, 1]), ("WOMBAT",))
 
 
 def test_identical_groups_zero_disc():

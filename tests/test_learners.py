@@ -64,6 +64,8 @@ def test_zero_features_rejected():
     ds = make_ds(np.zeros((3, 0)), np.array([0.0, 1.0, 0.0]))
     with pytest.raises(DataError, match="zero-feature"):
         fit(Learner("logistic_regression"), ds)
+    with pytest.raises(DataError, match="empty training set"):
+        fit(Learner("logistic_regression"), make_ds(np.zeros((0, 2)), []))
 
 
 def test_predict_dimension_mismatch():
@@ -189,6 +191,22 @@ def test_scores_in_unit_interval():
 def test_non_finite_logreg_settings_rejected(name, value):
     with pytest.raises(ConfigError, match=name):
         Learner(**{name: value})
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"kind": "svm"}, "unknown learner kind 'svm'"),
+    ({"threshold": 0.0}, "threshold must be in"),
+    ({"threshold": 1.0}, "threshold must be in"),
+    ({"l2": -1e-9}, "invalid logistic regression"),
+    ({"learning_rate": 0.0}, "invalid logistic regression"),
+    ({"max_iter": 0}, "invalid logistic regression"),
+    ({"max_depth": 0}, "invalid decision tree"),
+    ({"min_leaf": 0}, "invalid decision tree"),
+    ({"k": 0}, "k must be >= 1"),
+])
+def test_out_of_range_settings_rejected(kw, message):
+    with pytest.raises(ConfigError, match=message):
+        Learner(**kw)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsample import (PredictionEnsemble, bias_gap, decompose_costs,
-                        ensemble_costs, ensemble_discs, estimate)
+                        ensemble_costs, estimate)
 from fairsample.bias_estimators import (ESTIMATORS, MEAN_OVER_MODELS,
                                         SSB_ENSEMBLE, URB_ENSEMBLE)
 from oracles import decompose_points
@@ -19,13 +19,11 @@ ZERO_ONE_DECOMPOSABLE = ("ZOL", "FPR", "EO")
 
 
 def estimate_bias(target, ref, metric, estimator, kind=SSB_ENSEMBLE):
-    """The sweep engine's estimate of target against ref: each ensemble's
-    ensemble_discs over its ensemble_costs, then their difference."""
-    discs = [ensemble_discs(ensemble_costs(ens, (metric,)),
-                            estimator)[metric]
-             for ens in (target, ref)]
+    """The sweep engine's estimate of target against ref, from each
+    ensemble's ensemble_costs."""
+    costs = [ensemble_costs(ens, (metric,))[metric] for ens in (target, ref)]
     return estimate(kind, metric, estimator, "target", "reference",
-                    *discs[0], *discs[1], target.k)
+                    *costs, target.k)
 
 
 def decompose_gap(target, ref, metric):

@@ -91,6 +91,17 @@ def test_spec_validation():
             SynthSpec(**spec)
     SynthSpec(n=np.int64(100), d=np.int32(2), group1_share=0.5,
               seed=np.uint64(3))
+    for field, value, message in (
+            ("noise_sd", -1.0, "noise_sd must be >= 0"),
+            ("coef", (1.0,), "coef length must equal d"),
+            ("group1_share", 0.01, "expected protected-group count below 2")):
+        spec = dict(n=100, d=2, group1_share=0.5, seed=0)
+        spec[field] = value
+        with pytest.raises(ConfigError, match=message):
+            SynthSpec(**spec)
+    # four rows that all fall in one group
+    with pytest.raises(ConfigError, match="degenerate draw"):
+        generate(SynthSpec(n=4, d=1, group1_share=0.5, seed=0))
 
 
 def test_write_csv_roundtrip(tmp_path):
