@@ -6,18 +6,23 @@ metrics and threads are top-level run settings; a sweep section may not
 name them.
 --threads and the config key threads (an integer) are accepted for
 compatibility and have no effect.
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
-error: any other exception, reported with its traceback.
+Exit codes: 0 success, 2 configuration error (an output file that cannot
+be written too), 3 data error, 4 internal error: any other exception,
+reported with its traceback.
+A sweep's manifest.json records the engine's phases (SweepResult.phases)
+and the seconds spent writing its CSVs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import os
 import sys
+import time
 import traceback
 from datetime import datetime, timezone
 
@@ -76,8 +81,20 @@ def _build_dataset(raw, seed):
     return ds, sha.hexdigest()
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an output file that cannot be written, a directory in its
+    place say, as a ConfigError (exit 2) that names it, or path where the
+    error names no file."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {e.filename or path}: "
+                          f"{e.strerror or e}") from None
+
+
 def _write_manifest(path, config, seed, started_at, dataset_sha, pop_ratio,
-                    rows_written, grid_dropped=None):
+                    rows_written, grid_dropped=None, phases=None):
     manifest = {
         "config": config,
         "seed": seed,
@@ -89,7 +106,9 @@ def _write_manifest(path, config, seed, started_at, dataset_sha, pop_ratio,
     }
     if grid_dropped is not None:
         manifest["grid_dropped"] = list(grid_dropped)
-    with open(path, "w", encoding="utf-8") as fh:
+    if phases is not None:
+        manifest["phases"] = phases
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -135,7 +154,8 @@ def cmd_metrics(args):
     scores, labels = model.predict(test.X)
     costs = model_costs(test.y, [labels], [scores], test.a, metrics)
     csv_path = os.path.join(out_dir, "metrics.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with _writing(csv_path), open(csv_path, "w", encoding="utf-8",
+                                  newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["metric", "value_a0", "value_a1", "disc"])
         for metric, c in costs.items():
@@ -155,12 +175,16 @@ def _run_sweep_family(args, **defaults):
                  learner=learner, metrics=_metrics(config), threads=1,
                  seed=seed, test_fraction=_test_fraction(config))
     result = _RUNNERS[defaults.get("family", spec.family)](ds, spec)
-    rows = result.write_csv(os.path.join(out_dir, "sweep.csv"))
-    if result.bias_rows:
-        result.write_bias_csv(os.path.join(out_dir, "bias_estimates.csv"))
+    start = time.perf_counter()
+    with _writing(out_dir):
+        rows = result.write_csv(os.path.join(out_dir, "sweep.csv"))
+        if result.bias_rows:
+            result.write_bias_csv(os.path.join(out_dir, "bias_estimates.csv"))
+    write = {"seconds": time.perf_counter() - start,
+             "rows": rows + len(result.bias_rows)}
     _write_manifest(os.path.join(out_dir, "manifest.json"), config, seed,
                     started_at, sha, result.population_ratio, rows,
-                    result.grid_dropped)
+                    result.grid_dropped, {**result.phases, "write": write})
     return 0
 
 
@@ -180,7 +204,8 @@ def cmd_synth(args):
     ds, sha = _build_dataset(raw, seed)
     csv_path = os.path.join(out_dir, "data.csv")
     schema_path = os.path.join(out_dir, "schema.json")
-    write_csv(ds, csv_path, schema_path)
+    with _writing(csv_path):
+        write_csv(ds, csv_path, schema_path)
     _write_manifest(os.path.join(out_dir, "manifest.json"), config, seed,
                     started_at, sha, population_ratio(ds), ds.n)
     return 0

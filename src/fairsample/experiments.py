@@ -17,6 +17,10 @@ family is the ssb_size or urb_ratio sweep its decomp_kind names (_base),
 so it decomposes exactly the ensembles that sweep reports.  The reducers
 read the values in fixed grid order, so a sweep's output depends on the
 dataset and the spec only.
+
+A phase timer (_Timer) books each sweep's seconds and counts to split,
+draw, fit, predict, metrics and reduce; it reads the clock once per batch
+or cell, never per model, and SweepResult.phases carries it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import csv
 import hashlib
 import math
 import numbers
+import time
 from dataclasses import dataclass, field, fields
 from itertools import starmap
 
@@ -140,6 +145,7 @@ class SweepResult:
     rows: list = field(default_factory=list)
     bias_rows: list = field(default_factory=list)
     grid_dropped: tuple = ()  # default-grid points that cannot be drawn
+    phases: dict = field(default_factory=dict)  # _Timer.phases
 
     def write_csv(self, path):
         return _write_rows(path, CSV_COLUMNS, self.rows)
@@ -154,6 +160,34 @@ def _write_rows(path, header, rows):
         w.writerow(header)
         w.writerows(row.to_csv_row() for row in rows)
     return len(rows)
+
+
+class _Timer:
+    """Seconds and counts per engine phase of one sweep.
+
+    mark(phase, **counts) books the time since the previous mark, or since
+    the timer was made, to phase, and adds counts to its counts, so the
+    phases' seconds add up to the sweep's.  The engine marks once per
+    batch or cell, never per model.
+    """
+
+    def __init__(self):
+        # each phase's counts
+        self.phases = {phase: dict.fromkeys(("seconds", *counts), 0)
+                       for phase, counts in (
+                           ("split", ("rows",)), ("draw", ("samples", "rows")),
+                           ("fit", ("fits", "constant")),
+                           ("predict", ("rows",)), ("metrics", ("tables",)),
+                           ("reduce", ("rows", "estimates")))}
+        self._last = time.perf_counter()
+
+    def mark(self, phase, **counts):
+        now = time.perf_counter()
+        entry = self.phases[phase]
+        entry["seconds"] += now - self._last
+        self._last = now
+        for key, n in counts.items():
+            entry[key] += n
 
 
 def task_seed(seed, family, grid_value, tag=0):
@@ -316,6 +350,7 @@ class _Plan:
     cells: dict               # grid value -> Cell
     ref: object = None        # grid value of the reference cell
     dropped: tuple = ()       # default-grid points that cannot be drawn
+    timer: _Timer = None      # the sweep's phase timer
 
 
 # the grid value each base family's task_seed hashes, from a grid point g
@@ -332,7 +367,9 @@ def _resolve(ds, spec):
     grid point, all from spec's base family; an infeasible grid fails
     here, before any fit.  A size grid's reference is its largest size; a
     ratio grid's, its first point that splits total_m as the population
-    does, added when no point does."""
+    does, added when no point does.  The plan's timer books all of it to
+    split."""
+    timer = _Timer()
     family = _base(spec)
     if family == "collect" and ds.task != CLASSIFICATION:
         raise ConfigError("collect simulation requires a classification task")
@@ -385,8 +422,9 @@ def _resolve(ds, spec):
     cells = {g: Cell(counts[g], task_seed(spec.seed, family,
                                           key(spec, g, counts[g])))
              for g in grid}
+    timer.mark("split", rows=ds.n)
     return _Plan(grid_param, grid, metrics, ratio, test, pool, pools, cells,
-                 ref, dropped)
+                 ref, dropped, timer)
 
 
 def _draws(cell, spec, plan):
@@ -397,7 +435,7 @@ def _draws(cell, spec, plan):
             for rep in range(spec.replicates)]
 
 
-def _fitted(cells, spec, draw):
+def _fitted(cells, spec, draw, timer):
     """(models, extra) of each cell, in order, where draw(cell) gives the
     cell's training samples and extra, what its evaluation needs with them.
 
@@ -416,16 +454,20 @@ def _fitted(cells, spec, draw):
         batches[-1].append(cell)
         rows += sum(cell.counts)
     for batch in batches:
-        fitted = _fit_batch(batch, spec, draw)
+        fitted = _fit_batch(batch, spec, draw, timer)
         while fitted:
             yield fitted.pop(0)
 
 
-def _fit_batch(batch, spec, draw):
+def _fit_batch(batch, spec, draw, timer):
     """[(models, extra)] of each cell of a batch, from one fit_many."""
     drawn = [draw(cell) for cell in batch]
-    models = iter(fit_many(spec.learner,
-                           [s for samples, _ in drawn for s in samples]))
+    flat = [s for samples, _ in drawn for s in samples]
+    timer.mark("draw", samples=len(flat), rows=sum(s.n for s in flat))
+    models = fit_many(spec.learner, flat)
+    timer.mark("fit", fits=len(models),
+               constant=sum("constant" in m.params for m in models))
+    models = iter(models)
     return [([next(models) for _ in samples], extra)
             for samples, extra in drawn]
 
@@ -437,12 +479,16 @@ def _predict(models, plan, main):
     test = plan.test
     preds = [model.predict(test.X) for model in models]
     scores, labels = (np.stack(p) for p in zip(*preds))
+    plan.timer.mark("predict", rows=labels.size)
     loss = SQUARED if test.task == REGRESSION else ZERO_ONE
     ens = PredictionEnsemble(scores, labels, test.y, test.a, loss)
     if main:
-        return ens, ensemble_costs(ens, plan.metrics)
-    costs = model_costs(test.y, labels, scores, test.a, plan.metrics)
-    return ens, {m: (None, c) for m, c in costs.items()}
+        costs = ensemble_costs(ens, plan.metrics)
+    else:
+        costs = {m: (None, c) for m, c in model_costs(
+            test.y, labels, scores, test.a, plan.metrics).items()}
+    plan.timer.mark("metrics", tables=1)
+    return ens, costs
 
 
 def _evaluated(plan, spec, evaluate, draw=None):
@@ -459,7 +505,8 @@ def _evaluated(plan, spec, evaluate, draw=None):
             return _draws(cell, spec, plan), None
     cells = list(dict.fromkeys(plan.cells[g] for g in (plan.ref, *plan.grid)
                                if g is not None))
-    values = dict(zip(cells, starmap(evaluate, _fitted(cells, spec, draw))))
+    values = dict(zip(cells, starmap(evaluate,
+                                     _fitted(cells, spec, draw, plan.timer))))
     return {g: values[plan.cells[g]] for g in plan.grid}
 
 
@@ -499,7 +546,9 @@ def _reduce_decomposition(result, plan, spec):
     """
     def evaluate(models, _):
         ens, costs = _predict(models, plan, True)
-        return costs, decompose_costs(ens, costs)
+        terms = decompose_costs(ens, costs)
+        plan.timer.mark("reduce")
+        return costs, terms
     per_point = _evaluated(plan, spec, evaluate)
     ref_costs, ref_terms = per_point[plan.ref]
     ref_disc = {metric: _float(models.mean_disc())
@@ -526,7 +575,7 @@ def _reduce_collect(result, plan, spec):
         per_point = _evaluated(
             plan, spec,
             lambda models, holds: _cv_cells(models, holds, spec.cv_folds,
-                                            plan.metrics),
+                                            plan),
             lambda cell: _cv_folds(cell, spec, plan))
     else:
         label = "holdout"
@@ -548,8 +597,11 @@ def _run(ds, spec, family):
         raise ConfigError(f"spec.family must be {family}")
     plan = _resolve(ds, spec)
     result = SweepResult(family, plan.grid_param, plan.grid, plan.metrics,
-                         plan.ratio, {}, grid_dropped=plan.dropped)
+                         plan.ratio, {}, grid_dropped=plan.dropped,
+                         phases=plan.timer.phases)
     _REDUCERS[family](result, plan, spec)
+    plan.timer.mark("reduce", rows=len(result.rows),
+                    estimates=len(result.bias_rows))
     return result
 
 
@@ -592,14 +644,17 @@ def _cv_folds(cell, spec, plan):
     return trains, holds
 
 
-def _cv_cells(models, holds, folds, metrics):
+def _cv_cells(models, holds, folds, plan):
     """Per-draw fold-mean group costs of a collect cell, from the models of
     its training folds and their held-out folds."""
-    costs = []
-    for model, hold in zip(models, holds):
-        scores, labels = model.predict(hold.X)
-        costs.append({m: c.floats()[0] for m, c in model_costs(
-            hold.y, [labels], [scores], hold.a, metrics).items()})
+    preds = [model.predict(hold.X) for model, hold in zip(models, holds)]
+    plan.timer.mark("predict", rows=sum(hold.n for hold in holds))
+    costs = [{m: c.floats()[0] for m, c in model_costs(
+        hold.y, [labels], [scores], hold.a, plan.metrics).items()}
+        for (scores, labels), hold in zip(preds, holds)]
     draws = [costs[r:r + folds] for r in range(0, len(costs), folds)]
-    return {m: [[_mean_stderr(v)[0] for v in zip(*(fold[m] for fold in draw))]
-                for draw in draws] for m in metrics}
+    values = {m: [[_mean_stderr(v)[0]
+                   for v in zip(*(fold[m] for fold in draw))]
+                  for draw in draws] for m in plan.metrics}
+    plan.timer.mark("metrics", tables=1)
+    return values

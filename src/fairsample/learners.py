@@ -153,43 +153,63 @@ def _sigmoid(z, out=None):
 
 
 def _stacks(Xbs):
-    """_logreg_grad's (Xb, replicate slice, row slice) of each stack: a
-    (k, m, d+1) stack holds k replicates of m rows each, after the stack
-    before it."""
+    """(Xb, replicate slice, row slice) of each stack, for _Grad's views and
+    _logreg_loss: a C-ordered, feature-major (k, d+1, m) stack holds the
+    d+1 feature rows, the intercept's ones last, of k replicates of m rows
+    each; its replicates and its rows come after the stack before it."""
     out, i, o = [], 0, 0
     for Xb in Xbs:
-        k, m = Xb.shape[:2]
+        k, m = Xb.shape[0], Xb.shape[2]
         out.append((Xb, slice(i, i + k), slice(o, o + k * m)))
         i, o = i + k, o + k * m
     return out
 
 
-def _logreg_grad(w, stacks, y, n, l2, work):
-    """Margins z = Xb w and loss gradient of each replicate k at its own
-    weights w[k].
+class _Grad:
+    """Buffers for _logreg_grad's margins z and gradient grad of every live
+    replicate, and the views its matmuls write, per stack: (Xb, replicate
+    slice, the stack's rows of z, of the residual in work and of grad).
 
-    stacks holds (Xb, replicate slice, row slice) per sample size m: a
-    (k, m, d+1) stack, where its replicates are in w and n (each
-    replicate's row count), and where their rows, replicate after
-    replicate, are in y and in the flat z.  Each replicate gets the
-    arithmetic of a one-sample fit: a matmul per slice (gemv) and the mean
-    gradient as a sum, then a divide.  Every other step runs once over all
+    A fit keeps two, at its weights and at its trial point, and swaps
+    them when every step is accepted, so no round allocates them or
+    slices them anew; it makes new ones only when replicates leave.
+    """
+
+    def __init__(self, stacks, work):
+        self.z = np.empty(len(work))
+        self.grad = np.empty((stacks[-1][1].stop, stacks[0][0].shape[1]))
+        self.views = []
+        for Xb, reps, rows in stacks:
+            k, _, m = Xb.shape
+            self.views.append((Xb, reps, self.z[rows].reshape(k, 1, m),
+                               work[rows].reshape(k, m, 1),
+                               self.grad[reps, :, None]))
+
+
+def _logreg_grad(w, out, y, n, l2, work):
+    """Margins z = Xb' w and loss gradient of each replicate k at its own
+    weights w[k], into out's z and grad (a _Grad).
+
+    Each size m has a C-ordered, feature-major (k, d+1, m) stack, whose
+    replicates are in w and n (each replicate's row count), and whose
+    rows, replicate after replicate, are in y and in the flat z.  Each
+    replicate gets the arithmetic of a one-sample fit on its (d+1, m)
+    feature rows: a matmul per slice for the margins, w Xb, and for the
+    gradient, Xb r, both gemv along contiguous feature rows, then the
+    mean gradient's divide.  Every other step runs once over all
     replicates, the residual in the work buffer.
     """
-    z = np.empty(len(y))
-    grad = np.empty_like(w)
-    for Xb, reps, rows in stacks:
-        np.matmul(Xb, w[reps, :, None], out=z[rows].reshape(*Xb.shape[:2], 1))
-    r = _sigmoid(z, out=work)
+    for Xb, reps, z, _, _ in out.views:
+        np.matmul(w[reps, None, :], Xb, out=z)
+    r = _sigmoid(out.z, out=work)
     r -= y
-    for Xb, reps, rows in stacks:
-        np.matmul(Xb.transpose(0, 2, 1), r[rows].reshape(*Xb.shape[:2], 1),
-                  out=grad[reps, :, None])
+    for Xb, _, _, r_rows, grad in out.views:
+        np.matmul(Xb, r_rows, out=grad)
+    grad = out.grad
     grad /= n[:, None]
     reg = l2 * w
     reg[:, -1] = 0.0  # intercept not penalized
     grad += reg
-    return z, grad
 
 
 def _logreg_loss(z, w, flip, stacks, l2):
@@ -205,7 +225,7 @@ def _logreg_loss(z, w, flip, stacks, l2):
     terms = np.logaddexp(0.0, z * flip)
     loss = np.empty(len(w))
     for Xb, reps, rows in stacks:
-        k, m = Xb.shape[:2]
+        k, _, m = Xb.shape
         loss[reps] = np.add.reduce(terms[rows].reshape(k, m), axis=1) / m
     reg = w.copy()
     reg[:, -1] = 0.0
@@ -228,9 +248,12 @@ def _fit_logreg(learner, Xs, ys):
     the batch.
 
     Samples of every size share the rounds.  The replicates of one size
-    m are a (k, m, d+1) stack with its own two matmuls per round, Xb w and
-    Xb' r; every other step runs once per round on flat arrays over all
-    live replicates: the residual over all their rows, the step, the
+    m are a C-ordered, feature-major (k, d+1, m) stack, each replicate's
+    feature rows contiguous, whatever the memory order of its sample,
+    with its own two matmuls per round, the margins w Xb and the
+    gradient's Xb r, into buffers that last until a replicate leaves
+    (_Grad); every other step runs once per round on flat arrays over
+    all live replicates: the residual over all their rows, the step, the
     certificate, the stop test and compaction, which copies only the
     stacks that lost a replicate.  No step mixes two replicates, so each
     one's arithmetic is that of a fit of its sample alone.
@@ -313,13 +336,13 @@ def _fit_logreg(learner, Xs, ys):
         by_n.setdefault(len(X), []).append(i)
     Xbs, consts = [], []
     for m, idx in by_n.items():
-        Xb = np.empty((len(idx), m, d + 1))
+        Xb = np.empty((len(idx), d + 1, m))
         for k, i in enumerate(idx):
-            Xb[k, :, :d] = Xs[i]
-        Xb[:, :, d] = 1.0
+            Xb[k, :d] = Xs[i].T
+        Xb[:, d] = 1.0
         Xbs.append(Xb)
         # the bound's constants, one per replicate
-        row_sq = np.einsum("kij,kij->ki", Xb, Xb)
+        row_sq = np.einsum("kji,kji->ki", Xb, Xb)
         R = np.sum(np.sqrt(row_sq), axis=1) / m * (1.0 + 2.0 ** -20)
         L = (np.sum(row_sq, axis=1) / (4 * m) + l2) * (1.0 + 2.0 ** -20)
         a = 4 * _U * (m + 8) * R
@@ -338,12 +361,14 @@ def _fit_logreg(learner, Xs, ys):
     K = len(Xs)
     w = np.zeros((K, d + 1))
     stacks, work = _stacks(Xbs), np.empty(len(y))
-    z, grad = _logreg_grad(w, stacks, y, n, l2, work)
+    # the margins and gradient at w, and at the trial point
+    cur, new = _Grad(stacks, work), _Grad(stacks, work)
+    _logreg_grad(w, cur, y, n, l2, work)
     slack = k0.copy()
     step = np.full(K, lr)
     accepted = np.zeros(K, dtype=int)
     out = np.empty((K, d + 1))
-    stop = ((np.maximum.reduce(np.abs(grad), axis=1) < learner.grad_tol)
+    stop = ((np.maximum.reduce(np.abs(cur.grad), axis=1) < learner.grad_tol)
             | ~(step > 1e-12))
     while True:
         if stop.any():
@@ -356,31 +381,35 @@ def _fit_logreg(learner, Xs, ys):
                    if s.any()]
             stacks = _stacks(Xbs)
             rows = np.repeat(keep, n)
-            y, flip, z, work = y[rows], flip[rows], z[rows], work[:rows.sum()]
-            w, grad, slack, step, accepted, live, n, half_Lt, k0, k1, k2 = (
-                v[keep] for v in (w, grad, slack, step, accepted, live, n,
+            y, flip, work = y[rows], flip[rows], work[:rows.sum()]
+            z, grad = cur.z[rows], cur.grad[keep]
+            cur, new = _Grad(stacks, work), _Grad(stacks, work)
+            cur.z[:], cur.grad[:] = z, grad
+            w, slack, step, accepted, live, n, half_Lt, k0, k1, k2 = (
+                v[keep] for v in (w, slack, step, accepted, live, n,
                                   half_Lt, k0, k1, k2))
-        g2 = np.minimum(np.vecdot(grad, grad), 2.0 ** 960)
-        w_new = w - step[:, None] * grad
-        z_new, grad_new = _logreg_grad(w_new, stacks, y, n, l2, work)
+        g2 = np.minimum(np.vecdot(cur.grad, cur.grad), 2.0 ** 960)
+        w_new = w - step[:, None] * cur.grad
+        _logreg_grad(w_new, new, y, n, l2, work)
         q = np.sqrt(np.vecdot(w_new, w_new))
         slack_new = (k2 * q + k1) * q + k0
         sure = (step * g2 * ((1.0 - 16 * _U) - step * half_Lt)
                 > slack + slack_new)
         if sure.all():
-            w, z, grad, slack = w_new, z_new, grad_new, slack_new
+            w, slack = w_new, slack_new
+            cur, new = new, cur
             accepted += 1
             step.fill(lr)  # above 1e-12, or no replicate would be live
             stop = ((accepted >= learner.max_iter)
-                    | (np.maximum.reduce(np.abs(grad), axis=1)
+                    | (np.maximum.reduce(np.abs(cur.grad), axis=1)
                        < learner.grad_tol))
         else:
             # the bound leaves a step open: compare computed losses
-            ok = (_logreg_loss(z_new, w_new, flip, stacks, l2)
-                  <= _logreg_loss(z, w, flip, stacks, l2))
+            ok = (_logreg_loss(new.z, w_new, flip, stacks, l2)
+                  <= _logreg_loss(cur.z, w, flip, stacks, l2))
             w = np.where(ok[:, None], w_new, w)
-            z = np.where(np.repeat(ok, n), z_new, z)
-            grad = np.where(ok[:, None], grad_new, grad)
+            np.copyto(cur.z, new.z, where=np.repeat(ok, n))
+            np.copyto(cur.grad, new.grad, where=ok[:, None])
             slack = np.where(ok, slack_new, slack)
             accepted += ok
             step = np.where(ok, lr, step * 0.5)
@@ -388,7 +417,7 @@ def _fit_logreg(learner, Xs, ys):
             # stops
             stop = ~(step > 1e-12) | (ok & (
                 (accepted >= learner.max_iter)
-                | (np.maximum.reduce(np.abs(grad), axis=1)
+                | (np.maximum.reduce(np.abs(cur.grad), axis=1)
                    < learner.grad_tol)))
     return [{"w": w} for w in out]
 

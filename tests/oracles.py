@@ -256,7 +256,8 @@ def _sigmoid(z):
 
 
 def _logreg_loss_grad(w, Xb, y, l2):
-    z = Xb @ w
+    """Loss and gradient at w, with Xb the (d+1, m) feature-major rows."""
+    z = w @ Xb
     # log(1 + exp(-m)) with m = (2y-1) z, numerically stable
     margin = np.where(y > 0.5, z, -z)
     loss = float(np.mean(np.logaddexp(0.0, -margin)))
@@ -264,13 +265,17 @@ def _logreg_loss_grad(w, Xb, y, l2):
     reg[-1] = 0.0  # intercept not penalized
     loss += 0.5 * l2 * float(reg @ reg)
     p = _sigmoid(z)
-    grad = Xb.T @ (p - y) / len(y) + l2 * reg
+    grad = Xb @ (p - y) / len(y) + l2 * reg
     return loss, grad
 
 
 def _fit_logreg(learner, X, y):
-    Xb = np.hstack([X, np.ones((len(y), 1))])
-    w = np.zeros(Xb.shape[1])
+    # C-ordered, as the library stacks it: an F-ordered Xb (np.vstack of
+    # X.T) would select another BLAS kernel, whose sums round differently
+    Xb = np.empty((X.shape[1] + 1, len(y)))
+    Xb[:-1] = X.T
+    Xb[-1] = 1.0
+    w = np.zeros(len(Xb))
     loss, grad = _logreg_loss_grad(w, Xb, y, learner.l2)
     for _ in range(learner.max_iter):
         if np.max(np.abs(grad)) < learner.grad_tol:

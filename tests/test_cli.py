@@ -5,8 +5,8 @@ from datetime import datetime, timezone
 
 import pytest
 
-from fairsample import (Learner, SweepSpec, SynthSpec, cli, fit, generate,
-                        run_ssb_sweep)
+from fairsample import (Learner, SweepSpec, SynthSpec, cli, experiments, fit,
+                        generate, run_ssb_sweep)
 from fairsample.cli import main
 from fairsample.dataset import holdout_split
 from fairsample.group_metrics import model_costs
@@ -294,6 +294,73 @@ def test_out_naming_a_file_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: output directory {str(afile)!r}")
     assert afile.read_text() == ""
+
+
+@pytest.mark.parametrize("command, sweep, blocked", [
+    ("sweep", {"family": "ssb_size", "grid": [20, 50], "replicates": 3},
+     "sweep.csv"),
+    ("sweep", {"family": "ssb_size", "grid": [20, 50], "replicates": 3},
+     "bias_estimates.csv"),
+    ("sweep", {"family": "ssb_size", "grid": [20, 50], "replicates": 3},
+     "manifest.json"),
+    ("decompose", {"grid": [20, 50], "replicates": 3}, "sweep.csv"),
+    ("metrics", None, "metrics.csv"),
+    ("metrics", None, "manifest.json"),
+    ("synth", None, "data.csv"),
+    ("synth", None, "schema.json"),
+], ids=["sweep-csv", "sweep-bias", "sweep-manifest", "decompose-csv",
+        "metrics-csv", "metrics-manifest", "synth-csv", "synth-schema"])
+def test_unwritable_output_file_exit_2(tmp_path, capsys, command, sweep,
+                                       blocked):
+    # an output file that cannot be written, here a directory in its
+    # place, used to stop with an IsADirectoryError traceback (exit 4)
+    config = {"dataset": SYNTH, "learner": TREE, "metrics": ["ZOL"]}
+    if sweep is not None:
+        config["sweep"] = sweep
+    if command == "synth":
+        config = {"dataset": SYNTH}
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / blocked}: ")
+    assert "Traceback" not in err
+
+
+def test_failed_write_that_names_no_file_exit_2(tmp_path, capsys,
+                                               monkeypatch):
+    # a write that fails after the file opened, on a full disk say, has
+    # no file name: the message names the output directory
+    def full(self, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(experiments.SweepResult, "write_csv", full)
+    cfg = write_config(tmp_path, {
+        "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],
+        "sweep": {"family": "ssb_size", "grid": [20, 50], "replicates": 3}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {out}: No space left on device\n")
+
+
+def test_sweep_manifest_records_the_phases(tmp_path):
+    cfg = write_config(tmp_path, {
+        "dataset": SYNTH, "learner": TREE, "metrics": ["SD"],
+        "sweep": {"family": "ssb_size", "grid": [20, 50, 100],
+                  "replicates": 3},
+        "seed": 6})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    phases = json.loads((out / "manifest.json").read_text())["phases"]
+    assert list(phases) == ["draw", "fit", "metrics", "predict", "reduce",
+                            "split", "write"]
+    assert all(phase["seconds"] > 0 for phase in phases.values())
+    assert phases["fit"]["fits"] == 3 * 3
+    assert phases["metrics"]["tables"] == 3
+    # three sweep.csv rows and three bias estimates
+    assert phases["write"]["rows"] == 6
 
 
 @pytest.mark.parametrize("out_dir", ["", "a\u0000b"], ids=["empty", "nul"])

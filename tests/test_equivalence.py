@@ -102,6 +102,33 @@ def test_logreg_fit_many_of_mixed_sizes_matches_one_sample_oracle(
             assert np.array_equal(model.params["w"], w)
 
 
+@pytest.mark.parametrize(
+    "layout", [np.asfortranarray, lambda X: X[:, ::-1], lambda X: X[::2]],
+    ids=["fortran", "reversed-columns", "every-other-row"])
+def test_logreg_weights_do_not_depend_on_the_sample_memory_order(layout):
+    # the solver stacks every sample C-ordered and feature-major: a sample
+    # matrix in another memory order must not reach BLAS as is, where an
+    # F-ordered operand selects another kernel whose sums round otherwise
+    rng = np.random.default_rng(5)
+    learner = Learner(max_iter=200)
+    samples, copies = [], []
+    for n in (3, 40, 40, 257):
+        X = layout(rng.standard_normal((2 * n, 4)) * rng.choice([1.0, 30.0]))
+        y = rng.integers(0, 2, len(X)).astype(float)
+        y[:2] = (0.0, 1.0)
+        assert not X.flags.c_contiguous
+        ids = np.arange(len(X))
+        samples.append(Dataset(X, y, np.zeros(len(X), dtype=int), ids))
+        copies.append(Dataset(np.ascontiguousarray(X), y,
+                              np.zeros(len(X), dtype=int), ids))
+    models = learners.fit_many(learner, samples)
+    for model, copy, s in zip(models, learners.fit_many(learner, copies),
+                              samples):
+        assert np.array_equal(model.params["w"], copy.params["w"])
+        w = oracles._fit_logreg(learner, s.X, s.y)["w"]
+        assert np.array_equal(model.params["w"], w)
+
+
 def _record_logreg_parts(monkeypatch):
     """Log of the solver's calls to its two parts, as (part, w) with part
     "grad" (the gradient at trial points w) or "loss"."""

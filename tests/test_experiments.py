@@ -815,3 +815,53 @@ def test_a_missing_stratum_leaves_its_metrics_undefined_in_every_row(
     for est in result.bias_rows:
         value = est.to_csv_row()[5]
         assert (value == "") == (est.metric in undefined), est
+
+
+@pytest.mark.parametrize("family, options", [
+    # m=2 draws one row per group: some draws are single-class
+    ("ssb_size", {"grid": (2, 20, 100)}),
+    # 0.5 and 0.502 both split total_m=100 as 50/50: one cell
+    ("urb_ratio", {"grid": (0.2, 0.5, 0.502), "total_m": 100}),
+    ("decomposition", {"grid": (2, 20, 100)}),
+    ("decomposition", {"grid": (0.2, 0.5, 0.502), "total_m": 100,
+                       "decomp_kind": "urb"}),
+    ("collect", {"grid": (4, 20), "fixed_majority": 40}),
+    ("collect", {"grid": (4, 20), "fixed_majority": 40, "use_cv": True}),
+], ids=["ssb_size", "urb_ratio", "decomposition-ssb", "decomposition-urb",
+        "collect", "collect-cv"])
+def test_phases_time_every_phase_and_count_the_plan(clf_ds, family,
+                                                    options):
+    spec = SweepSpec(family=family, replicates=3, seed=4, learner=FAST_TREE,
+                     metrics=("ZOL", "EO"), **options)
+    result = RUNNERS[family](clf_ds, spec)
+    phases = result.phases
+    assert {name: list(phase) for name, phase in phases.items()} == {
+        "split": ["seconds", "rows"], "draw": ["seconds", "samples", "rows"],
+        "fit": ["seconds", "fits", "constant"], "predict": ["seconds", "rows"],
+        "metrics": ["seconds", "tables"],
+        "reduce": ["seconds", "rows", "estimates"]}
+    for name, phase in phases.items():
+        assert phase["seconds"] > 0, name
+    plan = experiments._resolve(clf_ds, spec)
+    cells = set(plan.cells.values())
+    assert len(cells) < len(plan.grid) or family != "urb_ratio"
+    draws = [s for cell in cells
+             for s in experiments._draws(cell, spec, plan)]
+    folds = spec.cv_folds if spec.use_cv else 1
+    assert phases["split"]["rows"] == clf_ds.n
+    assert phases["draw"]["samples"] == len(cells) * spec.replicates * folds
+    assert phases["fit"]["fits"] == len(cells) * spec.replicates * folds
+    single_class = sum(len(np.unique(s.y)) < 2 for s in draws)
+    if plan.grid[0] == 2:
+        assert single_class > 0
+    if not spec.use_cv:
+        assert phases["draw"]["rows"] == sum(s.n for s in draws)
+        assert phases["fit"]["constant"] == single_class
+        assert phases["predict"]["rows"] == len(draws) * plan.test.n
+    else:
+        # each draw's rows are held out once, by one of its folds
+        assert phases["predict"]["rows"] == sum(s.n for s in draws)
+    assert phases["metrics"]["tables"] == len(cells)
+    assert phases["reduce"]["rows"] == len(result.rows) == \
+        len(plan.grid) * len(plan.metrics)
+    assert phases["reduce"]["estimates"] == len(result.bias_rows)
