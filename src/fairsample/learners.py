@@ -517,12 +517,18 @@ def _score_tree(params, X):
 # ---------------------------------------------------------------- knn
 
 # query rows per chunk in _score_knn: _KNN_CHUNK_ELEMS // (n_train * d),
-# so a chunk's one-gemm filter array stays ~512 KB as float32 and the exact
-# step's (candidates, d) differences, at most every training row for every
-# row of the chunk, ~1 MB as float64; larger chunks cut per-chunk overhead
-# until they fall out of cache (four times this size ran slower; twice it
-# read ~5% faster on 100 training rows but slower on one feature and 4000)
+# so a chunk's one-gemm filter array stays ~512 KB / d as float32 and the
+# exact step's (candidates, d) differences, at most every training row for
+# every row of the chunk, ~1 MB as float64
 _KNN_CHUNK_ELEMS = 131072
+
+# training rows up to which _score_knn takes each chunk row's k-th smallest
+# a from a row sort, not np.partition.  numpy sorts float32 rows of up to
+# 512 values with one SIMD sorting network; on a 2-core AVX-512 Xeon
+# (numpy 2.4), k = 5 and d = 5, per element of a chunk, sort against
+# partition read 1.27 / 2.05 ns at 256 training rows, 1.39 / 2.14 at 512,
+# 2.20 / 2.22 at 513, 2.46 / 1.66 at 2000 and 2.59 / 1.50 at 4000
+_KNN_SORT_ROWS = 512
 
 
 def _fit_knn(learner, X, y):
@@ -651,8 +657,12 @@ def _score_knn(params, X):
     for s in range(0, len(X), rows):
         chunk = slice(s, s + rows)
         a = Xa[chunk] @ Ta
-        # a copy, so the partitioned chunk is freed at once
-        T = np.partition(a, k - 1, axis=1)[:, k - 1].copy()
+        # both give the k-th order statistic, NaN last; a copy, so the
+        # sorted or partitioned chunk is freed at once
+        if n <= _KNN_SORT_ROWS:
+            T = np.sort(a, axis=1)[:, k - 1].copy()
+        else:
+            T = np.partition(a, k - 1, axis=1)[:, k - 1].copy()
         lim = T + c * np.maximum(T + qq[chunk], 0.0) + two_B[chunk]
         cand = a <= lim.astype(np.float32)[:, None]
         out[chunk], count = (cand @ y_one).T

@@ -483,10 +483,14 @@ def test_knn_filter_matches_per_row_oracle_on_a_thin_shell(
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.sampled_from([1, 2, 5]),
-       n_train=st.integers(5, 40),
+       n_train=st.integers(5, 40) | st.sampled_from(
+           [learners._KNN_SORT_ROWS, learners._KNN_SORT_ROWS + 1]),
        k=st.sampled_from(["1", "3", "n_train"]),
        n_query=st.integers(1, 150),
        seed=st.integers(0, 2**32 - 1))
+@example(d=2, n_train=learners._KNN_SORT_ROWS, k="3", n_query=150, seed=0)
+@example(d=2, n_train=learners._KNN_SORT_ROWS + 1, k="3", n_query=150,
+         seed=0)
 def test_knn_scores_do_not_depend_on_chunk_size(d, n_train, k, n_query,
                                                 seed):
     # integer-grid rows with repeats: many distances tie at the k-th place
@@ -534,6 +538,56 @@ def test_knn_filter_matches_per_row_oracle_on_small_and_large_training_sets(
     assert np.array_equal(scores, oracles.score_knn(params, Xq))
     if rows == "normal":
         assert sum(len(q) for q, _ in calls) < len(Xq)
+
+
+def _knn_rows(rows, rng, n):
+    """n training or query rows of one kind: an integer grid with
+    duplicated rows, where many distances tie at the k-th place, one-hot
+    rows, or standard-normal rows."""
+    if rows == "grid":
+        X = rng.integers(-2, 3, (n, 3)).astype(float)
+        return X[rng.integers(0, n, n)]
+    if rows == "one_hot":
+        return _one_hot_rows(rng, n)
+    return rng.standard_normal((n, 3))
+
+
+@pytest.mark.parametrize("rows", ["grid", "one_hot", "normal"])
+@pytest.mark.parametrize("k", ["1", "5", "n_train"])
+@pytest.mark.parametrize("n_train", [learners._KNN_SORT_ROWS,
+                                     learners._KNN_SORT_ROWS + 1])
+def test_knn_matches_per_row_oracle_either_side_of_the_sort_width(
+        n_train, k, rows):
+    # the k-th smallest a comes from a row sort up to _KNN_SORT_ROWS
+    # training rows and from np.partition above
+    rng = np.random.default_rng(n_train)
+    X = _knn_rows(rows, rng, n_train)
+    Xq = _knn_rows(rows, rng, 150)
+    Xq[:20] = X[rng.integers(0, n_train, 20)]
+    params = {"X": X, "y": rng.integers(0, 2, n_train).astype(float),
+              "k": n_train if k == "n_train" else int(k)}
+    assert np.array_equal(learners._score_knn(params, Xq),
+                          oracles.score_knn(params, Xq))
+
+
+def test_knn_selects_with_a_sort_up_to_the_sort_width(monkeypatch):
+    # each filter chunk makes one (chunk rows, n_train) selection: a row
+    # sort up to _KNN_SORT_ROWS training rows, np.partition above
+    calls = []
+    for name in ("sort", "partition"):
+        def spy(a, *args, _name=name, _f=getattr(np, name), **kwargs):
+            calls.append((_name, a.shape[1]))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+    rng = np.random.default_rng(6)
+    for n in (learners._KNN_SORT_ROWS, learners._KNN_SORT_ROWS + 1):
+        params = {"X": rng.standard_normal((n, 2)),
+                  "y": rng.integers(0, 2, n).astype(float), "k": 5}
+        learners._score_knn(params, rng.standard_normal((300, 2)))
+    rows = max(1, learners._KNN_CHUNK_ELEMS // (2 * learners._KNN_SORT_ROWS))
+    chunks = -(-300 // rows)
+    assert calls == [("sort", learners._KNN_SORT_ROWS)] * chunks + \
+        [("partition", learners._KNN_SORT_ROWS + 1)] * chunks
 
 
 def test_knn_filter_leaves_very_wide_rows_to_the_exact_step(monkeypatch):
@@ -1008,6 +1062,20 @@ def test_knn_urb_decomposition_sweep_matches_oracles_bytewise(
     monkeypatch.setattr(experiments, "decompose_costs",
                         oracles.decompose_costs)
     assert _sweep_csv_bytes(run_decomposition_sweep, ds, spec, path) == before
+
+
+def test_knn_ssb_sweep_across_the_sort_width_matches_oracle_bytewise(
+        tmp_path, monkeypatch):
+    # cells on both sides of the switch from a row sort to np.partition
+    ds = generate(SynthSpec(n=1500, d=3, group1_share=0.3, seed=14))
+    width = learners._KNN_SORT_ROWS
+    spec = SweepSpec(family="ssb_size", grid=(width // 4, width, width + 1),
+                     replicates=3, seed=14, metrics=("EO", "SD", "ZOL"),
+                     learner=Learner("knn", k=5))
+    path = tmp_path / "sweep.csv"
+    before = _sweep_csv_bytes(run_ssb_sweep, ds, spec, path)
+    monkeypatch.setitem(learners._SCORERS, "knn", oracles.score_knn)
+    assert _sweep_csv_bytes(run_ssb_sweep, ds, spec, path) == before
 
 
 @pytest.mark.parametrize("kind, grid", [("ssb", (10, 40, 160)),

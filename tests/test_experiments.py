@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairsample
 from fairsample import (ConfigError, DataError, Dataset, Learner, SweepSpec,
                         SynthSpec, generate, run_collect_sim,
                         run_decomposition_sweep, run_ssb_sweep,
@@ -865,3 +869,40 @@ def test_phases_time_every_phase_and_count_the_plan(clf_ds, family,
     assert phases["reduce"]["rows"] == len(result.rows) == \
         len(plan.grid) * len(plan.metrics)
     assert phases["reduce"]["estimates"] == len(result.bias_rows)
+
+
+# a fresh interpreter: importing fairsample leaves numpy.ma and
+# numpy.random unloaded, and the sweep's first clock read, where its timer
+# starts, finds them loaded, so the split does not book numpy's first-use
+# imports of them
+_FIRST_SWEEP = """
+import sys, time
+import numpy as np
+from fairsample import Dataset, Learner, SweepSpec, run_ssb_sweep
+loaded = lambda: {"numpy.ma", "numpy.random"} <= sys.modules.keys()
+at_import = "numpy.ma" in sys.modules or "numpy.random" in sys.modules
+clock, at_clock = time.perf_counter, []
+def perf_counter():
+    at_clock.append(loaded())
+    return clock()
+time.perf_counter = perf_counter
+n = 400
+X, y = np.linspace(-1, 1, 2 * n).reshape(n, 2), np.arange(n) % 2 * 1.0
+ds = Dataset(X, y, np.arange(n) // 3 % 2, np.arange(n))
+before_sweep = "numpy.ma" in sys.modules or "numpy.random" in sys.modules
+run_ssb_sweep(ds, SweepSpec(family="ssb_size", grid=(20, 40), replicates=2,
+                            seed=1, learner=Learner("knn", k=3)))
+print(at_import, before_sweep, at_clock[0])
+"""
+
+
+def test_first_sweep_loads_numpy_modules_before_its_timer_starts():
+    src = os.path.dirname(os.path.dirname(fairsample.__file__))
+    path = os.pathsep.join([src] + [p for p in [
+        os.environ.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", _FIRST_SWEEP],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    # unloaded at import and just before the sweep, loaded at the sweep's
+    # first clock read
+    assert out.stdout.split() == ["False", "False", "True"]
