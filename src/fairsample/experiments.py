@@ -4,12 +4,13 @@ decomposition sweeps, and data-collection simulations.
 Every family runs on one engine.  A resolver maps (dataset, spec) to the
 holdout split, the training pool's named row-index pools, the grid, the
 metrics, the reference grid point and one Cell (a count per pool) per
-grid point.  The evaluation step draws each distinct cell's K samples
-through one dataset primitive, fits consecutive cells together, one
-``fit_many`` call per batch, a batch stacking no more training rows than
-the sweep's largest cell, and evaluates each cell once, keeping only what
-its family's evaluation returns.  A small reducer per family turns each
-grid point's value into summary rows and bias estimates.
+grid point.  One loop (_evaluated) takes the distinct cells in batches,
+a batch stacking no more training rows than the sweep's largest cell; it
+draws each batch's samples through one dataset primitive, fits them in
+one ``fit_many`` call, lets the samples go, and evaluates each cell once,
+letting its models go after it and keeping only what its family's
+evaluation returns.  A small reducer per family turns each grid point's
+value into summary rows and bias estimates.
 
 Every (cell, replicate) draw has its own RNG stream derived by hashing
 (seed, base family, cell key, replicate index); a decomposition's base
@@ -31,7 +32,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
-from itertools import starmap
 
 import numpy as np
 
@@ -440,43 +440,6 @@ def _draws(cell, spec, plan):
             for rep in range(spec.replicates)]
 
 
-def _fitted(cells, spec, draw, timer):
-    """(models, extra) of each cell, in order, where draw(cell) gives the
-    cell's training samples and extra, what its evaluation needs with them.
-
-    Consecutive cells share one fit_many call until the next cell would
-    take the batch past the largest cell's rows (sum(cell.counts) per
-    draw, K draws per cell), so a batch stacks no more training rows than
-    that cell alone.  Each batch is drawn when the caller reaches it, and
-    a cell's models are let go when the caller takes the next cell's.
-    """
-    budget = max(sum(cell.counts) for cell in cells)
-    batches = []
-    for cell in cells:
-        if not batches or rows + sum(cell.counts) > budget:
-            batches.append([])
-            rows = 0
-        batches[-1].append(cell)
-        rows += sum(cell.counts)
-    for batch in batches:
-        fitted = _fit_batch(batch, spec, draw, timer)
-        while fitted:
-            yield fitted.pop(0)
-
-
-def _fit_batch(batch, spec, draw, timer):
-    """[(models, extra)] of each cell of a batch, from one fit_many."""
-    drawn = [draw(cell) for cell in batch]
-    flat = [s for samples, _ in drawn for s in samples]
-    timer.mark("draw", samples=len(flat), rows=sum(s.n for s in flat))
-    models = fit_many(spec.learner, flat)
-    timer.mark("fit", fits=len(models),
-               constant=sum("constant" in m.params for m in models))
-    models = iter(models)
-    return [([next(models) for _ in samples], extra)
-            for samples, extra in drawn]
-
-
 def _predict(models, plan, main):
     """(ensemble, costs): the stacked holdout predictions of a cell's
     models, and {metric: (main costs, model costs)} from one model_costs
@@ -501,17 +464,37 @@ def _evaluated(plan, spec, evaluate, draw=None):
     fitted and evaluated once.
 
     draw(cell) gives (training samples, extra); by default the cell's K
-    holdout draws and None.  The distinct cells are fitted in _fitted's
-    batches, the reference first, then the grid's in grid order; only
-    what evaluate returns is kept, never the models.
+    holdout draws and None.  The distinct cells, the reference first, then
+    the grid's in grid order, are fitted in batches: consecutive cells
+    share one fit_many call until the next cell would take the batch past
+    the largest cell's rows (sum(cell.counts) per draw), so a batch stacks
+    no more training rows than that cell alone.  A batch's samples are let
+    go before its cells are evaluated, and each cell's models right after
+    its evaluate; only what evaluate returns is kept.
     """
     if draw is None:
         def draw(cell):
             return _draws(cell, spec, plan), None
     cells = list(dict.fromkeys(plan.cells[g] for g in (plan.ref, *plan.grid)
                                if g is not None))
-    values = dict(zip(cells, starmap(evaluate,
-                                     _fitted(cells, spec, draw, plan.timer))))
+    values, budget = {}, max(sum(cell.counts) for cell in cells)
+    while cells:
+        batch, rows = [], 0
+        while cells and rows + sum(cells[0].counts) <= budget:
+            rows += sum(cells[0].counts)
+            batch.append(cells.pop(0))
+        samples, extras = zip(*map(draw, batch))
+        sizes = list(map(len, samples))
+        samples = [s for cell_samples in samples for s in cell_samples]
+        plan.timer.mark("draw", samples=len(samples),
+                        rows=sum(s.n for s in samples))
+        models = fit_many(spec.learner, samples)
+        plan.timer.mark("fit", fits=len(models),
+                        constant=sum("constant" in m.params for m in models))
+        del samples
+        for cell, k, extra in zip(batch, sizes, extras):
+            values[cell] = evaluate(models[:k], extra)
+            del models[:k]
     return {g: values[plan.cells[g]] for g in plan.grid}
 
 
@@ -556,13 +539,11 @@ def _reduce_decomposition(result, plan, spec):
         return costs, terms
     per_point = _evaluated(plan, spec, evaluate)
     ref_costs, ref_terms = per_point[plan.ref]
-    ref_disc = {metric: _float(models.mean_disc())
-                for metric, (_, models) in ref_costs.items()}
     for g, (costs, terms) in per_point.items():
         for metric, (_, models) in costs.items():
             gap = bias_gap(terms[metric], ref_terms[metric])
             # per-replicate single-model gaps drive the dispersion column
-            rd = ref_disc[metric]
+            rd = _float(ref_costs[metric][1].mean_disc())
             values = [(v0, v1, None if (d is None or rd is None) else d - rd)
                       for v0, v1, d in models.floats()]
             _add_row(result, g, metric, values, be.MEAN_OVER_MODELS,

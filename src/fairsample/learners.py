@@ -457,9 +457,13 @@ def _best_split(X, y, min_leaf):
         # thresholds increase with i, so argmin's first-occurrence rule
         # picks the lowest threshold among exact ties within a feature
         k = int(np.argmin(imp))
-        thr = 0.5 * (xs[i[k] - 1] + xs[i[k]])
         if best is None or imp[k] < best[0] - 1e-15:
-            best = (float(imp[k]), j, thr)
+            # the midpoint, halved first so that +-1e308 cannot overflow;
+            # where it rounds onto the right value (adjacent floats), the
+            # left value, so `x <= thr` cuts where the cut was scored
+            lo, hi = xs[i[k] - 1], xs[i[k]]
+            thr = 0.5 * lo + 0.5 * hi
+            best = (float(imp[k]), j, thr if lo <= thr < hi else lo)
     return best
 
 
@@ -489,8 +493,6 @@ def _fit_tree(learner, X, y):
             continue
         _, j, thr = split
         go = X[:, j] <= thr
-        if go.all() or not go.any():
-            continue
         nodes[i][:3] = j, thr, i + 1
         stack.append((X[~go], y[~go], depth + 1, i))
         stack.append((X[go], y[go], depth + 1, None))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -449,13 +450,33 @@ def test_degenerate_population_split_rejected_before_any_fit(
     assert fits == []
 
 
-def test_size_sweep_packs_small_cells_into_one_fit_many(monkeypatch):
+@pytest.mark.parametrize("options, batches", [
+    ({"family": "ssb_size"},
+     [[2239], [10, 20, 50, 100, 200, 500, 1000], [2000]]),
+    # one size: one cell per batch, the added population split first
+    ({"family": "urb_ratio", "grid": (0.2, 0.5, 0.8), "total_m": 100},
+     [[100], [100], [100], [100]]),
+    # n1 rows on top of fixed_majority: no two cells fit in 120 rows
+    ({"family": "collect", "grid": (4, 20, 60), "fixed_majority": 60},
+     [[64], [80], [120]]),
+    # 4 + 20 rows fit in 60
+    ({"family": "collect", "grid": (4, 20, 60), "fixed_majority": 0},
+     [[4, 20], [60]]),
+    # the folds' training samples: 2-3 of 4 rows, 13-14 of 20, 40 of 60
+    ({"family": "collect", "grid": (4, 20, 60), "fixed_majority": 0,
+      "use_cv": True}, [[2, 3, 13, 14], [40]]),
+], ids=["ssb_size", "urb_ratio", "collect", "collect-small-fixed",
+        "collect-cv"])
+def test_size_sweep_packs_small_cells_into_one_fit_many(monkeypatch, options,
+                                                        batches):
     fitted = _count_fit_many(monkeypatch)
     # the ssb_logreg benchmark's data shape and default grid
     ds = generate(SynthSpec(n=4000, d=5, group1_share=0.3, seed=1))
-    spec = SweepSpec(family="ssb_size", replicates=2, seed=1,
-                     metrics=("ZOL",))
-    res = run_ssb_sweep(ds, spec)
+    spec = SweepSpec(replicates=2, seed=1, metrics=("ZOL",), **options)
+    res = RUNNERS[spec.family](ds, spec)
+    assert [sorted({s.n for s in samples}) for samples in fitted] == batches
+    if spec.family != "ssb_size":
+        return
     *small, m2000, cap = res.grid
     assert small == [10, 20, 50, 100, 200, 500, 1000] and m2000 == 2000
     # the reference first, then the cells of 10 to 1000 rows (1880 in all)
@@ -466,6 +487,49 @@ def test_size_sweep_packs_small_cells_into_one_fit_many(monkeypatch):
                for samples in fitted)
     assert sorted(s.n for samples in fitted for s in samples) == sorted(
         m for m in res.grid for _ in range(spec.replicates))
+
+
+@pytest.mark.parametrize("family, options", [
+    ("ssb_size", {"grid": (10, 20, 100)}),
+    ("urb_ratio", {"grid": (0.2, 0.5), "total_m": 100}),
+    ("decomposition", {"grid": (10, 20, 100)}),
+    ("collect", {"grid": (4, 20, 60), "fixed_majority": 0}),
+    ("collect", {"grid": (4, 20, 60), "fixed_majority": 0, "use_cv": True}),
+], ids=["ssb_size", "urb_ratio", "decomposition", "collect", "collect-cv"])
+def test_each_evaluate_outlives_the_samples_and_earlier_models(
+        clf_ds, monkeypatch, family, options):
+    # weak references to every sample fit_many took and to the models of
+    # every cell evaluated so far
+    samples, models, evaluated = [], [], []
+    real_fit_many = experiments.fit_many
+
+    def fit_many(learner, batch):
+        samples.extend(map(weakref.ref, batch))
+        return real_fit_many(learner, batch)
+
+    def watched(evaluate):
+        def wrapper(cell_models, *args):
+            # the batch's samples are gone, and so is every earlier cell's
+            # models
+            assert [ref() for ref in samples] == [None] * len(samples)
+            assert [ref() for ref in models] == [None] * len(models)
+            models.extend(map(weakref.ref, cell_models))
+            evaluated.append(len(cell_models))
+            return evaluate(cell_models, *args)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "fit_many", fit_many)
+    # every family's evaluate hands its cell's models to one of these
+    for name in ("_predict", "_cv_cells"):
+        monkeypatch.setattr(experiments, name,
+                            watched(getattr(experiments, name)))
+    spec = SweepSpec(family=family, replicates=3, seed=4, learner=FAST_TREE,
+                     metrics=("ZOL",), **options)
+    RUNNERS[family](clf_ds, spec)
+    folds = spec.cv_folds if spec.use_cv else 1
+    cells = set(experiments._resolve(clf_ds, spec).cells.values())
+    assert evaluated == [spec.replicates * folds] * len(cells)
+    assert len(samples) == len(models) == sum(evaluated)
 
 
 def test_decomposition_sweep_mse_identity(reg_ds):

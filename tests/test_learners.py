@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fairsample import ConfigError, DataError, Dataset, Learner, fit
+from oracles import fit_tree, score_tree
 
 
 def make_ds(X, y, a=None, task="classification"):
@@ -124,6 +127,29 @@ def test_tree_deeper_than_the_recursion_limit():
     assert model.params["height"] == n - 1
     _, labels = model.predict(X)
     assert np.array_equal(labels, y)
+
+
+ADJ_LO, ADJ_HI = 1 + 2 ** -52, 1 + 2 ** -51
+
+
+@pytest.mark.parametrize("x, y", [
+    # adjacent floats: their midpoint rounds up to the right value
+    ([ADJ_LO] * 5 + [ADJ_HI] * 5, [0] * 5 + [1] * 5),
+    # the sum of the two values overflows
+    ([1e308] * 5 + [1.5e308] * 5, [0] * 5 + [1] * 5),
+    ([ADJ_LO] * 5 + [ADJ_HI] * 5 + [2.0] * 5, [0] * 5 + [1] * 10),
+], ids=["adjacent", "huge", "adjacent-then-far"])
+def test_tree_applies_the_split_it_scored(x, y):
+    # each used to apply `x <= midpoint` with the midpoint at or past the
+    # right value: one 0.5 leaf, or 0.5 for the ADJ_HI rows
+    X, y = np.array(x)[:, None], np.array(y, dtype=float)
+    learner = Learner("decision_tree", min_leaf=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores, _ = fit(learner, make_ds(X, y)).predict(X)
+        oracle = score_tree(fit_tree(learner, X, y), X)
+    assert np.array_equal(scores, y)
+    assert np.array_equal(oracle, y)
 
 
 def test_knn_distance_tie_lower_row_index():
