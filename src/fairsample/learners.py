@@ -39,7 +39,8 @@ class Learner:
             raise ConfigError(f"unknown learner kind {self.kind!r}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must be in (0, 1)")
-        if self.l2 < 0 or self.learning_rate <= 0 or self.max_iter < 1:
+        if (self.l2 < 0 or self.learning_rate <= 0 or self.max_iter < 1
+                or self.grad_tol < 0):
             raise ConfigError("invalid logistic regression hyperparameters")
         if self.ridge_jitter <= 0:
             # a singular Gram matrix would reach the solve unregularised
@@ -152,58 +153,48 @@ def _sigmoid(z, out=None):
     return np.divide(top, e, out=e)
 
 
-def _stacks(Xbs):
-    """(Xb, replicate slice, row slice) of each stack, for _Grad's views and
-    _logreg_loss: a C-ordered, feature-major (k, d+1, m) stack holds the
-    d+1 feature rows, the intercept's ones last, of k replicates of m rows
-    each; its replicates and its rows come after the stack before it."""
-    out, i, o = [], 0, 0
-    for Xb in Xbs:
-        k, m = Xb.shape[0], Xb.shape[2]
-        out.append((Xb, slice(i, i + k), slice(o, o + k * m)))
-        i, o = i + k, o + k * m
-    return out
-
-
 class _Grad:
-    """Buffers for _logreg_grad's margins z and gradient grad of every live
-    replicate, and the views its matmuls write, per stack: (Xb, replicate
-    slice, the stack's rows of z, of the residual in work and of grad).
+    """Margins z and gradient grad of every live replicate, and the stack
+    layout: per C-ordered, feature-major (k, d+1, m) stack Xb, whose k
+    replicates and their rows follow the stack before it, views holds
+    (Xb, replicate slice, row slice, and the stack's rows of z, of the
+    residual in work and of grad, which _logreg_grad's matmuls write).
 
     A fit keeps two, at its weights and at its trial point, and swaps
     them when every step is accepted, so no round allocates them or
     slices them anew; it makes new ones only when replicates leave.
     """
 
-    def __init__(self, stacks, work):
+    def __init__(self, Xbs, work):
         self.z = np.empty(len(work))
-        self.grad = np.empty((stacks[-1][1].stop, stacks[0][0].shape[1]))
+        self.grad = np.empty((sum(map(len, Xbs)), Xbs[0].shape[1]))
         self.views = []
-        for Xb, reps, rows in stacks:
+        i = o = 0
+        for Xb in Xbs:
             k, _, m = Xb.shape
-            self.views.append((Xb, reps, self.z[rows].reshape(k, 1, m),
+            reps, rows = slice(i, i + k), slice(o, o + k * m)
+            self.views.append((Xb, reps, rows, self.z[rows].reshape(k, 1, m),
                                work[rows].reshape(k, m, 1),
                                self.grad[reps, :, None]))
+            i, o = i + k, o + k * m
 
 
 def _logreg_grad(w, out, y, n, l2, work):
     """Margins z = Xb' w and loss gradient of each replicate k at its own
-    weights w[k], into out's z and grad (a _Grad).
+    weights w[k], into out's z and grad; w, y and n, each replicate's row
+    count, follow the layout of out, a _Grad.
 
-    Each size m has a C-ordered, feature-major (k, d+1, m) stack, whose
-    replicates are in w and n (each replicate's row count), and whose
-    rows, replicate after replicate, are in y and in the flat z.  Each
-    replicate gets the arithmetic of a one-sample fit on its (d+1, m)
+    Each replicate gets the arithmetic of a one-sample fit on its (d+1, m)
     feature rows: a matmul per slice for the margins, w Xb, and for the
     gradient, Xb r, both gemv along contiguous feature rows, then the
     mean gradient's divide.  Every other step runs once over all
     replicates, the residual in the work buffer.
     """
-    for Xb, reps, z, _, _ in out.views:
+    for Xb, reps, _, z, _, _ in out.views:
         np.matmul(w[reps, None, :], Xb, out=z)
     r = _sigmoid(out.z, out=work)
     r -= y
-    for Xb, _, _, r_rows, grad in out.views:
+    for Xb, _, _, _, r_rows, grad in out.views:
         np.matmul(Xb, r_rows, out=grad)
     grad = out.grad
     grad /= n[:, None]
@@ -212,19 +203,20 @@ def _logreg_grad(w, out, y, n, l2, work):
     grad += reg
 
 
-def _logreg_loss(z, w, flip, stacks, l2):
-    """Loss of each replicate at weights w[k], from its margins z, laid out
-    as in _logreg_grad.
+def _logreg_loss(at, w, y, l2):
+    """Loss of each replicate at weights w[k], from the margins z of at, the
+    _Grad of w, whose layout y follows.
 
     A pure function of (z, w), with a one-sample fit's arithmetic: a mean
     as np.mean takes it (a pairwise sum along the contiguous row axis, per
-    stack, then a divide), -margin = z * flip with flip = -1 where y is
-    positive, which is exact, and the penalty as a matmul per slice.
+    stack, then a divide), -margin = z * (-1 where y is positive, else 1),
+    which is exact, and the penalty as one stacked matmul, which numpy
+    evaluates slice by slice, each slice a one-sample reg @ reg.
     """
     # log(1 + exp(-m)) with m = (2y-1) z, numerically stable
-    terms = np.logaddexp(0.0, z * flip)
+    terms = np.logaddexp(0.0, at.z * np.where(y > 0.5, -1.0, 1.0))
     loss = np.empty(len(w))
-    for Xb, reps, rows in stacks:
+    for Xb, reps, rows, *_ in at.views:
         k, _, m = Xb.shape
         loss[reps] = np.add.reduce(terms[rows].reshape(k, m), axis=1) / m
     reg = w.copy()
@@ -356,34 +348,33 @@ def _fit_logreg(learner, Xs, ys):
     live = np.array([i for idx in by_n.values() for i in idx])
     n = np.array([len(Xs[i]) for i in live])
     y = np.concatenate([ys[i] for i in live])
-    flip = np.where(y > 0.5, -1.0, 1.0)
+
+    def below_tol(grad):
+        return np.maximum.reduce(np.abs(grad), axis=1) < learner.grad_tol
 
     K = len(Xs)
     w = np.zeros((K, d + 1))
-    stacks, work = _stacks(Xbs), np.empty(len(y))
+    work = np.empty(len(y))
     # the margins and gradient at w, and at the trial point
-    cur, new = _Grad(stacks, work), _Grad(stacks, work)
+    cur, new = _Grad(Xbs, work), _Grad(Xbs, work)
     _logreg_grad(w, cur, y, n, l2, work)
     slack = k0.copy()
     step = np.full(K, lr)
     accepted = np.zeros(K, dtype=int)
     out = np.empty((K, d + 1))
-    stop = ((np.maximum.reduce(np.abs(cur.grad), axis=1) < learner.grad_tol)
-            | ~(step > 1e-12))
+    stop = below_tol(cur.grad) | ~(step > 1e-12)
     while True:
         if stop.any():
             out[live[stop]] = w[stop]
             keep = ~stop
             if not keep.any():
                 break
-            kept = np.split(keep, np.cumsum([len(Xb) for Xb in Xbs[:-1]]))
-            Xbs = [Xb if s.all() else Xb[s] for Xb, s in zip(Xbs, kept)
-                   if s.any()]
-            stacks = _stacks(Xbs)
+            Xbs = [Xb if s.all() else Xb[s] for Xb, reps, *_ in cur.views
+                   if (s := keep[reps]).any()]
             rows = np.repeat(keep, n)
-            y, flip, work = y[rows], flip[rows], work[:rows.sum()]
+            y, work = y[rows], work[:rows.sum()]
             z, grad = cur.z[rows], cur.grad[keep]
-            cur, new = _Grad(stacks, work), _Grad(stacks, work)
+            cur, new = _Grad(Xbs, work), _Grad(Xbs, work)
             cur.z[:], cur.grad[:] = z, grad
             w, slack, step, accepted, live, n, half_Lt, k0, k1, k2 = (
                 v[keep] for v in (w, slack, step, accepted, live, n,
@@ -400,13 +391,10 @@ def _fit_logreg(learner, Xs, ys):
             cur, new = new, cur
             accepted += 1
             step.fill(lr)  # above 1e-12, or no replicate would be live
-            stop = ((accepted >= learner.max_iter)
-                    | (np.maximum.reduce(np.abs(cur.grad), axis=1)
-                       < learner.grad_tol))
+            stop = (accepted >= learner.max_iter) | below_tol(cur.grad)
         else:
             # the bound leaves a step open: compare computed losses
-            ok = (_logreg_loss(new.z, w_new, flip, stacks, l2)
-                  <= _logreg_loss(cur.z, w, flip, stacks, l2))
+            ok = _logreg_loss(new, w_new, y, l2) <= _logreg_loss(cur, w, y, l2)
             w = np.where(ok[:, None], w_new, w)
             np.copyto(cur.z, new.z, where=np.repeat(ok, n))
             np.copyto(cur.grad, new.grad, where=ok[:, None])
@@ -415,10 +403,8 @@ def _fit_logreg(learner, Xs, ys):
             step = np.where(ok, lr, step * 0.5)
             # not (step > 1e-12), the one-sample loop's test: a NaN step
             # stops
-            stop = ~(step > 1e-12) | (ok & (
-                (accepted >= learner.max_iter)
-                | (np.maximum.reduce(np.abs(cur.grad), axis=1)
-                   < learner.grad_tol)))
+            stop = ~(step > 1e-12) | (ok & ((accepted >= learner.max_iter)
+                                           | below_tol(cur.grad)))
     return [{"w": w} for w in out]
 
 

@@ -201,6 +201,32 @@ def test_logreg_mixed_certified_and_exact_steps_match_oracle(monkeypatch):
         assert np.array_equal(model.params["w"], w)
 
 
+def test_logreg_buffers_are_made_only_when_replicates_leave(monkeypatch):
+    # the solver makes its two _Grad buffers at the start and again each
+    # time replicates leave, never inside a round
+    made = []
+
+    class Grad(learners._Grad):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(learners, "_Grad", Grad)
+    log = _record_logreg_parts(monkeypatch)
+    rng = np.random.default_rng(5)
+    samples = []
+    for m in (8, 8, 30, 30, 30, 120, 400):
+        X = rng.standard_normal((m, 3))
+        y = (rng.random(m) < 1 / (1 + np.exp(-X.sum(axis=1)))).astype(float)
+        y[:2] = 0.0, 1.0
+        samples.append(Dataset(X, y, np.zeros(m, dtype=int), np.arange(m)))
+    learners.fit_many(Learner(grad_tol=1e-5), samples)
+    live = [len(w) for part, w in log if part == "grad"]
+    drops = sum(b < a for a, b in zip(live, live[1:]))
+    assert drops >= 2
+    assert len(made) == 2 * (1 + drops)
+
+
 def test_logreg_scores_match_masked_sigmoid():
     rng = np.random.default_rng(0)
     # the sigmoid has no mask, so the edges of either side: infinities,

@@ -229,6 +229,7 @@ def test_non_finite_logreg_settings_rejected(name, value):
     ({"max_depth": 0}, "invalid decision tree"),
     ({"min_leaf": 0}, "invalid decision tree"),
     ({"k": 0}, "k must be >= 1"),
+    ({"grad_tol": -1e-9}, "invalid logistic regression"),
 ])
 def test_out_of_range_settings_rejected(kw, message):
     with pytest.raises(ConfigError, match=message):
